@@ -10,11 +10,14 @@ optimizes, at the CPU level with no kernel in the way:
 * ``mem_stream``   — streaming stores and loads through memory
   (guarded indirect access, dirty-page tracking).
 
-Each guest runs twice — interpreter (``use_predecode=False``) and
-trace engine — in 5000-instruction chunks like a kernel quantum, and
-the final registers, flags and memory must be identical before any
-number is reported.  Results merge into ``BENCH_perf.json`` under the
-``vm_micro`` key, preserving whatever else lives in that file.
+Each guest runs three times — interpreter (``use_predecode=False``),
+trace engine, and trace engine on a *lazy* image whose data and stack
+start out as pending copy-on-reference chunks (``lazy_instr_per_sec``:
+the pending-guarded trace variant) — in 5000-instruction chunks like a
+kernel quantum, and the final registers, flags and memory must be
+identical before any number is reported.  Results merge into
+``BENCH_perf.json`` under the ``vm_micro`` key, preserving whatever
+else lives in that file.
 """
 
 import argparse
@@ -28,12 +31,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__),
 
 from repro.vm import assemble, CPU  # noqa: E402
 from repro.vm.cpu import TrapStop  # noqa: E402
-from repro.vm.image import ProcessImage, TEXT_BASE  # noqa: E402
+from repro.vm.image import PAGE_BYTES, ProcessImage, TEXT_BASE  # noqa: E402
 from repro.vm.isa import cpu_model  # noqa: E402
 
 #: one kernel scheduling quantum's worth of instructions
 CHUNK = 5_000
 MEM_SIZE = 256 * 1024
+#: the top of memory a lazy image leaves pending as its stack
+LAZY_STACK = 4 * PAGE_BYTES
 
 TIGHT_LOOP = """
 start:  move  #0, d7
@@ -111,12 +116,31 @@ def _fresh_image(out):
     return image
 
 
-def _run_engine(out, use_predecode, cpu="mc68010"):
+def _make_lazy(image, out):
+    """Leave the data segment and the stack pending, one chunk per
+    page, poisoned until a fetch returns the original bytes."""
+    original = bytes(image.mem)
+    data_base = TEXT_BASE + len(out.text)
+    records = []
+    for base, length in ((data_base, len(out.data)),
+                         (MEM_SIZE - LAZY_STACK, LAZY_STACK)):
+        for start in range(base, base + length, PAGE_BYTES):
+            size = min(PAGE_BYTES, base + length - start)
+            image.mem[start:start + size] = b"\xee" * size
+            records.append((start, size, start))
+    image.add_lazy_chunks(
+        records, fetch=lambda start, size: original[start:start + size])
+
+
+def _run_engine(out, use_predecode, cpu="mc68010", lazy=False):
     """Run a guest to its trap in CHUNK-sized budgets; returns the
-    finished image, the instruction count and the elapsed seconds."""
+    finished image (with anything still pending faulted in), the
+    instruction count and the elapsed seconds."""
     vm = CPU(cpu_model(cpu))
     vm.use_predecode = use_predecode
     image = _fresh_image(out)
+    if lazy:
+        _make_lazy(image, out)
     executed = 0
     start = time.perf_counter()
     while True:
@@ -128,6 +152,7 @@ def _run_engine(out, use_predecode, cpu="mc68010"):
             raise AssertionError("guest stopped making progress: %r"
                                  % stop)
     elapsed = time.perf_counter() - start
+    image.drain_lazy()
     return image, executed, elapsed
 
 
@@ -141,24 +166,31 @@ def run_workload(name, source, iters, verbose=True):
     out = assemble(source % {"iters": iters})
     interp, n_interp, t_interp = _run_engine(out, use_predecode=False)
     traced, n_traced, t_traced = _run_engine(out, use_predecode=True)
-    if _visible(interp) != _visible(traced):
-        raise AssertionError("%s: engines disagree on the final "
-                             "machine state" % name)
-    if n_interp != n_traced:
-        raise AssertionError("%s: executed counts differ (%d vs %d)"
-                             % (name, n_interp, n_traced))
+    lazy, n_lazy, t_lazy = _run_engine(out, use_predecode=True, lazy=True)
+    for label, image, count in (("traces", traced, n_traced),
+                                ("lazy traces", lazy, n_lazy)):
+        if _visible(interp) != _visible(image):
+            raise AssertionError("%s: %s disagree with the interpreter "
+                                 "on the final machine state"
+                                 % (name, label))
+        if n_interp != count:
+            raise AssertionError("%s: %s executed %d instructions, the "
+                                 "interpreter %d"
+                                 % (name, label, count, n_interp))
     result = {
         "iterations": iters,
         "instructions": n_interp,
         "interp_instr_per_sec": round(n_interp / t_interp, 1),
         "trace_instr_per_sec": round(n_traced / t_traced, 1),
+        "lazy_instr_per_sec": round(n_lazy / t_lazy, 1),
         "speedup": round(t_interp / t_traced, 3) if t_traced else 0.0,
     }
     if verbose:
         print("  %-11s %9d instr   interp %9.0f/s   "
-              "traces %9.0f/s   %5.2fx"
+              "traces %9.0f/s   %5.2fx   lazy %9.0f/s"
               % (name, n_interp, result["interp_instr_per_sec"],
-                 result["trace_instr_per_sec"], result["speedup"]),
+                 result["trace_instr_per_sec"], result["speedup"],
+                 result["lazy_instr_per_sec"]),
               flush=True)
     return result
 

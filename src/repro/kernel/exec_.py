@@ -182,8 +182,7 @@ class ExecSupport:
         # shared content-keyed code cache (a re-exec, or a binary a
         # peer already ran before a migration) — account the arrival
         # now so warm-vs-cold lands in telemetry at exec time
-        if image._lazy is None:
-            self.machine.cpu.warm_code_cache(image)
+        self.machine.cpu.warm_code_cache(image)
 
         proc.image = VMImageState(image)
         proc.command = basename(path)

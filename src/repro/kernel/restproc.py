@@ -122,9 +122,9 @@ class RestProcSupport:
         # a migrated process usually lands with text this cluster has
         # seen before: the shared code cache already holds its traces,
         # so the restart pays no recompilation (zero cache_rebuilds
-        # for re-arrivals of unchanged text)
-        if image._lazy is None:
-            self.machine.cpu.warm_code_cache(image)
+        # for re-arrivals of unchanged text; a lazy arrival counts
+        # against the pending-guarded variant it runs first)
+        self.machine.cpu.warm_code_cache(image)
         if info.stack_manifest is not None and image.chunk_baseline is not None:
             # the stack manifest completes the re-dump baseline the
             # chunked exec started; every page is clean until the

@@ -66,30 +66,37 @@ class CodeCache:
     """Content-keyed registry of compiled traces.
 
     Traces are keyed by ``(cpu model, text base, memory size, sha-256
-    of the text bytes)`` — by *what the code is*, not by which image
-    carries it — so they are shared across images, across hosts (the
-    cluster hands every machine's CPU the same instance) and across
-    migrations: a process that dumps on one host and restarts on
-    another lands with its hot traces already compiled, and a
+    of the text bytes, lazy)`` — by *what the code is*, not by which
+    image carries it — so they are shared across images, across hosts
+    (the cluster hands every machine's CPU the same instance) and
+    across migrations: a process that dumps on one host and restarts
+    on another lands with its hot traces already compiled, and a
     re-arrival of unchanged text never counts as a
-    ``cache_rebuilds``.
+    ``cache_rebuilds``.  ``lazy`` selects the variant compiled with
+    pending-page guards, which images with copy-on-reference chunks
+    still pending run.
     """
 
     def __init__(self):
         self._traces = {}  #: key -> {pc: trace function or INTERP}
 
-    def key_for(self, model, image):
-        return (model.name, image.text_base, image.mem_size,
-                hashlib.sha256(image.text_bytes()).digest())
+    def key_for(self, model, image, lazy):
+        # the raw bytes: exec copies text in eagerly, so hashing it never
+        # needs (or may trigger) a copy-on-reference fault
+        base = image.text_base
+        text = image.mem[base:base + image.text_size]
+        return (model.name, base, image.mem_size,
+                hashlib.sha256(text).digest(), lazy)
 
     def texts(self):
         """How many distinct text segments the cache holds."""
-        return len(self._traces)
+        return len({key[:-1] for key in self._traces})
 
-    def blocks_for(self, model, image):
-        """The shared pc -> trace map for this image's text; returns
-        ``(blocks, hit)`` where ``hit`` says the text was seen before."""
-        key = self.key_for(model, image)
+    def blocks_for(self, model, image, lazy):
+        """The shared pc -> trace map for this image's text (``lazy``
+        variant); returns ``(blocks, hit)`` where ``hit`` says the text
+        was seen before."""
+        key = self.key_for(model, image, lazy)
         blocks = self._traces.get(key)
         if blocks is not None:
             return blocks, True
@@ -123,11 +130,13 @@ class CPU:
         attachment stays lazy until the first run).  A known text is a
         ``shared_cache_hits`` — the migrated process skips recompila-
         tion outright — while unseen text is the one honest
-        ``cache_rebuilds``.
+        ``cache_rebuilds``.  An image arriving with copy-on-reference
+        chunks pending counts against the lazy variant it will run.
         """
         if not self.use_predecode:
             return  # the reference engine never compiles anything
-        __, hit = self.code_cache.blocks_for(self.model, image)
+        __, hit = self.code_cache.blocks_for(self.model, image,
+                                             image._lazy is not None)
         perf = self.perf
         if perf is not None:
             if hit:
@@ -135,15 +144,25 @@ class CPU:
             else:
                 perf.cache_rebuilds += 1
 
-    def _prepare_cache(self, image):
-        """(Re)build an image's decode cache: ``(version, blocks,
-        decoded)`` where ``blocks`` maps pc -> compiled trace (shared
-        between images with byte-identical text) and ``decoded`` is the
-        per-image lazy single-instruction cache for out-of-text pcs."""
-        blocks, hit = self.code_cache.blocks_for(self.model, image)
+    def _prepare_cache(self, image, lazy):
+        """(Re)build an image's decode cache: ``(version, lazy, blocks,
+        decoded)`` where ``blocks`` maps pc -> compiled trace of the
+        ``lazy`` or eager variant (shared between images with
+        byte-identical text) and ``decoded`` is the per-image lazy
+        single-instruction cache for out-of-text pcs, kept across a
+        variant switch."""
+        if image._lazy is not None:
+            # fetching the text faults in any pending chunk sharing a
+            # page with it (the head of the data segment), on every
+            # engine, before the first instruction runs
+            image.read_bytes(image.text_base, image.text_size)
+        blocks, hit = self.code_cache.blocks_for(self.model, image, lazy)
         if not hit and self.perf is not None:
             self.perf.cache_rebuilds += 1
-        cache = (image.text_version, blocks, {})
+        old = image._decode_cache
+        decoded = old[3] if old is not None \
+            and old[0] == image.text_version else {}
+        cache = (image.text_version, lazy, blocks, decoded)
         image._decode_cache = cache
         return cache
 
@@ -212,11 +231,19 @@ class CPU:
         executed = 0
         regs = image.regs
         # per-image decode cache, keyed on text_version so
-        # self-modifying code stays correct
+        # self-modifying code stays correct, and on the trace variant:
+        # an image with copy-on-reference chunks pending runs the lazy
+        # variant until a run starts after it drained
+        lazy = self.use_predecode and image._lazy is not None
         cache = image._decode_cache
-        if cache is None or cache[0] != image.text_version:
-            cache = self._prepare_cache(image)
-        version, blocks, decoded = cache
+        if cache is None or cache[0] != image.text_version \
+                or cache[1] != lazy:
+            try:
+                cache = self._prepare_cache(image, lazy)
+            except SegmentationFault as fault:
+                # the chunk sharing a page with the text failed to fetch
+                return FaultStop(0, "segv", fault.address)
+        version, lazy, blocks, decoded = cache
         perf = self.perf
         supports = self.model.opcodes.__contains__
         isize = isa.INSTRUCTION_SIZE
@@ -224,21 +251,28 @@ class CPU:
         a = regs.a
         mem = image.mem
         dp = image.dirty_pages
+        lp = image.pending_pages
         # Compiled traces cover the common case; anything they cannot
         # prove safe bails *before mutating state* so the reference
         # interpreter below replays it with exact legacy semantics.
-        # While copy-on-reference chunks are pending the interpreter
-        # runs alone: it routes every access through image._check,
-        # which is where the pending chunks fault in.
-        use_blocks = self.use_predecode and image._lazy is None
+        # Lazy-variant traces also bail on any access to a page still
+        # pending copy-on-reference: the interpreter routes it through
+        # image._check, which is where the pending chunks fault in.
+        use_blocks = self.use_predecode
+        # set by a bail in a lazy trace: rather than root a new trace at
+        # every pc past a pending-page fault (each a near-copy of the
+        # region), interpret until control reaches a compiled trace
+        cold = False
         try:
             while executed < max_instructions:
                 pc = regs.pc
                 if use_blocks:
                     block = blocks.get(pc)
-                    if block is None:
+                    if block is None and cold:
+                        block = INTERP
+                    elif block is None:
                         block, ndecoded, nlinked = compile_trace(
-                            self.model, image, pc)
+                            self.model, image, pc, lazy=lazy)
                         blocks[pc] = block
                         if perf is not None and ndecoded:
                             perf.blocks_compiled += block.blocks
@@ -246,7 +280,7 @@ class CPU:
                             perf.traces_linked += nlinked
                     if block is not INTERP:
                         n, npc, zf, nf, sig = block(
-                            d, a, mem, dp, max_instructions - executed,
+                            d, a, mem, dp, lp, max_instructions - executed,
                             regs.zf, regs.nf)
                         executed += n
                         regs.pc = npc
@@ -255,12 +289,14 @@ class CPU:
                         if perf is not None:
                             perf.reg_spills += block.spill_regs
                         if sig == 0:
+                            cold = False
                             continue
                         if sig == 1:
                             return TrapStop(executed)
                         if sig == 2:
                             return HaltStop(executed)
                         pc = npc  # bail: interpret this instruction
+                        cold = lazy
                 # ---- one instruction, reference interpreter ----------
                 inst = decoded.get(pc)
                 if inst is None:

@@ -160,6 +160,10 @@ class ProcessImage:
         # digest); a page -> {chunk ids} map routes the first touch of
         # any page to the chunks overlapping it.  _lazy is None when
         # nothing is pending — the common case every access checks.
+        #: one flag per page (indexed like dirty_pages), set while any
+        #: chunk overlapping the page is pending; compiled traces of a
+        #: lazy image guard every memory access on it
+        self.pending_pages = bytearray(len(self.dirty_pages))
         self._lazy = None
         self._lazy_pages = None
         self._lazy_fetch = None
@@ -188,7 +192,9 @@ class ProcessImage:
     def _check(self, address, nbytes):
         if address < 0 or address + nbytes > len(self.mem):
             raise SegmentationFault(address)
-        if self._lazy is not None:
+        if self._lazy is not None and self.pending_pages.find(
+                1, address >> PAGE_SHIFT,
+                ((address + max(nbytes, 1) - 1) >> PAGE_SHIFT) + 1) >= 0:
             self._lazy_touch(address, nbytes)
 
     def read_u8(self, address):
@@ -234,11 +240,10 @@ class ProcessImage:
     def read_cstring(self, address, limit=4096):
         """Read a NUL-terminated string from guest memory."""
         end = address
-        lazy = self._lazy is not None
+        pending = self.pending_pages
         while end < len(self.mem) and end - address < limit:
-            if lazy:
+            if pending[end >> PAGE_SHIFT]:
                 self._lazy_touch(end, 1)
-                lazy = self._lazy is not None
             if self.mem[end] == 0:
                 return bytes(self.mem[address:end]).decode(
                     "latin-1")
@@ -265,9 +270,13 @@ class ProcessImage:
         a chunk overlaps, at which point ``fetch(digest, size)`` is
         called (charging whatever it charges *at access time*) and the
         chunk is filled in.  ``on_drained`` fires when the last
-        pending chunk lands.  While anything is pending the CPU stays
-        on the interpreter (which routes every access through
-        :meth:`_check`); predecoded blocks resume once drained.
+        pending chunk lands.  Every page a pending chunk overlaps is
+        flagged in :attr:`pending_pages`: the interpreter routes each
+        access through :meth:`_check`, and the CPU runs the image on
+        its *lazy* trace variant, whose compiled memory accesses bail
+        to the interpreter on a flagged page (so the chunk faults in
+        at the same instruction either way); once drained the next
+        run switches to the unguarded eager traces.
         """
         if fetch is not None:
             self._lazy_fetch = fetch
@@ -285,6 +294,7 @@ class ProcessImage:
             for page in range(start >> PAGE_SHIFT,
                               ((start + size - 1) >> PAGE_SHIFT) + 1):
                 self._lazy_pages.setdefault(page, set()).add(cid)
+                self.pending_pages[page] = 1
         if self._lazy is None and self._lazy_drained is not None:
             callback = self._lazy_drained
             self._lazy_drained = None
@@ -315,6 +325,7 @@ class ProcessImage:
                 cids.discard(cid)
                 if not cids:
                     del self._lazy_pages[page]
+                    self.pending_pages[page] = 0
         try:
             blob = self._lazy_fetch(digest, size)
         except SegmentationFault:
@@ -397,6 +408,7 @@ class ProcessImage:
         other = ProcessImage(mem_size=0)
         other.mem = bytearray(self.mem)
         other.dirty_pages = bytearray(self.dirty_pages)
+        other.pending_pages = bytearray(len(self.dirty_pages))
         other.chunk_baseline = dict(self.chunk_baseline) \
             if self.chunk_baseline is not None else None
         other.regs = self.regs.copy()

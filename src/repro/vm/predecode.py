@@ -7,7 +7,8 @@ we compile whole *traces* once: a trace is a small set of straight-line
 blocks linked by their statically-known branch targets, emitted as one
 Python function.  A trace function has the signature::
 
-    trace(d, a, mem, dp, budget, zf, nf) -> (executed, next_pc, zf, nf, sig)
+    trace(d, a, mem, dp, lp, budget, zf, nf)
+        -> (executed, next_pc, zf, nf, sig)
 
 Three things make traces fast:
 
@@ -34,13 +35,24 @@ Three things make traces fast:
 ``dp`` is the image's per-page dirty bitmap: every memory store marks
 the page(s) it touches, exactly as the interpreter's ``write_u8`` /
 ``write_i32`` do, so incremental dumps see the same dirty set on both
-engines.
+engines.  ``lp`` is its per-page *pending* bitmap
+(``ProcessImage.pending_pages``): a page is flagged while a
+copy-on-reference chunk overlapping it has not been faulted in.  Each
+text is compiled in two variants.  The eager variant never reads
+``lp``.  The lazy variant (``compile_trace(..., lazy=True)``, run while
+an image has chunks pending) gives every memory operand — absolute,
+indirect, ``push``/``pop``/``jsr``/``rts`` — a *pending guard*,
+``or lp[page]`` chained after its bounds test (``if lp[page]: <bail>``
+for an absolute address; both pages when a 4-byte access straddles a
+boundary), so the interpreter replays the access and faults the chunk
+in at the same instruction, in the same quantum.
 
 ``sig`` is one of the :data:`SIG_OK`/``TRAP``/``HALT``/``BAIL`` codes
 below.  ``BAIL`` means the instruction at ``next_pc`` was *not*
 executed and **no state was touched for it**: every guard (address out
 of range, store into the text segment, divide by a runtime zero) fires
-before the first mutation of its instruction, so the interpreter can
+before the first mutation of its instruction (in lazy traces: or a
+page it touches is still pending), so the interpreter can
 replay the instruction from scratch and produce the exact legacy
 fault behaviour — partial-mutation order, fault pc, executed counts
 and all.  That bail-before-mutate rule is what lets the fast path be
@@ -122,10 +134,11 @@ class _Ctx:
     discovers exactly the registers the final pass will touch.
     """
 
-    def __init__(self, text_end, mem_size, dmap=None, amap=None,
-                 heads=frozenset(), spill=""):
+    def __init__(self, text_end, mem_size, lazy=False, dmap=None,
+                 amap=None, heads=frozenset(), spill=""):
         self.text_end = text_end
         self.mem_size = mem_size
+        self.lazy = lazy  #: guard memory operands against pending pages
         self.dmap = dmap  #: reg -> local name, or None (probe mode)
         self.amap = amap
         self.heads = heads  #: pcs dispatchable inside this trace
@@ -208,6 +221,7 @@ def _emit_value(lines, ctx, mode, operand, var, byte=False):
     if mode == Mode.ABS:
         if operand < 0 or operand + size > ctx.mem_size:
             raise _Uncompilable  # interpreter raises the segv
+        _emit_guard(lines, ctx, None, "%d" % operand, size)
         if (_MV4_OK and not byte and operand % 4 == 0
                 and ctx.mem_size % 4 == 0):
             # aligned word: one signed int32 read, no sign fix
@@ -216,14 +230,14 @@ def _emit_value(lines, ctx, mode, operand, var, byte=False):
         addr = "%d" % operand
     elif mode == Mode.IND:
         lines.append("t = %s" % ctx.a(operand))
-        lines.append("if t < 0 or t + %d > %d: %s"
-                     % (size, ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < 0 or t + %d > %d"
+                    % (size, ctx.mem_size), "t", size)
         addr = "t"
     elif mode == Mode.IND_DISP:
         disp, reg = isa.unpack_ind_disp(operand)
         lines.append("t = %s + %d" % (ctx.a(reg), disp))
-        lines.append("if t < 0 or t + %d > %d: %s"
-                     % (size, ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < 0 or t + %d > %d"
+                    % (size, ctx.mem_size), "t", size)
         addr = "t"
     else:
         raise _Uncompilable
@@ -256,6 +270,7 @@ def _emit_store(lines, ctx, mode, operand, var, byte=False):
         if (operand < ctx.text_end
                 or operand + size > ctx.mem_size):
             raise _Uncompilable  # text write or segv: interpreter's job
+        _emit_guard(lines, ctx, None, "%d" % operand, size)
         if (_MV4_OK and not byte and operand % 4 == 0
                 and ctx.mem_size % 4 == 0):
             # aligned word: every value here is already signed 32-bit
@@ -266,14 +281,14 @@ def _emit_store(lines, ctx, mode, operand, var, byte=False):
         addr = "%d" % operand
     elif mode == Mode.IND:
         lines.append("t = %s" % ctx.a(operand))
-        lines.append("if t < %d or t + %d > %d: %s"
-                     % (ctx.text_end, size, ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < %d or t + %d > %d"
+                    % (ctx.text_end, size, ctx.mem_size), "t", size)
         addr = "t"
     elif mode == Mode.IND_DISP:
         disp, reg = isa.unpack_ind_disp(operand)
         lines.append("t = %s + %d" % (ctx.a(reg), disp))
-        lines.append("if t < %d or t + %d > %d: %s"
-                     % (ctx.text_end, size, ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < %d or t + %d > %d"
+                    % (ctx.text_end, size, ctx.mem_size), "t", size)
         addr = "t"
     else:
         raise _Uncompilable  # store to immediate / bad mode: segv
@@ -283,6 +298,30 @@ def _emit_store(lines, ctx, mode, operand, var, byte=False):
         lines.append("mem[%s:%s + 4] = (%s & 4294967295)"
                      ".to_bytes(4, 'little')" % (addr, addr, var))
     _emit_dirty(lines, addr, 1 if byte else 4)
+
+
+def _emit_guard(lines, ctx, bounds, addr, size):
+    """Emit the bail guard of the ``size``-byte access at ``addr``:
+    ``bounds`` (a runtime range test, or None for a compile-time
+    checked absolute address) and, in a lazy trace, the pending test
+    chained after it — bail when the access touches a page whose
+    copy-on-reference chunk is still pending, so the interpreter's
+    ``_check`` faults it in.  ``or`` evaluates the pending test only
+    once the address is known to be in range."""
+    tests = [bounds] if bounds else []
+    if ctx.lazy:
+        if addr == "t":
+            tests.append("lp[t >> %d]" % PAGE_SHIFT)
+            if size == 4:
+                tests.append("lp[(t + 3) >> %d]" % PAGE_SHIFT)
+        else:
+            first = int(addr) >> PAGE_SHIFT
+            last = (int(addr) + size - 1) >> PAGE_SHIFT
+            tests.append("lp[%d]" % first)
+            if last != first:
+                tests.append("lp[%d]" % last)
+    if tests:
+        lines.append("if %s: %s" % (" or ".join(tests), ctx.bail()))
 
 
 def _emit_dirty(lines, addr, size):
@@ -497,8 +536,8 @@ def _emit_instruction(lines, ctx, inst):
             target = "u"
         ret = to_unsigned(pc + _ISIZE).to_bytes(4, "little")
         lines.append("t = %s - 4" % ctx.a(7))
-        lines.append("if t < %d or t + 4 > %d: %s"
-                     % (ctx.text_end, ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < %d or t + 4 > %d"
+                    % (ctx.text_end, ctx.mem_size), "t", 4)
         lines.append("mem[t:t + 4] = %r" % ret)
         _emit_dirty(lines, "t", 4)
         lines.append("%s = t" % ctx.al(7))
@@ -506,8 +545,8 @@ def _emit_instruction(lines, ctx, inst):
         return True
     if opcode == Op.RTS:
         lines.append("t = %s" % ctx.a(7))
-        lines.append("if t < 0 or t + 4 > %d: %s"
-                     % (ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < 0 or t + 4 > %d" % ctx.mem_size,
+                    "t", 4)
         lines.append("v = _fb(mem[t:t + 4], 'little')")
         lines.append("%s = t + 4" % ctx.al(7))
         lines.append(ctx.exit(n + 1, "v"))
@@ -515,8 +554,8 @@ def _emit_instruction(lines, ctx, inst):
     if opcode == Op.PUSH:
         val = _emit_value(lines, ctx, sm, s, "v")
         lines.append("t = %s - 4" % ctx.a(7))
-        lines.append("if t < %d or t + 4 > %d: %s"
-                     % (ctx.text_end, ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < %d or t + 4 > %d"
+                    % (ctx.text_end, ctx.mem_size), "t", 4)
         if val.lstrip("-").isdigit():  # constant: pack it now
             packed = to_unsigned(int(val)).to_bytes(4, "little")
             lines.append("mem[t:t + 4] = %r" % packed)
@@ -530,8 +569,8 @@ def _emit_instruction(lines, ctx, inst):
         if dm not in (Mode.DREG, Mode.AREG):
             raise _Uncompilable  # memory pops keep legacy ordering
         lines.append("t = %s" % ctx.a(7))
-        lines.append("if t < 0 or t + 4 > %d: %s"
-                     % (ctx.mem_size, ctx.bail()))
+        _emit_guard(lines, ctx, "t < 0 or t + 4 > %d" % ctx.mem_size,
+                    "t", 4)
         lines.append("v = _fb(mem[t:t + 4], 'little')")
         lines.append("if v & 2147483648: v -= 4294967296")
         lines.append("%s = t + 4" % ctx.al(7))
@@ -607,12 +646,13 @@ def _decode_block(model, image, start_pc, max_len=MAX_BLOCK_LEN):
     return ir
 
 
-def _observes_flags(inst):
+def _observes_flags(inst, lazy):
     """Can anything see the flags as they stand *entering* ``inst``?
 
     Conditional branches read them; guarded instructions may bail and
-    return them to the interpreter; terminators transfer or return
-    them.  Conservative: marking too much only emits extra flag writes.
+    return them to the interpreter (in a lazy trace absolute operands
+    carry a pending guard too); terminators transfer or return them.
+    Conservative: marking too much only emits extra flag writes.
     """
     opcode, sm, s, dm, dv = inst
     if opcode in isa.BRANCHES or opcode in (Op.JSR, Op.RTS, Op.TRAP,
@@ -620,10 +660,12 @@ def _observes_flags(inst):
         return True
     if opcode in (Op.DIV, Op.DIVL, Op.MOD) and sm != Mode.IMM:
         return True
+    if lazy and Mode.ABS in (sm, dm):
+        return True
     return sm in _GUARDED or dm in _GUARDED
 
 
-def _flag_liveness(insts):
+def _flag_liveness(insts, lazy):
     """Backward pass: ``live[i]`` is False only when instruction i's
     flag writes are provably overwritten before anyone can observe
     them (no branch, bail point or exit in between)."""
@@ -634,7 +676,7 @@ def _flag_liveness(insts):
         writes = inst[0] in _FLAG_WRITERS
         if writes:
             live[i] = needed
-        if _observes_flags(inst):
+        if _observes_flags(inst, lazy):
             needed = True
         elif writes:
             needed = False
@@ -644,12 +686,13 @@ def _flag_liveness(insts):
 # -- trace assembly ----------------------------------------------------------
 
 
-def compile_trace(model, image, entry):
+def compile_trace(model, image, entry, lazy=False):
     """Compile the trace rooted at ``entry``.
 
     Discovers up to :data:`TRACE_MAX_BLOCKS` blocks breadth-first over
     statically-known branch/call/fall-through targets and emits them
-    as one function with an internal dispatch loop.  Returns
+    as one function with an internal dispatch loop; ``lazy`` adds the
+    pending-page guards (module docstring).  Returns
     ``(trace_function, n_instructions, n_linked_blocks)``, or
     ``(INTERP, 0, 0)`` when ``entry`` is outside the text segment or
     its first instruction is uncompilable.
@@ -690,7 +733,7 @@ def compile_trace(model, image, entry):
     parts += ["a[%d] = ra%d" % (i, i) for i in sorted(awritten)]
     spill = "; ".join(parts) + ("; " if parts else "")
 
-    ctx = _Ctx(image.text_base + image.text_size, image.mem_size,
+    ctx = _Ctx(image.text_base + image.text_size, image.mem_size, lazy,
                dmap, amap, heads, spill)
     body = []
     ndecoded = 0
@@ -703,7 +746,7 @@ def compile_trace(model, image, entry):
         body.append("            if budget - _n < %d: %sreturn _n, %d,"
                     " zf, nf, %s" % (len(ir.insts), spill, ir.pc, sig))
         lines = []
-        live = _flag_liveness(ir.insts)
+        live = _flag_liveness(ir.insts, lazy)
         for i, (pc, inst) in enumerate(ir.insts):
             ctx.n, ctx.pc = i, pc
             ctx.flags_live = live[i]
@@ -716,7 +759,7 @@ def compile_trace(model, image, entry):
     body.append("        else:")
     body.append("            %sreturn _n, _pc, zf, nf, 0" % spill)
 
-    head = ["def _trace(d, a, mem, dp, budget, zf, nf, "
+    head = ["def _trace(d, a, mem, dp, lp, budget, zf, nf, "
             "_fb=int.from_bytes):"]
     if ctx.uses_mv4:
         head.append("    mv4 = memoryview(mem).cast('i')")

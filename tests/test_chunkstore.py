@@ -320,6 +320,75 @@ def test_missing_chunk_restart_fails_cleanly():
     assert prints["fast"] == prints["scan"]
 
 
+# -- lazy images run compiled traces ----------------------------------------
+
+
+def _bighog_site(engine):
+    """A lazy-restart site with ``bighog``: the cpuhog carrying a 64 KB
+    buffer it never touches, so its chunks stay pending for good."""
+    from repro.programs.guest import cpuhog
+    from repro.programs.guest.libasm import program
+    site = _incremental_site(engine, lazy=True)
+    aout = program(cpuhog.BODY,
+                   cpuhog.DATA + "bigbuf: .space 65536\n").aout
+    for name in ("brick", "schooner"):
+        site.machine(name).install_aout("bighog", aout)
+    return site
+
+
+def test_lazy_restart_runs_compiled_traces(monkeypatch):
+    """Regression guard: a lazily restarted image must not fall back to
+    interpreter-only execution while chunks are pending.  On the fast
+    engine the lazy-variant cache entry holds compiled traces and the
+    hog's instructions run through them; virtual time matches scan."""
+    from repro.programs.guest.cpuhog import expected_checksum
+    from repro.vm import cpu as cpu_module
+    from repro.vm.predecode import INTERP
+    compile_trace = cpu_module.compile_trace
+    traced = []  # instructions retired inside lazy-variant traces
+
+    def counting(model, image, entry, lazy=False):
+        fn, ndecoded, nlinked = compile_trace(model, image, entry,
+                                              lazy=lazy)
+        if not lazy or fn is INTERP:
+            return fn, ndecoded, nlinked
+
+        def trace(*args):
+            result = fn(*args)
+            traced.append(result[0])
+            return result
+        trace.__dict__.update(fn.__dict__)
+        return trace, ndecoded, nlinked
+
+    monkeypatch.setattr(cpu_module, "compile_trace", counting)
+    prints = {}
+    for engine in ("fast", "scan"):
+        site = _bighog_site(engine)
+        handle = site.start("brick", "/bin/bighog", ["bighog", "60000"])
+        site.run(until_us=site.cluster.wall_time_us() + 100_000)
+        site.dumpproc("brick", handle.pid)
+        restart = site.restart("schooner", handle.pid, from_host="brick")
+        image = restart.proc.image.image
+        perf = site.cluster.perf
+        before = perf.vm_instructions
+        del traced[:]
+        site.run(until_us=site.cluster.wall_time_us() + 200_000)
+        ran = perf.vm_instructions - before
+        assert image._lazy is not None and not restart.exited
+        if engine == "fast":
+            __, lazy, blocks, __ = image._decode_cache
+            assert lazy
+            assert any(block is not INTERP for block in blocks.values())
+            assert sum(traced) >= 0.9 * ran > 0
+        else:
+            assert not traced
+        site.run_until(lambda: restart.exited)
+        assert ("checksum=%d" % expected_checksum(60000)) \
+            in site.console("schooner")
+        prints[engine] = _fingerprint(site)
+    assert prints["fast"] == prints["scan"]
+
+
 # -- the sysctl0 polling knobs ----------------------------------------------
 
 

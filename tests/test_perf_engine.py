@@ -121,6 +121,36 @@ def test_decode_cache_invalidated_on_rest_proc_overlay():
         in site.console("schooner")
 
 
+def test_lazy_arrival_counts_against_the_lazy_variant():
+    """A lazily restarted process arrives with chunks pending; its
+    arrival is accounted against the lazy trace variant it will run,
+    so the second lazy arrival of unchanged text is a shared-cache hit
+    and adds no rebuild."""
+    from repro.costmodel import CostModel
+    costs = CostModel().with_overrides(incremental_dumps=True,
+                                       lazy_restart=True)
+    site = MigrationSite(costs)
+    site.run_quiet()
+    perf = site.cluster.perf
+    handle = site.start("brick", "/bin/cpuhog", ["cpuhog", "60000"])
+    site.run(until_us=site.cluster.wall_time_us() + 100_000)
+    site.dumpproc("brick", handle.pid)
+    rebuilds = perf.cache_rebuilds
+    first = site.restart("schooner", handle.pid, from_host="brick")
+    assert first.proc.image.image._lazy is not None
+    assert perf.cache_rebuilds == rebuilds + 1  # the lazy variant is new
+    site.run(until_us=site.cluster.wall_time_us() + 100_000)
+    site.dumpproc("schooner", first.proc.pid)
+    rebuilds, hits = perf.cache_rebuilds, perf.shared_cache_hits
+    second = site.restart("brick", first.proc.pid, from_host="schooner")
+    assert second.proc.image.image._lazy is not None
+    assert perf.cache_rebuilds == rebuilds
+    assert perf.shared_cache_hits > hits
+    site.run_until(lambda: second.exited)
+    assert ("checksum=%d" % expected_checksum(60000)) \
+        in site.console("brick")
+
+
 def test_exec_invalidates_decode_cache():
     cluster = Cluster()
     machine = cluster.add_machine("a")
