@@ -11,6 +11,11 @@ driver, predecoded instruction blocks) — then:
   the speedup, the fast engine's burst-length histogram and the
   decode-cache hit rate.
 
+It also times site setup (``site_setup``): a ``MigrationSite()`` and
+a short cpuhog on it, first *cold* (the process-wide guest assembly
+memo and trace store emptied) and then *warm*, with the number of
+``assemble`` and ``compile_trace`` calls each paid.
+
 The JSON write is merge-preserving: keys other benchmarks put in the
 same file (``bench_vm_micro``'s ``vm_micro`` section) survive a rerun.
 
@@ -42,7 +47,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
 
 from repro.clock import RealStopwatch
 from repro.core.api import MigrationSite
+from repro.programs.guest import libasm
 from repro.programs.guest.cpuhog import expected_checksum
+from repro.vm import assembler
+from repro.vm import cpu as cpu_module
 
 DEFAULT_MACHINES = 8
 DEFAULT_PROCS = 32
@@ -131,6 +139,64 @@ def run_storm(engine, machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
     return fingerprint, stats
 
 
+#: cpuhog iterations for the site-setup bench's first guest run
+SETUP_HOG_ITERATIONS = 2_000
+
+#: warm repetitions timed by the site-setup bench (the median counts)
+SETUP_WARM_REPS = 5
+
+
+def _one_site_setup():
+    """Build a site and run one short cpuhog on it; returns the wall ms
+    of each phase and the assemble/compile_trace calls it paid."""
+    counts = {"assemble": 0, "compile_trace": 0}
+    patched = [(assembler, "assemble"), (cpu_module, "compile_trace")]
+    saved = [getattr(owner, name) for owner, name in patched]
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+    for (owner, name), real in zip(patched, saved):
+        setattr(owner, name, counting(name, real))
+    try:
+        timer = RealStopwatch()
+        site = MigrationSite()
+        site_ms = timer.elapsed_s() * 1000.0
+        site_calls = dict(counts)
+        timer = RealStopwatch()
+        hog = site.start("brick", "/bin/cpuhog",
+                         ["cpuhog", str(SETUP_HOG_ITERATIONS)])
+        site.run_until(lambda: hog.exited)
+        run_ms = timer.elapsed_s() * 1000.0
+    finally:
+        for (owner, name), real in zip(patched, saved):
+            setattr(owner, name, real)
+    if hog.exit_status != 0:
+        raise AssertionError("site-setup cpuhog exited %d"
+                             % hog.exit_status)
+    return {"site_ms": site_ms, "first_run_ms": run_ms,
+            "site_assemble_calls": site_calls["assemble"],
+            "first_run_compile_trace_calls": counts["compile_trace"]}
+
+
+def run_site_setup():
+    """Cold then warm site setup (see the module docstring)."""
+    libasm._clear_programs()
+    cpu_module._clear_store()
+    cold = _one_site_setup()
+    warm = [_one_site_setup() for __ in range(SETUP_WARM_REPS)]
+    report = {}
+    for key in cold:
+        report["cold_" + key] = round(cold[key], 3)
+        report["warm_" + key] = round(
+            sorted(w[key] for w in warm)[SETUP_WARM_REPS // 2], 3)
+    report["warm_sites_per_sec"] = round(1000.0 / report["warm_site_ms"],
+                                         1)
+    return report
+
+
 def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
                   iterations=DEFAULT_ITERATIONS, out="BENCH_perf.json",
                   verbose=True):
@@ -157,6 +223,11 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
         raise AssertionError(
             "engines diverged on virtual-time results: %s" % diverged)
     say("virtual-time results: identical across engines")
+    say("site setup: cold, then warm (process-wide memos filled)...")
+    setup = run_site_setup()
+    say("  MigrationSite() %.1f ms cold (%d assembles), %.1f ms warm "
+        "(%d)" % (setup["cold_site_ms"], setup["cold_site_assemble_calls"],
+                  setup["warm_site_ms"], setup["warm_site_assemble_calls"]))
 
     speedup = (fast_stats["steps_per_sec"]
                / scan_stats["steps_per_sec"]) \
@@ -173,6 +244,7 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
         "engines": {"scan": scan_stats, "fast": fast_stats},
         "speedup_steps_per_sec": round(speedup, 3),
         "virtual_time_identical": True,
+        "site_setup": setup,
     }
     _merge_write(out, report)
     say("speedup: %.2fx (written to %s)" % (speedup, out))

@@ -255,7 +255,9 @@ class MiscSyscalls:
         (``cache_rebuilds``), the compiler's volume counters, and how
         many distinct text segments the cache currently holds.  A
         healthy migration-heavy cluster shows hits far above rebuilds
-        — re-arrivals of unchanged text never recompile.
+        — re-arrivals of unchanged text never recompile.  Every
+        figure counts this cluster's own first sightings and first
+        uses, whatever the process-wide trace store already held.
         """
         perf = self.machine.cluster.perf
         cache = self.machine.cluster._code_cache

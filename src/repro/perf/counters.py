@@ -29,14 +29,18 @@ COUNTER_DOCS = {
     "heap_pushes": "machine re-insertions into the fast engine's "
                    "lazy heap",
     "vm_instructions": "instructions retired by all CPUs",
-    "instructions_decoded": "instructions actually decoded",
-    "blocks_compiled": "straight-line blocks compiled into traces",
-    "traces_linked": "block-to-block links baked into compiled traces",
+    "instructions_decoded": "instructions decoded: by the interpreter, "
+                            "or in traces on their first use in this "
+                            "cluster",
+    "blocks_compiled": "straight-line blocks in traces first used in "
+                       "this cluster",
+    "traces_linked": "block-to-block links in traces first used in this "
+                     "cluster",
     "reg_spills": "cached registers spilled back at trace exits",
-    "shared_cache_hits": "exec/restart arrivals whose text was already "
-                         "compiled in the shared code cache",
-    "cache_rebuilds": "text segments compiled from scratch (first "
-                      "sighting of those bytes)",
+    "shared_cache_hits": "exec/restart arrivals whose text this cluster "
+                         "had already seen",
+    "cache_rebuilds": "text segments first seen in this cluster (their "
+                      "traces may come from the process-wide store)",
     "faults_injected": "fault rules that fired",
     "fault_delay_us": "virtual time added by delay rules",
     "fault_corruptions": "blobs mangled by corrupt rules",
@@ -159,12 +163,12 @@ class PerfCounters:
         self.heap_pushes = 0  #: machine re-insertions into the heap
         # VM / shared code cache
         self.vm_instructions = 0  #: instructions retired by all CPUs
-        self.instructions_decoded = 0  #: instructions actually decoded
-        self.blocks_compiled = 0  #: blocks compiled into traces
-        self.traces_linked = 0  #: block-to-block links baked in
+        self.instructions_decoded = 0  #: instructions decoded
+        self.blocks_compiled = 0  #: blocks in traces first used here
+        self.traces_linked = 0  #: block-to-block links in those
         self.reg_spills = 0  #: cached registers spilled at trace exits
-        self.shared_cache_hits = 0  #: arrivals with text already compiled
-        self.cache_rebuilds = 0  #: text segments compiled from scratch
+        self.shared_cache_hits = 0  #: arrivals with text already seen
+        self.cache_rebuilds = 0  #: text segments first seen here
         # fault injection / pipeline hardening
         self.faults_injected = 0  #: fault rules that fired
         self.fault_delay_us = 0.0  #: virtual time added by delay rules

@@ -168,9 +168,30 @@ lib_numbuf_end:
 """
 
 
+#: (source, cpu) -> Assembled: every host installs the same a.out, as
+#: every workstation in the paper execs one installed binary, so each
+#: distinct program is assembled once per process
+_PROGRAMS = {}
+
+
 def program(body_text, body_data="", cpu="mc68010"):
-    """Assemble a guest program: prelude + body + stdlib."""
-    from repro.vm.assembler import assemble
+    """Assemble a guest program: prelude + body + stdlib.
+
+    The result is memoized by content and shared between callers, so
+    treat it as read-only (``.aout`` is immutable ``bytes``; leave
+    ``.symbols`` alone).  :func:`repro.vm.assembler.assemble` itself
+    is not memoized.
+    """
     source = (PRELUDE + "        .text\n" + body_text + STDLIB
               + "        .data\n" + body_data + STDLIB_DATA)
-    return assemble(source, cpu=cpu)
+    key = (source, cpu)
+    assembled = _PROGRAMS.get(key)
+    if assembled is None:
+        from repro.vm.assembler import assemble
+        assembled = _PROGRAMS[key] = assemble(source, cpu=cpu)
+    return assembled
+
+
+def _clear_programs():
+    """Forget every memoized program (tests and cold-start benches)."""
+    _PROGRAMS.clear()

@@ -62,6 +62,44 @@ _ALU_OPS = {Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR,
             Op.XOR, Op.SHL, Op.SHR, Op.MULL, Op.DIVL, Op.BFEXT}
 
 
+#: most distinct texts (per variant) the process-wide trace store
+#: keeps; past it the oldest entry is dropped first
+STORE_TEXTS = 256
+
+#: the process-wide trace store: CodeCache key -> {pc: trace}, in
+#: insertion order.  A trace is a pure function of the key and its
+#: entry pc, so every cluster in the process can run it; see CodeCache.
+_STORE = {}
+
+
+def _store_entry(key):
+    """The process-wide ``{pc: trace}`` dict for ``key`` (FIFO-bounded
+    by :data:`STORE_TEXTS`)."""
+    traces = _STORE.get(key)
+    if traces is None:
+        if len(_STORE) >= STORE_TEXTS:
+            del _STORE[next(iter(_STORE))]
+        traces = _STORE[key] = {}
+    return traces
+
+
+def _clear_store():
+    """Empty the process-wide trace store (tests and cold-start benches)."""
+    _STORE.clear()
+
+
+class _Traces(dict):
+    """One cluster's pc -> trace map for one text (see :class:`CodeCache`),
+    remembering its key and, once resolved, the store entry behind it."""
+
+    __slots__ = ("key", "shared")
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+        self.shared = None
+
+
 class CodeCache:
     """Content-keyed registry of compiled traces.
 
@@ -75,10 +113,18 @@ class CodeCache:
     ``cache_rebuilds``.  ``lazy`` selects the variant compiled with
     pending-page guards, which images with copy-on-reference chunks
     still pending run.
+
+    Each cluster's instance is an *accounting view*: its per-key pc
+    maps record which traces this cluster has used, and the counters
+    charge first uses against them.  The traces themselves come from
+    the process-wide store under the same key (:data:`_STORE`), so a
+    cluster never recompiles what an earlier one in the process
+    already compiled, while every counter stays a function of its own
+    run alone.
     """
 
     def __init__(self):
-        self._traces = {}  #: key -> {pc: trace function or INTERP}
+        self._traces = {}  #: key -> _Traces {pc: trace function or INTERP}
 
     def key_for(self, model, image, lazy):
         # the raw bytes: exec copies text in eagerly, so hashing it never
@@ -93,14 +139,14 @@ class CodeCache:
         return len({key[:-1] for key in self._traces})
 
     def blocks_for(self, model, image, lazy):
-        """The shared pc -> trace map for this image's text (``lazy``
+        """This cluster's pc -> trace map for the image's text (``lazy``
         variant); returns ``(blocks, hit)`` where ``hit`` says the text
-        was seen before."""
+        was seen before in this cluster."""
         key = self.key_for(model, image, lazy)
         blocks = self._traces.get(key)
         if blocks is not None:
             return blocks, True
-        blocks = self._traces[key] = {}
+        blocks = self._traces[key] = _Traces(key)
         return blocks, False
 
 
@@ -127,11 +173,12 @@ class CPU:
 
         Ensures the shared registry entry for the image's text exists
         without touching ``image._decode_cache`` (the per-image
-        attachment stays lazy until the first run).  A known text is a
-        ``shared_cache_hits`` — the migrated process skips recompila-
-        tion outright — while unseen text is the one honest
-        ``cache_rebuilds``.  An image arriving with copy-on-reference
-        chunks pending counts against the lazy variant it will run.
+        attachment stays lazy until the first run).  A text this
+        cluster knows is a ``shared_cache_hits`` — the migrated process
+        skips recompilation outright — while one it has not seen is the
+        one honest ``cache_rebuilds``.  An image arriving with
+        copy-on-reference chunks pending counts against the lazy
+        variant it will run.
         """
         if not self.use_predecode:
             return  # the reference engine never compiles anything
@@ -165,6 +212,34 @@ class CPU:
         cache = (image.text_version, lazy, blocks, decoded)
         image._decode_cache = cache
         return cache
+
+    def _first_use(self, blocks, image, pc, lazy, budget):
+        """The trace at ``pc`` on its first use in this cluster: from the
+        process-wide store, compiled into it on a miss.  The compiler
+        counters charge every first use in the cluster alike, so they
+        never depend on what ran earlier in the process.
+
+        In the quantum tail, where ``budget`` cannot cover the trace's
+        entry block, the call could only bail with zero progress: the
+        pc is interpreted instead, and rooted once a quantum reaches it
+        with budget to spare."""
+        shared = blocks.shared
+        if shared is None:
+            shared = blocks.shared = _store_entry(blocks.key)
+        block = shared.get(pc)
+        if block is None:
+            block = shared[pc] = compile_trace(self.model, image, pc,
+                                               lazy=lazy)[0]
+        if block is not INTERP:
+            if block.entry_len > budget:
+                return INTERP
+            perf = self.perf
+            if perf is not None:
+                perf.blocks_compiled += block.blocks
+                perf.instructions_decoded += block.trace_len
+                perf.traces_linked += block.blocks - 1
+        blocks[pc] = block
+        return block
 
     # -- operand helpers -------------------------------------------------
 
@@ -271,13 +346,8 @@ class CPU:
                     if block is None and cold:
                         block = INTERP
                     elif block is None:
-                        block, ndecoded, nlinked = compile_trace(
-                            self.model, image, pc, lazy=lazy)
-                        blocks[pc] = block
-                        if perf is not None and ndecoded:
-                            perf.blocks_compiled += block.blocks
-                            perf.instructions_decoded += ndecoded
-                            perf.traces_linked += nlinked
+                        block = self._first_use(blocks, image, pc, lazy,
+                                                max_instructions - executed)
                     if block is not INTERP:
                         n, npc, zf, nf, sig = block(
                             d, a, mem, dp, lp, max_instructions - executed,

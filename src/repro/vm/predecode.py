@@ -30,7 +30,8 @@ Three things make traces fast:
   remaining budget cannot cover even the entry block, the trace bails
   with zero progress and the reference interpreter single-steps the
   quantum tail — at most ``MAX_BLOCK_LEN - 1`` instructions — with
-  exact legacy semantics.
+  exact legacy semantics.  (``CPU._run`` never *roots* a trace on such
+  a call: it checks ``entry_len`` against the budget first.)
 
 ``dp`` is the image's per-page dirty bitmap: every memory store marks
 the page(s) it touches, exactly as the interpreter's ``write_u8`` /
@@ -771,6 +772,7 @@ def compile_trace(model, image, entry, lazy=False):
     exec(compile(source, "<trace@0x%x>" % entry, "exec"), namespace)
     fn = namespace["_trace"]
     fn.blocks = len(order)
+    fn.entry_len = len(root.insts)  # budget below this: zero-progress bail
     fn.trace_len = ndecoded
     fn.spill_regs = len(dwritten) + len(awritten)
     fn.source = source  # kept for debugging/tests

@@ -5,6 +5,8 @@ import pytest
 from repro.core.api import MigrationSite
 from repro.machine import Cluster
 from repro.programs import install_standard_programs
+from repro.programs.guest import libasm
+from repro.vm import cpu as cpu_module
 
 
 @pytest.fixture
@@ -28,6 +30,23 @@ def site():
     site = MigrationSite()
     site.run_quiet()
     return site
+
+
+def clear_process_caches():
+    """Forget every memoized guest program and stored trace, so the
+    next cluster assembles and compiles from scratch."""
+    libasm._clear_programs()
+    cpu_module._clear_store()
+
+
+@pytest.fixture
+def fresh_code_caches():
+    """Empty process-wide caches for a test that counts or wraps real
+    compiles, emptied again after it so its wrapped traces never leak
+    into a later test."""
+    clear_process_caches()
+    yield
+    clear_process_caches()
 
 
 def run_native(machine, factory, argv=None, uid=0, name="testprog",

@@ -336,7 +336,8 @@ def _bighog_site(engine):
     return site
 
 
-def test_lazy_restart_runs_compiled_traces(monkeypatch):
+def test_lazy_restart_runs_compiled_traces(monkeypatch,
+                                          fresh_code_caches):
     """Regression guard: a lazily restarted image must not fall back to
     interpreter-only execution while chunks are pending.  On the fast
     engine the lazy-variant cache entry holds compiled traces and the

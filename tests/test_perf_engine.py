@@ -187,19 +187,24 @@ def test_engines_agree_on_idle_and_stuck():
             cluster.run_until(lambda: False, max_steps=10)
 
 
-def test_storm_burst_median_exceeds_one():
-    """Regression for the 1-step-burst pathology: under the overlap
-    window, the benchmark storm's typical burst must be longer than a
-    single step (the old horizon rule collapsed every burst to 1, so
-    the fast driver paid a full O(M) scan per step)."""
+def _bench_module():
+    """``benchmarks/bench_perf_scale.py``, imported as a module."""
     import os
     import sys
     bench = os.path.join(os.path.dirname(__file__), os.pardir,
                          "benchmarks")
     if bench not in sys.path:
         sys.path.insert(0, bench)
-    from bench_perf_scale import run_storm
-    __, stats = run_storm("fast", 8, 32, 12000)
+    import bench_perf_scale
+    return bench_perf_scale
+
+
+def test_storm_burst_median_exceeds_one():
+    """Regression for the 1-step-burst pathology: under the overlap
+    window, the benchmark storm's typical burst must be longer than a
+    single step (the old horizon rule collapsed every burst to 1, so
+    the fast driver paid a full O(M) scan per step)."""
+    __, stats = _bench_module().run_storm("fast", 8, 32, 12000)
     hist = stats["burst_histogram"]
     single = hist.get("0", 0) + hist.get("1", 0)
     multi = sum(count for label, count in hist.items()
@@ -241,3 +246,146 @@ def test_horizon_memo_absorbs_mid_burst_activity():
     assert cluster._horizon_stale
     assert cluster.perf.horizon_invalidations == 2
     cluster._bursting = None
+
+
+# -- the process-wide caches behind each cluster ---------------------------
+
+
+def _observed_lazy_migration():
+    """One traced migration of a cpuhog carrying an untouched 64 KB
+    buffer, restarted lazily (so both trace variants run and lazy bails
+    leave pcs to the interpreter); returns everything the run lets
+    anyone observe."""
+    from repro.costmodel import CostModel
+    from repro.programs.guest import cpuhog
+    from repro.programs.guest.libasm import program
+    costs = CostModel().with_overrides(incremental_dumps=True,
+                                       lazy_restart=True)
+    site = MigrationSite(costs)
+    site.cluster.tracer.enable()
+    site.run_quiet()
+    aout = program(cpuhog.BODY,
+                   cpuhog.DATA + "bigbuf: .space 65536\n").aout
+    for name in ("brick", "schooner"):
+        site.machine(name).install_aout("bighog", aout)
+    handle = site.start("brick", "/bin/bighog", ["bighog", "60000"])
+    site.run(until_us=site.cluster.wall_time_us() + 100_000)
+    site.dumpproc("brick", handle.pid)
+    moved = site.restart("schooner", handle.pid, from_host="brick")
+    site.run_until(lambda: moved.exited)
+    machines = site.cluster.machines
+    observed = {
+        "perf": site.cluster.perf.snapshot(),
+        "clocks": {name: m.clock.now_us for name, m in machines.items()},
+        "consoles": {name: site.console(name) for name in machines},
+        "trace": site.cluster.tracer.to_jsonl(),
+    }
+    # last: the pseudo-call charges the calling host's clock
+    observed["vmcache"] = site.machine("brick").kernel.sys_vmcache(None)
+    return observed
+
+
+def test_process_wide_caches_are_invisible(fresh_code_caches):
+    """A cluster's counters, vmcache reply, trace and clocks are the
+    same whether the process-wide assembly memo and trace store start
+    cold, warm from an identical run, or cleared again."""
+    from tests.conftest import clear_process_caches
+    cold = _observed_lazy_migration()
+    warm = _observed_lazy_migration()
+    clear_process_caches()
+    cleared = _observed_lazy_migration()
+    assert cold["perf"]["blocks_compiled"] > 0
+    assert cold["perf"]["lazy_faults"] > 0
+    assert cold["vmcache"]["cached_texts"] > 0
+    assert ("checksum=%d" % expected_checksum(60000)) \
+        in cold["consoles"]["schooner"]
+    for key in cold:
+        assert warm[key] == cold[key], key
+        assert cleared[key] == cold[key], key
+
+
+def test_storm_counters_survive_an_earlier_storm(fresh_code_caches):
+    """The burst-median storm's counter assertions hold in a process
+    where another storm already compiled every cpuhog trace."""
+    _bench_module().run_storm("fast", 2, 4, 12000)
+    test_storm_burst_median_exceeds_one()
+
+
+def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
+                                                  fresh_code_caches):
+    """A pc reached with less budget left than its trace's entry block
+    does not root the trace yet: in a storm, the cpuhog's entry holds no
+    trace whose every call bailed with zero progress.  Virtual time is
+    unaffected (the engine tests pin fast == scan)."""
+    from repro.vm import cpu as cpu_module
+    from repro.vm.predecode import INTERP, SIG_BAIL
+    compile_trace = cpu_module.compile_trace
+    calls = {}  # entry pc -> [(executed, sig)] for each call
+
+    def recording(model, image, entry, lazy=False):
+        fn, ndecoded, nlinked = compile_trace(model, image, entry,
+                                              lazy=lazy)
+        if fn is INTERP:
+            return fn, ndecoded, nlinked
+        log = calls.setdefault(entry, [])
+
+        def trace(*args):
+            result = fn(*args)
+            log.append((result[0], result[4]))
+            return result
+        trace.__dict__.update(fn.__dict__)
+        return trace, ndecoded, nlinked
+
+    monkeypatch.setattr(cpu_module, "compile_trace", recording)
+    _bench_module().run_storm("fast", 8, 32, 12000)
+    # a trace the entry holds ran at once when it was rooted; one that
+    # was compiled but never called was never rooted
+    held = {entry: log for entry, log in calls.items() if log}
+    assert len(held) > 1
+    tail_only = sorted(hex(entry) for entry, log in held.items()
+                       if all(n == 0 and sig == SIG_BAIL
+                              for n, sig in log))
+    assert not tail_only
+
+
+def _loop_image(k):
+    """A fresh image whose text (an endless counting loop) is distinct
+    for every ``k``."""
+    from repro.vm import ProcessImage, assemble, parse_aout
+    out = assemble("start: move #%d, d0\nloop: add #1, d1\n"
+                   "        bra loop\n" % k)
+    header, text, __ = parse_aout(out.aout)
+    image = ProcessImage(mem_size=64 * 1024)
+    image.text_size = header.text_size
+    image.write_bytes(image.text_base, text)
+    image.regs.pc = header.entry
+    image.regs.sp = image.stack_top
+    return image
+
+
+def test_trace_store_evicts_oldest_first(monkeypatch, fresh_code_caches):
+    """The store never holds more than STORE_TEXTS texts and drops the
+    oldest first; a cluster whose text was dropped keeps running on the
+    traces its own view holds, without recompiling or re-storing."""
+    from repro.vm import cpu as cpu_module
+    from repro.vm import CPU, MC68010
+    monkeypatch.setattr(cpu_module, "STORE_TEXTS", 3)
+    first_cpu = CPU(MC68010)
+    first = _loop_image(0)
+    first_cpu.run(first, 100)
+    keys = [first_cpu.code_cache.key_for(MC68010, first, False)]
+    for k in range(1, 6):
+        cpu, image = CPU(MC68010), _loop_image(k)
+        cpu.run(image, 100)
+        keys.append(cpu.code_cache.key_for(MC68010, image, False))
+        assert len(cpu_module._STORE) <= 3
+    assert list(cpu_module._STORE) == keys[-3:]
+
+    def no_compiles(*args, **kwargs):
+        raise AssertionError("recompiled an evicted text")
+    monkeypatch.setattr(cpu_module, "compile_trace", no_compiles)
+    counted = first.regs.d[1]
+    first.regs.pc = first.text_base  # re-enter at the compiled entry
+    first_cpu.run(first, 1000)
+    assert first.regs.d[1] > counted
+    assert keys[0] not in cpu_module._STORE

@@ -189,3 +189,58 @@ def test_parse_aout_truncated():
 def test_comment_handling():
     out = assemble("nop ; this is a comment\n; full line comment\n")
     assert len(out.text) == isa.INSTRUCTION_SIZE
+
+
+# -- the guest-program assembly memo ---------------------------------------
+
+GUESTS = ("counter", "cpuhog", "editor", "pidtemp", "envdep", "waiter",
+          "sockuser", "portserver")
+
+
+def _counting_assemble(monkeypatch):
+    """Route the memo's assembler calls through a recorder; returns the
+    list of ``(source, cpu)`` it sees."""
+    from repro.vm import assembler
+    real = assembler.assemble
+    seen = []
+
+    def counting(source, cpu="mc68010", **kwargs):
+        seen.append((source, cpu))
+        return real(source, cpu=cpu, **kwargs)
+    monkeypatch.setattr(assembler, "assemble", counting)
+    return seen
+
+
+def test_memoized_guests_match_a_fresh_assembly(monkeypatch,
+                                                 fresh_code_caches):
+    import importlib
+    seen = _counting_assemble(monkeypatch)
+    for name in GUESTS:
+        module = importlib.import_module("repro.programs.guest." + name)
+        build = getattr(module, name + "_aout")
+        first = build()
+        source, cpu = seen[-1]
+        memoized = build()
+        assert len(seen) == GUESTS.index(name) + 1  # the second is a hit
+        assert memoized is first
+        assert memoized == assemble(source, cpu=cpu).aout
+
+
+def test_memo_key_includes_the_cpu(fresh_code_caches):
+    from repro.programs.guest import cpuhog
+    from repro.programs.guest.libasm import program
+    old = program(cpuhog.BODY, cpuhog.DATA, cpu="mc68010")
+    new = program(cpuhog.BODY, cpuhog.DATA, cpu="mc68020")
+    assert old.machine_id != new.machine_id
+    assert program(cpuhog.BODY, cpuhog.DATA).machine_id == old.machine_id
+    assert parse_aout(new.aout)[0].machine_id == new.machine_id
+
+
+def test_site_setup_assembles_each_guest_once(monkeypatch,
+                                              fresh_code_caches):
+    from repro.core.api import MigrationSite
+    seen = _counting_assemble(monkeypatch)
+    MigrationSite()
+    assert len(seen) == len(set(seen)) <= len(GUESTS)
+    MigrationSite(workstations=["a", "b", "c", "d"])
+    assert len(seen) == len(set(seen)) <= len(GUESTS)
