@@ -2,6 +2,7 @@
 
 from repro.errors import UnixError, EINVAL, ESRCH
 from repro.kernel.constants import STATE_NAMES
+from repro.perf.counters import GUEST_COUNTERS
 
 
 class MiscSyscalls:
@@ -142,24 +143,9 @@ class MiscSyscalls:
             raise UnixError(EINVAL, "sysctl %r" % (name,))
         return value
 
-    #: perf counters user commands may bump via ``perf_note``: the
-    #: pipeline-hardening trio, loadd's ``ld_*`` family, the
-    #: migration ledger's ``ml_*`` family (``ml_archives`` stays
-    #: kernel-private — only the dump writer archives) and statd's
-    #: ``st_*`` family (``st_alerts`` stays kernel-private — only the
-    #: critical-path analyzer raises alerts).  The engine counters
-    #: stay kernel-private.
-    _PERF_NOTE_COUNTERS = frozenset({
-        "retries", "timeouts", "recoveries",
-        "ld_reports_sent", "ld_reports_recv", "ld_reports_dropped",
-        "ld_stale_drops", "ld_suspect_skips", "ld_rounds",
-        "ld_moves", "ld_move_failures",
-        "ml_records", "ml_advances", "ml_claims", "ml_completions",
-        "ml_aborts", "ml_sweeps", "ml_reaps",
-        "st_samples", "st_series_points", "st_reports_sent",
-        "st_reports_recv", "st_reports_dropped", "st_stale_drops",
-        "st_suspect_skips",
-    })
+    #: perf counters user commands may bump via ``perf_note`` (the
+    #: ``GUEST`` rows of the counter table)
+    _PERF_NOTE_COUNTERS = GUEST_COUNTERS
 
     def sys_perf_note(self, proc, counter, amount=1):
         """Bump a cluster perf counter from a user command."""

@@ -7,35 +7,26 @@ module defines the datagram ``loadd`` broadcasts to build one: a
 compact, versioned snapshot of one host's runnable VM jobs and its
 best migration candidates.
 
-Framing is connection-per-report: the sender connects to the
-receiver's well-known port, writes one packed report, and closes.
-Like the dump file formats (:mod:`repro.core.formats`), the blob is
-magic-checked and length-prefixed; a truncated or doctored report
-raises :class:`~repro.errors.UnixError` (``EINVAL``) on unpack — the
-receiving daemon drops it and keeps running, it never crashes.
+Framing, the sender and the receiver are the shared report channel
+of :mod:`repro.net.report`; this module adds the body and loadd's
+channel constants.  Layout after the shared header (magic
+``LOADREPORT_MAGIC``, octal 447), little endian::
 
-Layout (little endian)::
-
-    magic      u16   LOADREPORT_MAGIC (octal 447)
-    version    u8    LOADREPORT_VERSION
-    host       u16-prefixed string (the reporting host)
-    time_s     u32   sender's virtual clock, whole seconds
     runnable   u16   runnable (non-zombie) VM jobs on the host
     count      u16   number of candidate entries (<= MAX_CANDIDATES)
     count x:
       pid      i32   candidate process id
       cpu_ms   u32   CPU consumed by that process, milliseconds
 
-Staleness, not sequence numbers, handles reordered or lost reports:
-every report carries the sender's virtual-time stamp and the view
-builder drops anything older than the ``load_stale_s`` knob — a
-crashed or partitioned peer simply ages out of the view (its absence
-is also cross-checked against the heartbeat detector by the daemon).
+The view builder drops reports older than the ``load_stale_s`` knob
+(:func:`~repro.net.report.is_stale`), so a crashed or partitioned
+peer simply ages out of the view (its absence is also cross-checked
+against the heartbeat detector by the daemon).
 """
 
 from repro.errors import UnixError, EINVAL
 from repro.kernel.constants import LOADREPORT_MAGIC
-from repro.core.formats import _Reader, _Writer
+from repro.net.report import Channel, Report
 
 #: loadd's well-known report port (migrationd owns 515, rshd 514)
 LOADD_PORT = 517
@@ -50,8 +41,12 @@ MAX_CANDIDATES = 8
 SPOOL_DIR = "/tmp/loadd"
 
 
-class LoadReport:
+class LoadReport(Report):
     """One host's load snapshot, as broadcast on the wire."""
+
+    MAGIC = LOADREPORT_MAGIC
+    VERSION = LOADREPORT_VERSION
+    LABEL = "loadreport"
 
     def __init__(self, host, time_s, runnable, candidates=()):
         self.host = host
@@ -63,30 +58,15 @@ class LoadReport:
         if len(self.candidates) > MAX_CANDIDATES:
             raise UnixError(EINVAL, "too many loadreport candidates")
 
-    def pack(self):
-        writer = _Writer()
-        writer.u16(LOADREPORT_MAGIC)
-        writer.raw(bytes((LOADREPORT_VERSION,)))
-        writer.string(self.host)
-        writer.u32(self.time_s)
+    def pack_body(self, writer):
         writer.u16(self.runnable)
         writer.u16(len(self.candidates))
         for pid, cpu_ms in self.candidates:
             writer.i32(pid)
             writer.u32(cpu_ms)
-        return writer.getvalue()
 
     @classmethod
-    def unpack(cls, blob):
-        reader = _Reader(blob, "loadreport")
-        if reader.u16() != LOADREPORT_MAGIC:
-            raise UnixError(EINVAL, "bad loadreport magic")
-        version = reader.raw(1)[0]
-        if version != LOADREPORT_VERSION:
-            raise UnixError(EINVAL,
-                            "loadreport version %d" % version)
-        host = reader.string()
-        time_s = reader.u32()
+    def unpack_body(cls, reader, host, time_s):
         runnable = reader.u16()
         count = reader.u16()
         if count > MAX_CANDIDATES:
@@ -111,16 +91,8 @@ class LoadReport:
                    self.candidates))
 
 
-def fresh_hosts(reports, now_s, stale_s):
-    """Filter ``{host: LoadReport}`` down to the usably fresh ones.
-
-    A report from the future (a peer's clock running slightly ahead
-    of ours at the instant it sampled) counts as age zero — clocks
-    across the cluster are only loosely synchronized.
-    """
-    fresh = {}
-    for host, report in reports.items():
-        age_s = max(0, int(now_s) - report.time_s)
-        if age_s <= stale_s:
-            fresh[host] = report
-    return fresh
+#: loadd's report channel: reports are tiny, so read 1 KB at a time
+#: and never buffer more than 4 KB
+LOADD = Channel(port=LOADD_PORT, report=LoadReport,
+                send_site="loadd.send", recv_site="loadd.recv",
+                prefix="ld_", chunk=1024, cap=4096)

@@ -58,26 +58,11 @@ class Network:
         self.messages_sent = 0
         #: per-network socket id allocator (reproducible across runs)
         self._sock_ids = itertools.count(1)
-        #: deprecated tuple-trace sink, kept behind the ``trace``
-        #: property below; prefer ``cluster.tracer`` for new code
-        self._legacy_trace = None
         #: severed links: a set of frozenset({a, b}) host-name pairs
         self._cuts = set()
         #: live sockets by owning host name, so a crash can reset the
         #: peers of everything the dead host had open
         self._live = {}
-
-    @property
-    def trace(self):
-        """Deprecated: the pre-Tracer tuple sink.  Assigning a list
-        here still works and still receives the historical
-        ``("msg", ...)``/``("sock", ...)`` tuples; the same moments
-        are also emitted as ``net.msg``/``net.sock`` tracer events."""
-        return self._legacy_trace
-
-    @trace.setter
-    def trace(self, sink):
-        self._legacy_trace = sink
 
     @property
     def costs(self):
@@ -154,10 +139,6 @@ class Network:
         self.bytes_moved += nbytes
         self.messages_sent += 1
         arrival = src_machine.clock.now_us + self.costs.message_us(nbytes)
-        if self._legacy_trace is not None:
-            self._legacy_trace.append(("msg", src_machine.name,
-                                       dst_machine.name, nbytes,
-                                       arrival))
         if self.tracer.enabled:
             self.tracer.emit("net.msg", "deliver", src_machine,
                              dst=dst_machine.name, nbytes=nbytes,
@@ -169,8 +150,6 @@ class Network:
     def sock_create(self, machine):
         sock = SocketState(machine, next(self._sock_ids))
         self._live.setdefault(machine.name, set()).add(sock)
-        if self._legacy_trace is not None:
-            self._legacy_trace.append(("sock", sock.id, machine.name))
         if self.tracer.enabled:
             self.tracer.emit("net.sock", "create", machine,
                              sock=sock.id)

@@ -8,18 +8,11 @@ report per host under ``/usr/spool/statd/<host>/``.  The spool lives
 outside ``/tmp`` on purpose, so a server reboot does not erase the
 cluster's telemetry history.
 
-Framing is connection-per-report, like loadd: the sender connects to
-the receiver's well-known port, writes one packed report, and
-closes.  A truncated or doctored report raises
-:class:`~repro.errors.UnixError` (``EINVAL``) on unpack — the
-receiver drops it and keeps running, it never crashes.
+Framing, the sender and the receiver are the shared report channel
+of :mod:`repro.net.report`, as for loadd; this module adds the body
+and statd's channel constants.  Layout after the shared header
+(magic ``STATREPORT_MAGIC``, octal 451), little endian::
 
-Layout (little endian)::
-
-    magic      u16   STATREPORT_MAGIC (octal 451)
-    version    u8    STATREPORT_VERSION
-    host       u16-prefixed string (the reporting host)
-    time_s     u32   sender's virtual clock, whole seconds
     seq        u16   the sender's sampling round number
     count      u16   number of series (<= MAX_SERIES)
     count x:
@@ -30,14 +23,14 @@ Layout (little endian)::
         time_s u32   sample timestamp, whole seconds
         value  u32   sample value (gauges and deltas are small ints)
 
-Staleness, not sequence numbers, handles lost or reordered reports:
-the spooler ages out any spooled report older than ``stat_stale_s``,
-so a crashed or partitioned peer simply disappears from ``migtop``.
+The spooler ages out any spooled report older than ``stat_stale_s``
+(:func:`~repro.net.report.is_stale`), so a crashed or partitioned
+peer simply disappears from ``migtop``.
 """
 
 from repro.errors import UnixError, EINVAL
 from repro.kernel.constants import STATREPORT_MAGIC
-from repro.core.formats import _Reader, _Writer
+from repro.net.report import Channel, Report
 from repro.obs.timeseries import Series, SeriesSet
 
 #: statd's well-known report port (loadd owns 517, migrationd 515)
@@ -63,8 +56,12 @@ def spool_path(spool_dir, host):
     return "%s/%s/%s" % (spool_dir, host, REPORT_NAME)
 
 
-class StatReport:
+class StatReport(Report):
     """One host's telemetry snapshot, as shipped on the wire."""
+
+    MAGIC = STATREPORT_MAGIC
+    VERSION = STATREPORT_VERSION
+    LABEL = "statreport"
 
     def __init__(self, host, time_s, seq, series=()):
         self.host = host
@@ -102,12 +99,7 @@ class StatReport:
             out.add(Series.restore(name, capacity, total, samples))
         return out
 
-    def pack(self):
-        writer = _Writer()
-        writer.u16(STATREPORT_MAGIC)
-        writer.raw(bytes((STATREPORT_VERSION,)))
-        writer.string(self.host)
-        writer.u32(self.time_s)
+    def pack_body(self, writer):
         writer.u16(self.seq)
         writer.u16(len(self.series))
         for name, total, samples in self.series:
@@ -117,19 +109,9 @@ class StatReport:
             for time_s, value in samples:
                 writer.u32(time_s)
                 writer.u32(value)
-        return writer.getvalue()
 
     @classmethod
-    def unpack(cls, blob):
-        reader = _Reader(blob, "statreport")
-        if reader.u16() != STATREPORT_MAGIC:
-            raise UnixError(EINVAL, "bad statreport magic")
-        version = reader.raw(1)[0]
-        if version != STATREPORT_VERSION:
-            raise UnixError(EINVAL,
-                            "statreport version %d" % version)
-        host = reader.string()
-        time_s = reader.u32()
+    def unpack_body(cls, reader, host, time_s):
         seq = reader.u16()
         count = reader.u16()
         if count > MAX_SERIES:
@@ -163,15 +145,8 @@ class StatReport:
                    len(self.series)))
 
 
-def fresh_reports(reports, now_s, stale_s):
-    """Filter ``{host: StatReport}`` down to the usably fresh ones.
-
-    A report from the future (a peer's clock slightly ahead of ours
-    when it sampled) counts as age zero, like loadd's view builder.
-    """
-    fresh = {}
-    for host, report in reports.items():
-        age_s = max(0, int(now_s) - report.time_s)
-        if age_s <= stale_s:
-            fresh[host] = report
-    return fresh
+#: statd's report channel: a report carries up to 16 series of 64
+#: samples, so read 2 KB at a time and buffer at most 16 KB
+STATD = Channel(port=STATD_PORT, report=StatReport,
+                send_site="statd.send", recv_site="statd.spool",
+                prefix="st_", chunk=2048, cap=16384)

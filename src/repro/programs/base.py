@@ -10,9 +10,10 @@ Error convention: kernel errors arrive as negative ints (``-errno``);
 :func:`repro.errors.iserr` tests for them.
 """
 
-from repro.errors import iserr
+from repro.errors import iserr, EIO, ENOENT
 from repro.kernel.constants import (O_CREAT, O_RDONLY, O_TRUNC,
                                     O_WRONLY)
+from repro.programs.exitcodes import EX_FAIL
 
 
 def write_all(fd, data):
@@ -70,6 +71,62 @@ def write_file(path, data, mode=0o600):
     result = yield from write_all(fd, data)
     yield ("close", fd)
     return 0 if not iserr(result) else result
+
+
+def read_prefix(path, nbytes):
+    """The first ``nbytes`` of a file, or -errno (-EIO if shorter)."""
+    fd = yield ("open", path, O_RDONLY, 0)
+    if iserr(fd):
+        return fd
+    data = yield ("read", fd, nbytes)
+    yield ("close", fd)
+    if iserr(data):
+        return data
+    if len(data) < nbytes:
+        return -EIO  # truncated: the dump is damaged
+    return data
+
+
+def remove_files(paths):
+    """Unlink every path, ignoring failures (best-effort cleanup)."""
+    for path in paths:
+        yield ("unlink", path)
+
+
+def wait_for(child):
+    """Reap children until ``child`` exits; returns its exit status
+    (``EX_FAIL`` if a signal killed it or there is nothing to wait
+    for).  Other children reaped on the way are discarded."""
+    while True:
+        result = yield ("wait",)
+        if iserr(result):
+            return EX_FAIL
+        reaped, raw = result
+        if reaped == child:
+            return (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL
+
+
+def await_restart(child, aout_path, tries, sleep_s):
+    """Poll for a spawned restart's ack; True once it took.
+
+    A successful restart never exits — it *becomes* the restored
+    process — so the ack is the kernel consuming the staged a.out at
+    the end of ``rest_proc()``: ``aout_path`` disappears.  The child
+    dying first means the restart (or its remote relay) failed, and
+    a child that does neither within ``tries`` polls, ``sleep_s``
+    apart, counts as failed too.
+    """
+    for __ in range(max(1, tries)):
+        fd = yield ("open", aout_path, O_RDONLY, 0)
+        if fd == -ENOENT:
+            return True  # rest_proc consumed the dump: it took
+        if not iserr(fd):
+            yield ("close", fd)
+        reaped = yield ("reap",)
+        if isinstance(reaped, tuple) and reaped[0] == child:
+            return False  # the restart (or its relay) died
+        yield ("sleep", sleep_s)
+    return False
 
 
 class LineReader:

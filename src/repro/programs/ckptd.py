@@ -28,11 +28,11 @@ claimed a higher epoch (or the checkpoint directory became
 unreachable, so it *may* have), and the local copy killed itself.
 """
 
-from repro.errors import iserr, ECHILD, EEXIST, UnixError
+from repro.errors import iserr, EEXIST, UnixError
 from repro.core.formats import FilesInfo, dump_file_names
 from repro.kernel.signals import SIGKILL
 from repro.programs.base import (parse_options, print_err, println,
-                                 read_file, write_file)
+                                 read_file, wait_for, write_file)
 from repro.programs.ckmeta import highest_claim, write_meta
 from repro.programs.exitcodes import EX_FENCED, EX_JOBLOST
 
@@ -134,7 +134,7 @@ def _snapshot(pid, round_no, directory):
                     ["dumpproc", "-p", str(pid)])
     if iserr(dumper):
         return None
-    status = yield from _wait_for(dumper)
+    status = yield from wait_for(dumper)
     if status != 0:
         return None
 
@@ -180,18 +180,3 @@ def _snapshot(pid, round_no, directory):
     if iserr(runner):
         return None
     return runner
-
-
-def _wait_for(target_pid):
-    """Reap children until ``target_pid`` exits; returns its status.
-
-    ckptd accumulates other children (past incarnations of the job it
-    dumped), so wait() may hand those back first.
-    """
-    while True:
-        result = yield ("wait",)
-        if iserr(result):
-            return 1 if result == -ECHILD else 1
-        pid, raw = result
-        if pid == target_pid:
-            return (raw >> 8) & 0xFF if not raw & 0x7F else 1

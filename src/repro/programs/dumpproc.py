@@ -38,7 +38,7 @@ from repro.core.formats import (ChunkManifest, FilesInfo, StackInfo,
                                 dump_file_names, stack_is_chunked)
 from repro.core.symlinks import resolve_symlinks_syscalls
 from repro.programs.base import (parse_options, print_err, read_file,
-                                 write_file)
+                                 read_prefix, write_file)
 from repro.programs.exitcodes import EX_FAIL, EX_TRANSIENT
 from repro.store import DIGEST_BYTES
 from repro.vm.aout import AOUT_MAGIC
@@ -168,7 +168,7 @@ def _verify_stack(stack_path):
     is computed from the manifest header read in a second prefix.
     """
     from repro.vm.image import Registers
-    header = yield from _read_prefix(stack_path, _STACK_HEADER)
+    header = yield from read_prefix(stack_path, _STACK_HEADER)
     bad_stack = iserr(header)
     if not bad_stack:
         try:
@@ -197,7 +197,7 @@ def _chunked_stack_payload(stack_path, stack_size):
     one digest per chunk, cross-checked against the stack size the
     file header advertised.
     """
-    prefix = yield from _read_prefix(
+    prefix = yield from read_prefix(
         stack_path, _STACK_HEADER + ChunkManifest.HEADER_SIZE)
     if iserr(prefix):
         return prefix
@@ -207,20 +207,6 @@ def _chunked_stack_payload(stack_path, stack_size):
             count != -(-length // chunk_bytes):
         return -EIO
     return ChunkManifest.HEADER_SIZE + DIGEST_BYTES * count
-
-
-def _read_prefix(path, nbytes):
-    """yield-from: the first bytes of a file, or a -errno int."""
-    fd = yield ("open", path, O_RDONLY, 0)
-    if iserr(fd):
-        return fd
-    data = yield ("read", fd, nbytes)
-    yield ("close", fd)
-    if iserr(data):
-        return data
-    if len(data) < nbytes:
-        return -EIO  # truncated: the dump is damaged
-    return data
 
 
 def _rewrite_path(path, hostname, terminal_check=True):

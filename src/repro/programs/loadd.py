@@ -45,14 +45,15 @@ Usage: ``loadd [-i interval] [-n rounds] [-P policy] peer...``
 list and is ignored there).
 """
 
-from repro.errors import iserr, ENOENT, UnixError
-from repro.kernel.constants import O_RDONLY
+from repro.errors import iserr
 from repro.core.formats import dump_file_names
 from repro.apps.policy import HostLoad, make_policy
-from repro.net.loadd import (LOADD_PORT, MAX_CANDIDATES, SPOOL_DIR,
-                             LoadReport)
-from repro.programs.base import (parse_options, print_err, read_file,
-                                 write_all, write_file)
+from repro.net.loadd import LOADD, MAX_CANDIDATES, SPOOL_DIR, LoadReport
+from repro.net.report import (is_stale, listen_for_reports, next_report,
+                              read_spooled, send_report)
+from repro.programs.base import (await_restart, parse_options,
+                                 print_err, remove_files, wait_for,
+                                 write_file)
 from repro.programs.exitcodes import EX_FAIL, EX_OK
 
 USAGE = "usage: loadd [-i interval] [-n rounds] [-P policy] peer..."
@@ -100,7 +101,8 @@ def loadd_main(argv, env):
         report = yield from _sample(local)
         yield from write_file("%s/%s" % (SPOOL_DIR, local),
                               report.pack())
-        yield from _broadcast(report, peers)
+        for peer in peers:
+            yield from send_report(LOADD, report, peer)
         view = yield from _build_view(local, peers)
         _apply_settling(view, settling)
         landed = yield from _balance(policy, view, local, round_no)
@@ -156,32 +158,6 @@ def _sample(local):
     return LoadReport(local, now_s, len(jobs), candidates)
 
 
-def _broadcast(report, peers):
-    """Send the report to every peer not already suspected dead."""
-    for peer in peers:
-        suspected = yield ("hb_status", peer)
-        if suspected == 1:
-            yield ("perf_note", "ld_suspect_skips")
-            continue
-        fate = yield ("fault_point", "loadd.send", peer)
-        if iserr(fate):
-            yield ("perf_note", "ld_reports_dropped")
-            continue
-        blob = yield ("fault_data", "loadd.send", report.pack(), peer)
-        sock = yield ("socket",)
-        result = yield ("connect", sock, peer, LOADD_PORT)
-        if iserr(result):
-            yield ("close", sock)
-            yield ("perf_note", "ld_reports_dropped")
-            continue
-        result = yield from write_all(sock, blob)
-        yield ("close", sock)
-        if iserr(result):
-            yield ("perf_note", "ld_reports_dropped")
-        else:
-            yield ("perf_note", "ld_reports_sent")
-
-
 def _build_view(local, peers):
     """The cluster load view from the spool, staleness-filtered."""
     now_s = yield ("time",)
@@ -192,19 +168,11 @@ def _build_view(local, peers):
             suspected = yield ("hb_status", host)
             if suspected == 1:
                 continue
-        path = "%s/%s" % (SPOOL_DIR, host)
-        data = yield from read_file(path)
-        if iserr(data):
-            continue  # no report from this peer yet
-        try:
-            report = LoadReport.unpack(data)
-        except UnixError:
-            report = None
-        if report is None or report.host != host:
-            yield ("unlink", path)  # corrupt or misfiled: toss it
-            yield ("perf_note", "ld_reports_dropped")
-            continue
-        if max(0, now_s - report.time_s) > stale_s:
+        report = yield from read_spooled(
+            LOADD, "%s/%s" % (SPOOL_DIR, host), host)
+        if report is None:
+            continue  # no report from this peer yet, or a bad one
+        if is_stale(report, now_s, stale_s):
             yield ("perf_note", "ld_stale_drops")
             continue
         view[host] = HostLoad(
@@ -256,7 +224,7 @@ def _move_one(pid, destination, local):
                    ["dumpproc", "-p", str(pid)])
     if iserr(child):
         return False
-    status = yield from _wait_for(child)
+    status = yield from wait_for(child)
     if status != EX_OK:
         return False
     dump_paths = dump_file_names(pid)
@@ -273,8 +241,7 @@ def _move_one(pid, destination, local):
                    ["restart", "-k", "-p", str(pid)])
     landed = yield from _await_ack(child, dump_paths[0])
     if not landed:
-        for path in dump_paths:
-            yield ("unlink", path)
+        yield from remove_files(dump_paths)
     return False
 
 
@@ -284,17 +251,8 @@ def _await_ack(child, aout_path):
         return False
     poll_tries = yield ("sysctl0", "restart_poll_tries")
     poll_sleep = yield ("sysctl0", "restart_poll_sleep_s")
-    for __ in range(max(1, poll_tries)):
-        fd = yield ("open", aout_path, O_RDONLY, 0)
-        if fd == -ENOENT:
-            return True  # rest_proc consumed the dump: it took
-        if not iserr(fd):
-            yield ("close", fd)
-        reaped = yield ("reap",)
-        if isinstance(reaped, tuple) and reaped[0] == child:
-            return False  # the restart (or its relay) died
-        yield ("sleep", poll_sleep)
-    return False
+    return (yield from await_restart(child, aout_path, poll_tries,
+                                     poll_sleep))
 
 
 def _drain_children():
@@ -308,69 +266,18 @@ def _drain_children():
             return
 
 
-def _wait_for(child):
-    while True:
-        result = yield ("wait",)
-        if iserr(result):
-            return EX_FAIL
-        reaped, raw = result
-        if reaped == child:
-            return (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL
-
-
 # -- the receiver -----------------------------------------------------------
 
 
 def loadd_recv_main(argv, env):
     """Own the well-known port; spool one report per connection."""
-    sock = yield ("socket",)
-    result = yield ("bind", sock, LOADD_PORT)
-    if iserr(result):
+    sock = yield from listen_for_reports(LOADD)
+    if sock is None:
         return EX_OK  # a receiver is already running: nothing to do
-    yield ("listen", sock)
     yield ("mkdir", SPOOL_DIR, 0o755)
     timeout = yield ("sysctl", "net_read_timeout_s")
     while True:
-        conn = yield ("accept", sock)
-        if iserr(conn):
-            yield ("sleep", 1)  # transient: don't spin hot
-            continue
-        blob = yield from _read_report(conn, timeout)
-        yield ("close", conn)
-        if blob is None:
-            yield ("perf_note", "ld_reports_dropped")
-            continue
-        fate = yield ("fault_point", "loadd.recv", "")
-        if iserr(fate):
-            yield ("perf_note", "ld_reports_dropped")
-            continue
-        blob = yield ("fault_data", "loadd.recv", blob, "")
-        try:
-            report = LoadReport.unpack(blob)
-        except UnixError:
-            report = None  # torn or doctored: drop, never crash
-        if report is None:
-            yield ("perf_note", "ld_reports_dropped")
-            continue
+        report, blob = yield from next_report(LOADD, sock, timeout)
         yield from write_file("%s/%s" % (SPOOL_DIR, report.host),
                               blob)
         yield ("perf_note", "ld_reports_recv")
-
-
-def _read_report(conn, timeout):
-    """Read one connection to EOF (bounded); None on timeout/error."""
-    from repro.errors import ETIMEDOUT
-    parts = []
-    total = 0
-    while total <= 4096:  # reports are tiny; don't buffer a firehose
-        data = yield ("read_timeout", conn, 1024, timeout)
-        if data == -ETIMEDOUT:
-            yield ("perf_note", "timeouts")
-            return None
-        if iserr(data):
-            return None
-        if data == b"":
-            return b"".join(parts) if parts else None
-        parts.append(data)
-        total += len(data)
-    return None

@@ -39,14 +39,14 @@ rolls the job back to the *source* host from its own dump, so a
 reachable-but-unreceptive destination costs nothing but time.
 """
 
-from repro.errors import iserr, ECHILD, ENOENT
-from repro.kernel.constants import O_RDONLY
+from repro.errors import iserr, ECHILD
 from repro.core.formats import dump_file_names
 from repro.net.migledger import (LEDGER_FENCED, MigRecord, PH_ABORTED,
                                  PH_DONE, PH_DUMPED, PH_RESTARTING,
                                  ledger_advance, ledger_put,
                                  ledger_reap, mkdir_p, record_dir)
-from repro.programs.base import parse_options, print_err
+from repro.programs.base import (await_restart, parse_options,
+                                 print_err, remove_files)
 from repro.programs.exitcodes import (EX_FAIL, EX_FENCED, EX_OK,
                                       EX_TRANSIENT)
 
@@ -115,7 +115,7 @@ def migrate_main(argv, env):
         if status == EX_FAIL:
             break  # permanent (no such process, permission): no retry
     if status != EX_OK:
-        yield from _cleanup(dump_paths)
+        yield from remove_files(dump_paths)
         if record:
             yield from _ledger_abort(recdir, record)
         yield from print_err("migrate: dump on %s failed" % source)
@@ -178,7 +178,7 @@ def migrate_main(argv, env):
         yield ("trace_span", "migrate", "E", mig, 0)
         return EX_FAIL
 
-    yield from _cleanup(dump_paths)
+    yield from remove_files(dump_paths)
     yield from print_err("migrate: restart on %s failed" % destination)
     yield ("trace_span", "migrate", "E", mig, 0)
     return EX_FAIL
@@ -224,23 +224,8 @@ def _restart_once(destination, local, restart_args, remote_runner,
         child = yield ("spawn", "/bin/%s" % remote_runner, runner_argv)
     if iserr(child):
         return False
-    for __ in range(max(1, poll_tries)):
-        fd = yield ("open", aout_path, O_RDONLY, 0)
-        if fd == -ENOENT:
-            return True  # rest_proc consumed the dump: it took
-        if not iserr(fd):
-            yield ("close", fd)
-        reaped = yield ("reap",)
-        if isinstance(reaped, tuple) and reaped[0] == child:
-            return False  # the restart (or its relay) died: retry
-        yield ("sleep", poll_sleep)
-    return False
-
-
-def _cleanup(dump_paths):
-    """Remove whatever dump files the failed pipeline left behind."""
-    for path in dump_paths:
-        yield ("unlink", path)
+    return (yield from await_restart(child, aout_path, poll_tries,
+                                     poll_sleep))
 
 
 def _run(host, local, command_argv, remote_runner, wait):

@@ -57,14 +57,15 @@ Usage: ``recoveryd [-i interval] [-n rounds] [-m ledgerdir]
 from repro.errors import iserr, EIO, ENOENT, UnixError
 from repro.core.formats import (ChunkManifest, FilesInfo, StackInfo,
                                 dump_file_names)
-from repro.kernel.constants import O_CREAT, O_EXCL, O_RDONLY, O_WRONLY
+from repro.kernel.constants import O_CREAT, O_EXCL, O_WRONLY
 from repro.kernel.signals import SIGKILL
 from repro.net.migledger import (LEDGER_FENCED, OK_NAME, PH_ABORTED,
                                  PH_DONE, PH_INTENT, PH_RESTARTING,
                                  archive_paths, ledger_advance,
                                  ledger_claim, ledger_read, ledger_reap)
-from repro.programs.base import (parse_options, print_err, println,
-                                 read_file, write_file)
+from repro.programs.base import (await_restart, parse_options,
+                                 print_err, println, read_file,
+                                 remove_files, write_file)
 from repro.programs.ckmeta import claim_name, read_meta, write_meta
 from repro.programs.exitcodes import EX_FAIL, EX_OK
 
@@ -196,13 +197,13 @@ def _restage(directory, round_no, pid, home, local):
         data = yield from read_file("%s/ck%d.%s" % (directory,
                                                     round_no, kind))
         if iserr(data):
-            yield from _unstage(targets)
+            yield from remove_files(targets)
             return None
         if kind == "files":
             try:
                 info = FilesInfo.unpack(data)
             except UnixError:
-                yield from _unstage(targets)
+                yield from remove_files(targets)
                 return None
             _rehome(info, home, local)
             data = info.pack()
@@ -210,7 +211,7 @@ def _restage(directory, round_no, pid, home, local):
             stack_blob = data
         result = yield from write_file(target, data)
         if iserr(result):
-            yield from _unstage(targets)
+            yield from remove_files(targets)
             return None
         if kind == "aout":
             yield ("chmod", target, 0o700)
@@ -229,31 +230,23 @@ def _restage(directory, round_no, pid, home, local):
             continue  # not snapshotted (a device, or unreadable then)
         yield from write_file(entry.path, data)
 
+    return (yield from _restart_staged(targets, pid))
+
+
+def _restart_staged(targets, pid):
+    """Restart the dump staged at ``targets``; the restarted job's
+    pid (the restart child *becomes* the job), or None after
+    unstaging a restart that did not take."""
     child = yield ("spawn", "/bin/restart",
                    ["restart", "-k", "-p", str(pid)])
-    if iserr(child):
-        yield from _unstage(targets)
-        return None
-    poll_tries = yield ("sysctl", "restart_poll_tries")
-    poll_sleep = yield ("sysctl", "restart_poll_sleep_s")
-    for __ in range(max(1, poll_tries)):
-        fd = yield ("open", targets[0], O_RDONLY, 0)
-        if fd == -ENOENT:
-            return child  # rest_proc consumed the dump: it took
-        if not iserr(fd):
-            yield ("close", fd)
-        reaped = yield ("reap",)
-        if isinstance(reaped, tuple) and reaped[0] == child:
-            yield from _unstage(targets)
-            return None
-        yield ("sleep", poll_sleep)
-    yield from _unstage(targets)
+    if not iserr(child):
+        poll_tries = yield ("sysctl", "restart_poll_tries")
+        poll_sleep = yield ("sysctl", "restart_poll_sleep_s")
+        if (yield from await_restart(child, targets[0], poll_tries,
+                                     poll_sleep)):
+            return child
+    yield from remove_files(targets)
     return None
-
-
-def _unstage(targets):
-    for path in targets:
-        yield ("unlink", path)
 
 
 def _adopt_staged(targets, stack_blob):
@@ -515,8 +508,7 @@ def _neutralize(record, local):
     """
     directory = "/usr/tmp" if record.source == local \
         else "/n/%s/usr/tmp" % record.source
-    for path in dump_file_names(record.pid, directory):
-        yield ("unlink", path)
+    yield from remove_files(dump_file_names(record.pid, directory))
 
 
 def _fetch_archive(manifest):
@@ -589,28 +581,9 @@ def _restage_ledger(directory, record, local):
                             (aout_blob, files_blob, stack_blob)):
         result = yield from write_file(target, data)
         if iserr(result):
-            yield from _unstage(targets)
+            yield from remove_files(targets)
             return None
     yield ("chmod", targets[0], 0o700)
     yield from _adopt_staged(targets, stack_blob)
 
-    child = yield ("spawn", "/bin/restart",
-                   ["restart", "-k", "-p", str(record.pid)])
-    if iserr(child):
-        yield from _unstage(targets)
-        return None
-    poll_tries = yield ("sysctl", "restart_poll_tries")
-    poll_sleep = yield ("sysctl", "restart_poll_sleep_s")
-    for __ in range(max(1, poll_tries)):
-        fd = yield ("open", targets[0], O_RDONLY, 0)
-        if fd == -ENOENT:
-            return child  # rest_proc consumed the dump: it took
-        if not iserr(fd):
-            yield ("close", fd)
-        reaped = yield ("reap",)
-        if isinstance(reaped, tuple) and reaped[0] == child:
-            yield from _unstage(targets)
-            return None
-        yield ("sleep", poll_sleep)
-    yield from _unstage(targets)
-    return None
+    return (yield from _restart_staged(targets, record.pid))

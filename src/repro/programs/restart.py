@@ -40,12 +40,12 @@ import struct
 from repro.errors import (iserr, errno_name, UnixError, EACCES,
                           ENOENT, EPERM)
 from repro.kernel.constants import (NOFILE, O_ACCMODE, O_APPEND,
-                                    O_RDONLY, O_RDWR, SEEK_SET,
-                                    TIOCSETP)
+                                    O_RDWR, SEEK_SET, TIOCSETP)
 from repro.core.formats import (FilesInfo, StackInfo, dump_file_names,
                                 FD_FILE, FD_SOCKET, FD_SOCKET_BOUND)
 from repro.kernel.cred import PACKED_SIZE as CRED_SIZE
-from repro.programs.base import parse_options, print_err, read_file
+from repro.programs.base import (parse_options, print_err, read_file,
+                                 read_prefix, remove_files)
 from repro.programs.exitcodes import (EX_BADDUMP, EX_FAIL,
                                       EX_RESTPROC, EX_TRANSIENT)
 from repro.vm.aout import AOUT_MAGIC
@@ -77,7 +77,7 @@ def restart_main(argv, env):
     aout_path, files_path, stack_path = paths
 
     # -- verify the three files and their magic numbers -------------------
-    magic = yield from _read_prefix(aout_path, 2)
+    magic = yield from read_prefix(aout_path, 2)
     if iserr(magic) or struct.unpack("<H", magic)[0] != AOUT_MAGIC:
         yield from print_err("restart: %s is not a dumped executable"
                              % aout_path)
@@ -94,7 +94,7 @@ def restart_main(argv, env):
         return (yield from _fail_dump(0, paths, keep))
 
     # the credentials are the only thing read from stackXXXXX here
-    header = yield from _read_prefix(stack_path, 2 + CRED_SIZE + 4)
+    header = yield from read_prefix(stack_path, 2 + CRED_SIZE + 4)
     if iserr(header):
         yield from print_err("restart: cannot read %s" % stack_path)
         return (yield from _fail_dump(header, paths, keep))
@@ -148,7 +148,7 @@ def restart_main(argv, env):
                          % errno_name(-result if iserr(result)
                                       else result))
     if not keep:
-        yield from _cleanup(paths)
+        yield from remove_files(paths)
     return EX_RESTPROC
 
 
@@ -167,29 +167,8 @@ def _fail_dump(err, paths, keep):
     if iserr(err) and err != -ENOENT:
         return EX_TRANSIENT
     if not keep:
-        yield from _cleanup(paths)
+        yield from remove_files(paths)
     return EX_BADDUMP
-
-
-def _cleanup(paths):
-    """Remove the orphaned dump files (best effort)."""
-    for path in paths:
-        yield ("unlink", path)
-
-
-def _read_prefix(path, nbytes):
-    """yield-from: the first bytes of a file, or a -errno int."""
-    from repro.errors import EIO
-    fd = yield ("open", path, O_RDONLY, 0)
-    if iserr(fd):
-        return fd
-    data = yield ("read", fd, nbytes)
-    yield ("close", fd)
-    if iserr(data):
-        return data
-    if len(data) < nbytes:
-        return -EIO  # truncated: the dump is damaged
-    return data
 
 
 def _restore_slot(fd, entry, placeholders, saved):

@@ -30,13 +30,13 @@ this module, and every knob read goes through zero-cost ``sysctl0``.
 Usage: ``statd [-i interval] [-n rounds]``
 """
 
-from repro.errors import iserr, UnixError
+from repro.errors import iserr
 from repro.net.migledger import mkdir_p
-from repro.net.statd import (STATD_PORT, SPOOL_DIR, REPORT_NAME,
-                             StatReport)
+from repro.net.report import (is_stale, listen_for_reports, next_report,
+                              read_spooled, send_report)
+from repro.net.statd import STATD, SPOOL_DIR, REPORT_NAME, StatReport
 from repro.obs.timeseries import SeriesSet
-from repro.programs.base import (parse_options, print_err, read_file,
-                                 write_all, write_file)
+from repro.programs.base import parse_options, print_err, write_file
 from repro.programs.exitcodes import EX_FAIL, EX_OK
 
 USAGE = "usage: statd [-i interval] [-n rounds]"
@@ -121,27 +121,7 @@ def _ship(report, server, local, spool_dir):
         yield from _spool(local_dir, report.host, report.pack())
         yield ("perf_note", "st_reports_sent")
         return
-    suspected = yield ("hb_status", server)
-    if suspected == 1:
-        yield ("perf_note", "st_suspect_skips")
-        return
-    fate = yield ("fault_point", "statd.send", server)
-    if iserr(fate):
-        yield ("perf_note", "st_reports_dropped")
-        return
-    blob = yield ("fault_data", "statd.send", report.pack(), server)
-    sock = yield ("socket",)
-    result = yield ("connect", sock, server, STATD_PORT)
-    if iserr(result):
-        yield ("close", sock)
-        yield ("perf_note", "st_reports_dropped")
-        return
-    result = yield from write_all(sock, blob)
-    yield ("close", sock)
-    if iserr(result):
-        yield ("perf_note", "st_reports_dropped")
-    else:
-        yield ("perf_note", "st_reports_sent")
+    yield from send_report(STATD, report, server)
 
 
 def _spool(spool_dir, host, blob):
@@ -162,36 +142,14 @@ def _spool(spool_dir, host, blob):
 def statd_recv_main(argv, env):
     """Own the well-known port; spool one report per connection and
     age stale peers out of the spool."""
-    sock = yield ("socket",)
-    result = yield ("bind", sock, STATD_PORT)
-    if iserr(result):
+    sock = yield from listen_for_reports(STATD)
+    if sock is None:
         return EX_OK  # a spooler is already running: nothing to do
-    yield ("listen", sock)
     yield from mkdir_p(SPOOL_DIR)
     stale_s = yield ("sysctl0", "stat_stale_s")
     timeout = yield ("sysctl", "net_read_timeout_s")
     while True:
-        conn = yield ("accept", sock)
-        if iserr(conn):
-            yield ("sleep", 1)  # transient: don't spin hot
-            continue
-        blob = yield from _read_report(conn, timeout)
-        yield ("close", conn)
-        if blob is None:
-            yield ("perf_note", "st_reports_dropped")
-            continue
-        fate = yield ("fault_point", "statd.spool", "")
-        if iserr(fate):
-            yield ("perf_note", "st_reports_dropped")
-            continue
-        blob = yield ("fault_data", "statd.spool", blob, "")
-        try:
-            report = StatReport.unpack(blob)
-        except UnixError:
-            report = None  # torn or doctored: drop, never crash
-        if report is None:
-            yield ("perf_note", "st_reports_dropped")
-            continue
+        report, blob = yield from next_report(STATD, sock, timeout)
         result = yield from _spool(SPOOL_DIR, report.host, blob)
         if iserr(result):
             yield ("perf_note", "st_reports_dropped")
@@ -208,36 +166,7 @@ def _age_out(stale_s):
         return
     for name in sorted(names):
         path = "%s/%s/%s" % (SPOOL_DIR, name, REPORT_NAME)
-        data = yield from read_file(path)
-        if iserr(data):
-            continue
-        try:
-            report = StatReport.unpack(data)
-        except UnixError:
-            report = None
-        if report is None or report.host != name:
-            yield ("unlink", path)  # corrupt or misfiled: toss it
-            yield ("perf_note", "st_reports_dropped")
-            continue
-        if max(0, now_s - report.time_s) > stale_s:
+        report = yield from read_spooled(STATD, path, name)
+        if report is not None and is_stale(report, now_s, stale_s):
             yield ("unlink", path)
             yield ("perf_note", "st_stale_drops")
-
-
-def _read_report(conn, timeout):
-    """Read one connection to EOF (bounded); None on timeout/error."""
-    from repro.errors import ETIMEDOUT
-    parts = []
-    total = 0
-    while total <= 16384:  # reports are bounded; don't buffer more
-        data = yield ("read_timeout", conn, 2048, timeout)
-        if data == -ETIMEDOUT:
-            yield ("perf_note", "timeouts")
-            return None
-        if iserr(data):
-            return None
-        if data == b"":
-            return b"".join(parts) if parts else None
-        parts.append(data)
-        total += len(data)
-    return None

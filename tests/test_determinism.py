@@ -13,8 +13,7 @@ def _one_full_migration(engine="fast"):
     # record every network event (messages with arrival times, socket
     # creations with their ids): runs must agree on the full trace,
     # not just on the end state
-    trace = []
-    site.cluster.network.trace = trace
+    site.cluster.tracer.enable("net.msg", "net.sock")
     site.run_quiet()
     handle = site.start("brick", "/bin/counter", uid=100)
     site.run_until(lambda: site.console("brick").count("> ") >= 1)
@@ -37,7 +36,7 @@ def _one_full_migration(engine="fast"):
         "migrate_status": migrate.exit_status,
         "net_bytes": site.cluster.network.bytes_moved,
         "steps": site.cluster.perf.steps,
-        "trace": tuple(trace),
+        "trace": site.cluster.tracer.to_jsonl(),
     }
 
 

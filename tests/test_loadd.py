@@ -26,7 +26,7 @@ from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 from repro.errors import EINVAL, UnixError
 from repro.net.loadd import (LOADD_PORT, MAX_CANDIDATES, SPOOL_DIR,
-                             LoadReport, fresh_hosts)
+                             LoadReport)
 from tests.conftest import run_native, start_counter
 
 CASES = 150  #: random views per policy
@@ -164,21 +164,6 @@ def test_threshold_registry_matches_classes():
     assert POLICIES["threshold"] is ThresholdPolicy
     assert POLICIES["watermark"] is WatermarkPolicy
     assert POLICIES["stealing"] is WorkStealingPolicy
-
-
-# -- staleness filtering -----------------------------------------------------
-
-
-def test_fresh_hosts_drops_old_and_keeps_future_reports():
-    reports = {
-        "brick": LoadReport("brick", 100, 2),
-        "schooner": LoadReport("schooner", 80, 1),   # 20s old
-        "brador": LoadReport("brador", 103, 0),      # clock ahead
-    }
-    fresh = fresh_hosts(reports, now_s=100, stale_s=15)
-    assert sorted(fresh) == ["brador", "brick"]
-    # exactly at the limit is still fresh
-    assert "schooner" in fresh_hosts(reports, now_s=95, stale_s=15)
 
 
 # -- the daemon on the simulated site ----------------------------------------

@@ -4,8 +4,8 @@ DESIGN.md section 9.  The cross-engine byte-identity of chaos and
 recovery traces is asserted where those scenarios already run
 (tests/test_faults.py, tests/test_recovery.py); here the layer itself
 is exercised: category filtering, the migration-phase timeline, the
-metrics registry, the guest-visible surface (``trace_status``,
-``migstat``) and the legacy ``Network.trace`` shim.
+metrics registry and the guest-visible surface (``trace_status``,
+``migstat``).
 """
 
 import json
@@ -187,34 +187,6 @@ def test_vmcache_pseudo_call_and_footers(engine):
                for l in top.splitlines()), top
 
 
-# -- the legacy Network.trace shim -----------------------------------------
-
-
-def test_legacy_network_trace_list_still_works():
-    site = MigrationSite()
-    legacy = []
-    site.cluster.network.trace = legacy  # the pre-Tracer API
-    site.cluster.tracer.enable("net.msg", "net.sock")
-    site.run_quiet()
-    handle = start_counter(site)
-    mh = site.migrate(handle.pid, "brick", "schooner", uid=100)
-    assert mh.exit_status == 0  # rsh traffic crossed the network
-    site.run_quiet()
-    assert site.cluster.network.trace is legacy
-    msgs = [t for t in legacy if t[0] == "msg"]
-    socks = [t for t in legacy if t[0] == "sock"]
-    assert msgs and socks
-    # the tracer saw the same moments
-    events = site.cluster.tracer.events
-    assert len([e for e in events if e["cat"] == "net.msg"]) \
-        == len(msgs)
-    assert len([e for e in events if e["cat"] == "net.sock"]) \
-        == len(socks)
-    # and the tuples carry the historical shape
-    assert all(len(t) == 5 for t in msgs)
-    assert all(len(t) == 3 for t in socks)
-
-
 # -- the metrics registry --------------------------------------------------
 
 
@@ -268,6 +240,50 @@ def test_perf_note_rejects_bool_attributes_and_bumps():
         perf.note("flag")
     with pytest.raises(ValueError):
         perf.note("no_such_counter")
+
+
+#: the counters user commands may bump through ``perf_note``
+GUEST_COUNTERS = (
+    "retries", "timeouts", "recoveries",
+    "ld_reports_sent", "ld_reports_recv", "ld_reports_dropped",
+    "ld_stale_drops", "ld_suspect_skips", "ld_rounds", "ld_moves",
+    "ld_move_failures",
+    "ml_records", "ml_advances", "ml_claims", "ml_completions",
+    "ml_aborts", "ml_sweeps", "ml_reaps",
+    "st_samples", "st_series_points", "st_reports_sent",
+    "st_reports_recv", "st_reports_dropped", "st_stale_drops",
+    "st_suspect_skips",
+)
+
+
+def test_perf_note_allowlist_from_a_user_command(site):
+    """A user command may bump exactly the pipeline counters; engine
+    counters and the kernel-private ``ml_archives``/``st_alerts``
+    are refused with EINVAL and left untouched."""
+    from repro.errors import EINVAL
+    from tests.conftest import run_native
+
+    refused = ("steps", "vm_instructions", "ml_archives", "st_alerts")
+    results = {}
+
+    def bump_all(argv, env):
+        for name in GUEST_COUNTERS + refused:
+            results[name] = yield ("perf_note", name)
+        return 0
+
+    perf = site.cluster.perf
+    before = {name: getattr(perf, name)
+              for name in GUEST_COUNTERS + refused}
+    run_native(site.machine("brick"), bump_all)
+    assert len(GUEST_COUNTERS) == 25
+    for name in GUEST_COUNTERS:
+        assert results[name] == 0, name
+        assert getattr(perf, name) == before[name] + 1, name
+    for name in ("ml_archives", "st_alerts"):
+        assert results[name] == -EINVAL
+        assert getattr(perf, name) == before[name]
+    assert results["steps"] == -EINVAL
+    assert results["vm_instructions"] == -EINVAL
 
 
 def test_snapshot_keeps_flat_keys_and_adds_metrics():

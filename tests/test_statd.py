@@ -26,7 +26,7 @@ from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 from repro.errors import UnixError
 from repro.net.statd import (SPOOL_DIR, STATD_PORT, StatReport,
-                             fresh_reports, spool_path)
+                             spool_path)
 from repro.obs.critpath import PHASE_ORDER, percentile
 from repro.obs.timeseries import Series, SeriesSet
 from tests.conftest import run_native, start_counter
@@ -100,16 +100,6 @@ def test_statreport_round_trips_through_a_series_set():
     assert rebuilt.get("runq").count == 9   # samples *ever*
     assert rebuilt.get("runq").values() == [5, 6, 7, 8]
     assert rebuilt.get("procs").last() == 12
-
-
-def test_fresh_reports_drops_old_and_keeps_future_reports():
-    reports = {
-        "brick": StatReport("brick", 100, 0),
-        "schooner": StatReport("schooner", 60, 0),   # 40s old
-        "brador": StatReport("brador", 103, 0),      # clock ahead
-    }
-    fresh = fresh_reports(reports, now_s=100, stale_s=30)
-    assert sorted(fresh) == ["brador", "brick"]
 
 
 def test_percentile_is_nearest_rank():
