@@ -29,6 +29,8 @@ import pytest
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 from repro.obs.tracer import Tracer
+from repro.programs.guest import cpuhog
+from repro.programs.guest.libasm import program
 from tests import test_faults, test_migledger_sweep as sweep
 from tests.conftest import start_counter
 from tests.test_recovery import FAST_KNOBS, _job_meta
@@ -133,6 +135,49 @@ def _ckptd_recover():
     return site
 
 
+def _hog_storm():
+    """The 8-host eager cpuhog storm at smoke size: 32 hogs dumped at
+    once mid-loop, each restarted one host to the right over NFS."""
+    names = ["w%d" % i for i in range(8)]
+    site = MigrationSite(workstations=names, server=None, daemons=False,
+                         engine=ENGINE)
+    site.cluster.tracer.enable()
+    hogs = [(names[k % 8], site.start(names[k % 8], "/bin/cpuhog",
+                                      ["cpuhog", "5000"], uid=100))
+            for k in range(32)]
+    site.run(until_us=150_000.0)
+    dumps = [site.start(host, "/bin/dumpproc",
+                        ["dumpproc", "-p", str(hog.pid)], uid=100)
+             for host, hog in hogs]
+    site.run_until(lambda: all(d.exited for d in dumps),
+                   max_steps=200_000_000)
+    for k, (host, hog) in enumerate(hogs):
+        site.start(names[(k + 1) % 8], "/bin/restart",
+                   ["restart", "-p", str(hog.pid), "-h", host], uid=100)
+    site.run(max_steps=200_000_000)
+    return site
+
+
+def _lazy_hog():
+    """A cpuhog carrying an untouched 64 KB buffer, lazily restarted:
+    its chunks stay pending, so it finishes on lazy-variant traces."""
+    costs = CostModel().with_overrides(incremental_dumps=True,
+                                       lazy_restart=True)
+    site = MigrationSite(costs, engine=ENGINE)
+    site.cluster.tracer.enable()
+    site.run_quiet()
+    aout = program(cpuhog.BODY,
+                   cpuhog.DATA + "bigbuf: .space 65536\n").aout
+    for name in ("brick", "schooner"):
+        site.machine(name).install_aout("bighog", aout)
+    handle = site.start("brick", "/bin/bighog", ["bighog", "30000"])
+    site.run(until_us=site.cluster.wall_time_us() + 100_000)
+    site.dumpproc("brick", handle.pid)
+    moved = site.restart("schooner", handle.pid, from_host="brick")
+    site.run_until(lambda: moved.exited)
+    return site
+
+
 SCENARIOS = {
     "loadd-report-loss": _loadd("loadd.send fail n=*"),
     "loadd-delayed-reports": _loadd("loadd.recv delay n=4 delay=0.4"),
@@ -147,6 +192,8 @@ SCENARIOS = {
     "migrate-d-ledger": _migrate_daemon_ledger,
     "ledger-restage": _ledger_restage,
     "ckptd-recover": _ckptd_recover,
+    "hog-storm": _hog_storm,
+    "lazy-hog": _lazy_hog,
 }
 
 GOLDEN = {
@@ -159,6 +206,26 @@ GOLDEN = {
             "1ac3c099a1e7dba1a3523c94a702156bee2a5eebfed93730a1aba23a6020add7",
         "clocks":
             "0d35c82371803b315e26d074c19eeef059e2a151b095d43af751c95f475bf752",
+    },
+    "hog-storm": {
+        "trace":
+            "2452d6f664f6d99241dc27ca358464817fd434adb195123af7914a427d4731c1",
+        "perf":
+            "cd2b6e8e7bacedfa733bd70e6fa4b2788aff4c0e6a8e32d75f059514a013f0e3",
+        "consoles":
+            "2da9775f5e317bc90f642d37b705bde6361e911367babb79054d8a5a5984ce35",
+        "clocks":
+            "01f8630a1bf9ad3118c6c87237c3b79e352933505ec4a40c5573befd022a6241",
+    },
+    "lazy-hog": {
+        "trace":
+            "42050334648b514d8b76d134ffe6c81f345b58f55ca179eaad54cee9bcc980d2",
+        "perf":
+            "4c348cab5f7f84b1e4a2827dab6d1412f0820dff3b154661865ade02b26e8fea",
+        "consoles":
+            "ccd86817d90b9dfd893f9a67982f579ba192f9d5e655a28cfcc62bdd7b191bdd",
+        "clocks":
+            "09844ac3fb3a9205fa9bf5fd4c0b34c30ce9a6eca33cdca73555ea67de36bb34",
     },
     "ledger-restage": {
         "trace":
