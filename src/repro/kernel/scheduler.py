@@ -55,14 +55,14 @@ class Scheduler:
             pass
 
     def has_runnable(self):
-        return any(proc.state == SRUN for proc in self.runq)
+        # every move out of SRUN takes the process off the queue
+        # (_sleep, SSTOP in check_signals, do_exit; a crash clears it),
+        # and the running process is popped before its slot: every
+        # queued process is runnable
+        return bool(self.runq)
 
     def _next_runnable(self):
-        while self.runq:
-            proc = self.runq.popleft()
-            if proc.state == SRUN:
-                return proc
-        return None
+        return self.runq.popleft() if self.runq else None
 
     # -- signal delivery --------------------------------------------------------
 

@@ -268,9 +268,8 @@ class MiscSyscalls:
         live (non-zombie) processes, bound sockets, and how many
         peers the failure detector currently suspects.
         """
-        from repro.kernel.constants import SRUN, SZOMB
-        runq = sum(1 for entry in self.scheduler.runq
-                   if entry.state == SRUN)
+        from repro.kernel.constants import SZOMB
+        runq = len(self.scheduler.runq)
         procs = sum(1 for entry in self.procs.all_procs()
                     if entry.state != SZOMB)
         suspects = len(self.hb_monitor.suspected) \

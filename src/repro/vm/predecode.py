@@ -10,7 +10,7 @@ Python function.  A trace function has the signature::
     trace(d, a, mem, dp, lp, budget, zf, nf)
         -> (executed, next_pc, zf, nf, sig)
 
-Three things make traces fast:
+Four things make traces fast:
 
 * **Block linking.**  A block that ends in a branch, ``jsr`` or
   fall-through whose target is another member block transfers control
@@ -32,6 +32,34 @@ Three things make traces fast:
   quantum tail — at most ``MAX_BLOCK_LEN - 1`` instructions — with
   exact legacy semantics.  (``CPU._run`` never *roots* a trace on such
   a call: it checks ``entry_len`` against the budget first.)
+* **Loop superblocks.**  A loop head whose in-trace cycle is simple
+  (H -> B1 -> ... -> Bk -> H, each block with exactly one successor
+  on the cycle) runs the whole cycle as one Python ``while`` loop in
+  its dispatch arm, with one budget check per iteration:
+  ``_n <= budget - S``, where ``S`` is the cycle's length widened to
+  cover every block check the per-block arms would make, so exactly
+  the same iterations run.  Side exits leave with their exact
+  instruction offset; the not-taken side of an in-cycle conditional
+  branch runs the rest of its block inline.  Once fewer than ``S``
+  instructions of budget remain, control drops into the head's
+  unchanged per-block arm (the loop's ``else``), which runs the
+  quantum tail exactly as before, the entry's zero-progress bail
+  included.
+
+Flags and wraps are emitted only where they can matter.  A flag write
+leaves ``zf``/``nf`` *pending* on the value it came from (``ctx.fsrc``):
+conditional branches test the value (``if v2 < 0:``), and the flags are
+stored only at exits, linked jumps, bails, before an instruction that
+may bail, and at a loop's budget exit.  Results are wrapped to 32 bits
+according to their span, given that every register and memory word
+holds a signed 32-bit value: no test inside the range, one test when
+the result can only leave it on one side (``add #k``), the two-sided
+mask otherwise.  A run of add/sub/mul/and/or/xor on one data register
+whose intermediate values nobody observes is emitted as one expression
+and wrapped once (wrapping is a ring homomorphism mod 2**32); it is
+never deferred past a div/mod/shift/cmp, a guard, an exit or a live
+flag write.  ``move dX, dY`` followed by such an op (or a constant
+div/mod, a shift, ``not``/``neg``) on ``dY`` folds into one expression.
 
 ``dp`` is the image's per-page dirty bitmap: every memory store marks
 the page(s) it touches, exactly as the interpreter's ``write_u8`` /
@@ -60,10 +88,11 @@ and all.  That bail-before-mutate rule is what lets the fast path be
 bit-identical to the reference interpreter.
 
 Flag writes that can never be observed (overwritten before any branch,
-bail point or trace exit reads them) are eliminated by a per-block
-backward liveness pass; every observation point — conditional branch,
-guarded instruction, transfer, return — is treated as a read, so the
-architectural flags are always current whenever anyone can look.
+bail point or trace exit reads them) are eliminated by a backward
+liveness pass over each block and over each loop superblock's cycle;
+every observation point — conditional branch, guarded instruction,
+transfer, return — is treated as a read, so the architectural flags
+are always current whenever anyone can look.
 
 Anything the compiler cannot prove safe (stores through unknown
 addressing modes, instructions the CPU model faults on, constant
@@ -100,14 +129,35 @@ TRACE_MAX_BLOCKS = 8
 
 _ISIZE = isa.INSTRUCTION_SIZE
 
+#: the ring ops: their result mod 2**32 depends only on their operands
+#: mod 2**32, so a chain of them may wrap once at its end (_fold)
 _ALU = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.MULL: "*",
         Op.AND: "&", Op.OR: "|", Op.XOR: "^"}
 
+#: ops that read their destination and write the result back to it
+_UPDATES = frozenset(_ALU) | {Op.DIV, Op.DIVL, Op.MOD, Op.SHL, Op.SHR,
+                              Op.BFEXT, Op.NOT, Op.NEG}
+
 _COND = {Op.BEQ: "zf", Op.BNE: "not zf", Op.BLT: "nf",
          Op.BLE: "nf or zf", Op.BGT: "not (nf or zf)", Op.BGE: "not nf"}
+#: the same conditions tested on the value the flags are pending on
+_TEST = {Op.BEQ: "%s == 0", Op.BNE: "%s != 0", Op.BLT: "%s < 0",
+         Op.BLE: "%s <= 0", Op.BGT: "%s > 0", Op.BGE: "%s >= 0"}
+_NEGATE = {Op.BEQ: Op.BNE, Op.BNE: Op.BEQ, Op.BLT: Op.BGE,
+           Op.BGE: Op.BLT, Op.BLE: Op.BGT, Op.BGT: Op.BLE}
+
+_I32_MIN = -2147483648
+_I32_MAX = 2147483647
+_U32 = 4294967296
+#: the span of every register and memory word: always signed 32-bit
+_FULL = (_I32_MIN, _I32_MAX)
+#: longest deferred-wrap chain (bounds its nesting and operand growth)
+_CHAIN_MAX = 16
 
 _WRAP = ("if %(v)s > 2147483647 or %(v)s < -2147483648: "
          "%(v)s = ((%(v)s & 4294967295) ^ 2147483648) - 2147483648")
+_WRAP_HI = "if %(v)s > 2147483647: %(v)s -= 4294967296"
+_WRAP_LO = "if %(v)s < -2147483648: %(v)s += 4294967296"
 
 #: modes whose jump target is a compile-time constant
 _STATIC = (Mode.IMM, Mode.ABS)
@@ -144,10 +194,23 @@ class _Ctx:
         self.amap = amap
         self.heads = heads  #: pcs dispatchable inside this trace
         self.spill = spill  #: "d[0] = rd0; ..." prefix for every exit
-        self.n = 0  #: index of the instruction within its block
+        self.n = 0  #: index of the instruction within its block or loop
         self.pc = 0  #: its program counter
         self.flags_live = True  #: emit this instruction's flag writes?
         self.uses_mv4 = False  #: emit the cast-memoryview prologue?
+        #: how a linked transfer re-enters the dispatch loop ("break"
+        #: out of a loop superblock's ``while``)
+        self.jump = "continue"
+        #: pc the in-cycle edge being emitted continues to (no code)
+        self.link = None
+        #: the value zf/nf are pending on, or None when they are stored
+        #: (or overwritten before anyone can look)
+        self.fsrc = None
+        #: ``[reg, expr, span, length]``: ring ops on ``d<reg>`` whose
+        #: single wrap is deferred to the flush (see :func:`_fold`)
+        self.chain = None
+        #: ``(reg, expr)``: reads of ``d<reg>`` see ``expr`` instead
+        self.alias = None
         self.dused = set()
         self.aused = set()
         self.dwritten = set()
@@ -158,6 +221,8 @@ class _Ctx:
     def d(self, operand):
         i = operand & 7
         self.dused.add(i)
+        if self.alias is not None and self.alias[0] == i:
+            return self.alias[1]
         return self.dmap[i] if self.dmap is not None else "d[%d]" % i
 
     def a(self, operand):
@@ -177,28 +242,52 @@ class _Ctx:
         self.awritten.add(i)
         return self.amap[i] if self.amap is not None else "a[%d]" % i
 
+    # -- flags ----------------------------------------------------------------
+
+    def flag_stores(self):
+        """``zf``/``nf`` stores for pending flags ("" when stored)."""
+        var = self.fsrc
+        if var is None:
+            return ""
+        try:  # a constant's flags fold at compile time
+            value = int(var)
+        except ValueError:
+            return "zf = %s == 0; nf = %s < 0; " % (var, var)
+        return "zf = %r; nf = %r; " % (value == 0, value < 0)
+
+    def cond(self, opcode):
+        """The branch condition of ``opcode`` on the current flags."""
+        if self.fsrc is None:
+            return _COND[opcode]
+        return _TEST[opcode] % self.fsrc
+
     # -- exits --------------------------------------------------------------
 
     def bail(self):
         """A return that hands this very instruction to the interpreter."""
-        return "%sreturn _n + %d, %d, zf, nf, 3" % (self.spill, self.n,
-                                                    self.pc)
+        return "%s%sreturn _n + %d, %d, zf, nf, 3" % (
+            self.flag_stores(), self.spill, self.n, self.pc)
 
     def stop(self, sig):
         """Return after executing this instruction (trap/halt)."""
-        return "%sreturn _n + %d, %d, zf, nf, %d" % (
-            self.spill, self.n + 1, self.pc + _ISIZE, sig)
+        return "%s%sreturn _n + %d, %d, zf, nf, %d" % (
+            self.flag_stores(), self.spill, self.n + 1, self.pc + _ISIZE,
+            sig)
 
     def exit(self, count, target):
         """Leave the trace for ``target`` (an expression string)."""
-        return "%sreturn _n + %d, %s, zf, nf, 0" % (self.spill, count,
-                                                    target)
+        return "%s%sreturn _n + %d, %s, zf, nf, 0" % (
+            self.flag_stores(), self.spill, count, target)
 
     def transfer(self, count, static, expr):
         """One-line control transfer after ``count`` instructions of
-        this block: a linked jump into a member block, or an exit."""
+        this block or loop iteration: nothing along the in-cycle edge, a
+        linked jump into a member block, or an exit."""
+        if static is not None and static == self.link:
+            return "pass"
         if static is not None and static in self.heads:
-            return "_n += %d; _pc = %d; continue" % (count, static)
+            return "%s_n += %d; _pc = %d; %s" % (self.flag_stores(), count,
+                                                 static, self.jump)
         return self.exit(count, expr)
 
 
@@ -366,17 +455,65 @@ def _alu_out(ctx, dm, dv):
     return "v2", False
 
 
+def _wrap(lines, var, span):
+    """Emit the 32-bit wrap of ``var``, whose value lies in ``span``
+    (``None``: unknown).  Spans assume what every register and memory
+    word holds: a signed 32-bit value.  A span inside the range needs no
+    test, one that can leave it on one side needs one test (adding or
+    subtracting an immediate: ``if v > 2147483647: v -= 4294967296``),
+    anything else gets the two-sided mask."""
+    if span is not None:
+        lo, hi = span
+        if lo >= _I32_MIN and hi <= _I32_MAX:
+            return
+        if lo >= _I32_MIN and hi <= _I32_MAX + _U32:
+            lines.append(_WRAP_HI % {"v": var})
+            return
+        if hi <= _I32_MAX and lo >= _I32_MIN - _U32:
+            lines.append(_WRAP_LO % {"v": var})
+            return
+    lines.append(_WRAP % {"v": var})
+
+
+def _span(opcode, x, y):
+    """Span of ``x <op> y`` for a ring op and operand spans ``x``, ``y``
+    (``None``: unknown)."""
+    if x is None or y is None:
+        return None
+    if opcode == Op.ADD:
+        return x[0] + y[0], x[1] + y[1]
+    if opcode == Op.SUB:
+        return x[0] - y[1], x[1] - y[0]
+    if opcode in (Op.MUL, Op.MULL):
+        ends = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+        return min(ends), max(ends)
+    # and/or/xor of sign-extended 32-bit values stay sign-extended
+    if _FULL[0] <= x[0] and x[1] <= _FULL[1] \
+            and _FULL[0] <= y[0] and y[1] <= _FULL[1]:
+        return _FULL
+    return None
+
+
+def _operand_span(mode, operand):
+    return (operand, operand) if mode == Mode.IMM else _FULL
+
+
 def _emit_flags(lines, ctx, var):
+    """Set the flags from ``var``.  A plain local or constant leaves
+    them *pending* on it (``ctx.fsrc``): branches test the value itself
+    and exits store ``zf``/``nf`` (:meth:`_Ctx.flag_stores`)."""
     if not ctx.flags_live:
         return
-    try:  # a constant's flags fold at compile time
-        value = int(var)
-    except ValueError:
-        lines.append("zf = %s == 0" % var)
-        lines.append("nf = %s < 0" % var)
-    else:
-        lines.append("zf = %r" % (value == 0))
-        lines.append("nf = %r" % (value < 0))
+    ctx.fsrc = var
+    if not (var.isidentifier() or var.lstrip("-").isdigit()):
+        _settle_flags(lines, ctx)
+
+
+def _settle_flags(lines, ctx):
+    """Store pending flags now."""
+    if ctx.fsrc is not None:
+        lines.append(ctx.flag_stores()[:-2])
+        ctx.fsrc = None
 
 
 def _emit_instruction(lines, ctx, inst):
@@ -412,7 +549,8 @@ def _emit_instruction(lines, ctx, inst):
             return False
         lines.append("v = %s" % _target_expr(ctx, sm, s))
         if sm == Mode.IND_DISP:  # the only mode that can overflow
-            lines.append(_WRAP % {"v": "v"})
+            disp = isa.unpack_ind_disp(s)[0]
+            _wrap(lines, "v", (_I32_MIN + disp, _I32_MAX + disp))
         lines.append("%s = v" % ctx.al(dv))
         return False
 
@@ -420,12 +558,9 @@ def _emit_instruction(lines, ctx, inst):
         src = _emit_value(lines, ctx, sm, s, "v1")
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         out, direct = _alu_out(ctx, dm, dv)
-        if opcode in (Op.AND, Op.OR, Op.XOR):
-            lines.append("%s = (%s %s %s) & 4294967295"
-                         % (out, dst, _ALU[opcode], src))
-        else:
-            lines.append("%s = %s %s %s" % (out, dst, _ALU[opcode], src))
-        lines.append(_WRAP % {"v": out})
+        lines.append("%s = %s %s %s" % (out, dst, _ALU[opcode], src))
+        _wrap(lines, out, _span(opcode, _operand_span(dm, dv),
+                                _operand_span(sm, s)))
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -455,8 +590,8 @@ def _emit_instruction(lines, ctx, inst):
                     lines.append("%s = -(%s // %d) if %s >= 0 else"
                                  " -%s // %d"
                                  % (out, dst, mag, dst, dst, mag))
-                if mag == 1:  # -2**31 / -1 is the one overflow
-                    lines.append(_WRAP % {"v": out})
+                if s == -1:  # -2**31 / -1 is the one overflow
+                    _wrap(lines, out, (-_I32_MAX, -_I32_MIN))
         else:
             lines.append("if %s == 0: %s" % (src, ctx.bail()))  # fpe
             # floored-to-truncated correction: one %% plus a branch,
@@ -471,7 +606,7 @@ def _emit_instruction(lines, ctx, inst):
                 lines.append("if q < 0 and %s %% %s: q += 1"
                              % (dst, src))
                 lines.append("%s = q" % out)
-                lines.append(_WRAP % {"v": out})
+                _wrap(lines, out, (_I32_MIN, -_I32_MIN))  # -2**31 / -1
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -483,13 +618,14 @@ def _emit_instruction(lines, ctx, inst):
         if opcode == Op.SHL:
             lines.append("%s = (%s & 4294967295) << (%s & 31)"
                          % (out, dst, src))
+            _wrap(lines, out, None)
         elif opcode == Op.SHR:
             lines.append("%s = (%s & 4294967295) >> (%s & 31)"
                          % (out, dst, src))
-        else:
+            _wrap(lines, out, (0, _U32 - 1))
+        else:  # a byte: never wraps
             lines.append("%s = ((%s & 4294967295) >> (%s & 31)) & 255"
                          % (out, dst, src))
-        lines.append(_WRAP % {"v": out})
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -497,9 +633,11 @@ def _emit_instruction(lines, ctx, inst):
     if opcode in (Op.NOT, Op.NEG):
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         out, direct = _alu_out(ctx, dm, dv)
-        lines.append("%s = %s(%s)" % (out, "~" if opcode == Op.NOT
-                                      else "-", dst))
-        lines.append(_WRAP % {"v": out})
+        if opcode == Op.NOT:  # ~v never leaves the range
+            lines.append("%s = ~(%s)" % (out, dst))
+        else:
+            lines.append("%s = -(%s)" % (out, dst))
+            _wrap(lines, out, (-_I32_MAX, -_I32_MIN))
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -510,7 +648,8 @@ def _emit_instruction(lines, ctx, inst):
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         if ctx.flags_live:  # dead flags leave only the operand guards
             lines.append("v2 = %s - %s" % (dst, src))
-            lines.append(_WRAP % {"v": "v2"})
+            _wrap(lines, "v2", _span(Op.SUB, _operand_span(dm, dv),
+                                     _operand_span(sm, s)))
             _emit_flags(lines, ctx, "v2")
         return False
     if opcode == Op.TST:
@@ -524,7 +663,7 @@ def _emit_instruction(lines, ctx, inst):
         if opcode == Op.BRA:
             lines.append(ctx.transfer(n + 1, static, target))
             return True
-        lines.append("if %s: %s" % (_COND[opcode],
+        lines.append("if %s: %s" % (ctx.cond(opcode),
                                     ctx.transfer(n + 1, static, target)))
         return False  # fall through, keep compiling
 
@@ -581,13 +720,121 @@ def _emit_instruction(lines, ctx, inst):
     raise _Uncompilable  # unknown opcode: interpreter faults on it
 
 
+def _fold(lines, ctx, inst):
+    """Fold a register-to-register ring op (or a ``move`` starting
+    one) into the deferred-wrap chain; returns False when ``inst`` is
+    not foldable.
+
+    ``move dX, dY`` with dead flags starts a chain on ``dY`` whose
+    expression is ``dX``; each add/sub/mul/and/or/xor on the chain's
+    register with an immediate or another register then extends the
+    expression, and :func:`_flush` assigns and wraps it once.  Exact
+    because every ring op commutes with reduction mod 2**32.  Only ops
+    whose flags are dead defer; one whose flags are live closes its
+    chain at once, so the flags see the wrapped value.
+    """
+    opcode, sm, s, dm, dv = inst
+    if dm != Mode.DREG or sm not in (Mode.IMM, Mode.DREG):
+        return False
+    if opcode != Op.MOVE and opcode not in _ALU:
+        return False
+    reg = dv & 7
+    src, span = ("%d" % s, (s, s)) if sm == Mode.IMM else (ctx.d(s),
+                                                          _FULL)
+    if opcode == Op.MOVE:
+        if ctx.flags_live:
+            return False
+        _flush(lines, ctx)
+        ctx.dl(dv)
+        ctx.chain = [reg, src, span, 0]
+        return True
+    chain = ctx.chain
+    if chain is not None and (chain[0] != reg or chain[3] >= _CHAIN_MAX
+                              or (sm == Mode.DREG and s & 7 == reg)):
+        _flush(lines, ctx)
+        chain = None
+    if chain is None:
+        chain = ctx.chain = [reg, ctx.dl(dv), _FULL, 0]
+    chain[1] = "(%s %s %s)" % (chain[1], _ALU[opcode], src)
+    chain[2] = _span(opcode, chain[2], span)
+    chain[3] += 1
+    if ctx.flags_live:
+        _flush(lines, ctx)
+        _emit_flags(lines, ctx, ctx.dl(dv))
+    return True
+
+
+def _flush(lines, ctx):
+    """Assign and wrap the pending chain's register, if any."""
+    chain = ctx.chain
+    if chain is None:
+        return
+    ctx.chain = None
+    name = ctx.dl(chain[0])
+    if chain[1] != name:
+        lines.append("%s = %s" % (name, chain[1]))
+        _wrap(lines, name, chain[2])
+
+
+def _emit_step(lines, ctx, inst):
+    """Emit one instruction of a straight-line run.
+
+    Pending flags are stored first when ``inst`` could observe them
+    other than as a branch condition, and forgotten when it overwrites
+    them unobserved.  ``inst`` then folds into the deferred-wrap chain,
+    or the chain is flushed and ``inst`` emitted on its own.
+    """
+    opcode = inst[0]
+    if ctx.fsrc is not None and opcode not in isa.BRANCHES \
+            and opcode != Op.NOP:
+        if opcode in _FLAG_WRITERS and not _observes_flags(inst, ctx.lazy):
+            ctx.fsrc = None
+        else:
+            _settle_flags(lines, ctx)
+    if _fold(lines, ctx, inst):
+        return
+    if _takes_move(ctx, inst):
+        ctx.alias = (ctx.chain[0], ctx.chain[1])
+        ctx.chain = None
+    else:
+        _flush(lines, ctx)
+    _emit_instruction(lines, ctx, inst)
+    ctx.alias = None
+
+
+def _takes_move(ctx, inst):
+    """Can ``inst`` read a pending plain ``move dX, dY`` (the chain,
+    no ring op yet) into its destination ``dY`` straight from ``dX``,
+    dropping the move's own assignment?  It must update ``dY`` in
+    place.  It cannot bail: the move's flags would then be live, and a
+    move with live flags starts no chain."""
+    chain = ctx.chain
+    return (chain is not None and not chain[3] and inst[0] in _UPDATES
+            and inst[3] == Mode.DREG and inst[4] & 7 == chain[0])
+
+
+def _emit_run(lines, ctx, ir, first, live, base):
+    """Emit block ``ir`` from instruction ``first`` on, as instructions
+    ``base + first`` ... of the block or loop iteration, ending in the
+    fall-through transfer when the block has no terminator."""
+    for i in range(first, len(ir.insts)):
+        pc, inst = ir.insts[i]
+        ctx.n, ctx.pc = base + i, pc
+        ctx.flags_live = live[i]
+        _emit_step(lines, ctx, inst)
+    if not ir.terminated:
+        _flush(lines, ctx)
+        lines.append(ctx.transfer(base + len(ir.insts), ir.end_pc,
+                                  "%d" % ir.end_pc))
+
+
 # -- block discovery ---------------------------------------------------------
 
 
 class _BlockIR:
     """One decoded straight-line block plus its static metadata."""
 
-    __slots__ = ("pc", "insts", "terminated", "end_pc", "targets",
+    __slots__ = ("pc", "insts", "terminated", "end_pc", "links",
                  "dused", "aused", "dwritten", "awritten")
 
 
@@ -607,7 +854,7 @@ def _decode_block(model, image, start_pc, max_len=MAX_BLOCK_LEN):
     opcodes = model.opcodes
     scratch = []
     insts = []
-    targets = []
+    links = []
     pc = start_pc
     terminated = False
     while len(insts) < max_len and pc + _ISIZE <= text_end:
@@ -623,10 +870,10 @@ def _decode_block(model, image, start_pc, max_len=MAX_BLOCK_LEN):
             # forget any registers only the aborted instruction used
             ctx.dused, ctx.aused, ctx.dwritten, ctx.awritten = saved
             break
-        insts.append((pc, inst))
         if inst[1] in _STATIC and (inst[0] in isa.BRANCHES
                                    or inst[0] == Op.JSR):
-            targets.append(inst[2])
+            links.append((len(insts), inst[2]))
+        insts.append((pc, inst))
         pc += _ISIZE
         if terminated:
             break
@@ -638,8 +885,8 @@ def _decode_block(model, image, start_pc, max_len=MAX_BLOCK_LEN):
     ir.terminated = terminated
     ir.end_pc = pc
     if not terminated:
-        targets.append(pc)  # the fall-through edge is linkable too
-    ir.targets = targets
+        links.append((len(insts), pc))  # the fall-through edge too
+    ir.links = links
     ir.dused = ctx.dused
     ir.aused = ctx.aused
     ir.dwritten = ctx.dwritten
@@ -684,6 +931,98 @@ def _flag_liveness(insts, lazy):
     return live
 
 
+# -- loop superblocks ---------------------------------------------------------
+
+
+def _find_cycle(head, by_pc):
+    """The simple cycle through loop head ``head``, as ``[(block, e),
+    ...]`` from ``head`` round to it, where ``e`` indexes the
+    instruction whose transfer continues the cycle (``len(insts)`` for
+    the fall-through edge); or None.  Simple means every block on it
+    has exactly one successor on it."""
+    def walk(ir, path):
+        for e, target in ir.links:
+            if target == head.pc:
+                return path + [(ir, e)]
+            succ = by_pc.get(target)
+            if succ is not None and all(succ is not b for b, __ in path) \
+                    and succ is not ir:
+                found = walk(succ, path + [(ir, e)])
+                if found:
+                    return found
+        return None
+
+    cycle = walk(head, [])
+    if cycle is None:
+        return None
+    members = {ir.pc for ir, __ in cycle}
+    for ir, __ in cycle:
+        if len({t for __, t in ir.links if t in members}) != 1:
+            return None
+    return cycle
+
+
+def _top_observed(path, lazy):
+    """Can an iteration observe the flags before it first writes them?"""
+    for __, inst in path:
+        if _observes_flags(inst, lazy):
+            return True
+        if inst[0] in _FLAG_WRITERS:
+            return False
+    return False
+
+
+def _emit_cycle(ctx, cycle):
+    """Emit one iteration of ``cycle`` as straight-line code for the
+    body of its superblock's ``while`` loop.
+
+    Returns ``(lines, span, end_flags)``: ``span`` is the budget an
+    iteration needs, the cycle's length widened to cover every block's
+    own budget check (so the loop runs exactly the iterations the
+    per-block arms would); ``end_flags`` stores the flags an iteration
+    leaves pending, or None when it leaves them stored.
+    """
+    ctx.jump = "break"  # out of the while, back into the dispatcher
+    ctx.fsrc = None
+    path = [pair for ir, e in cycle for pair in ir.insts[:e + 1]]
+    live = _flag_liveness(path, ctx.lazy)
+    lines = []
+    offset = k = span = 0
+    for j, (ir, e) in enumerate(cycle):
+        span = max(span, offset + len(ir.insts))
+        succ = cycle[(j + 1) % len(cycle)][0].pc
+        for i, (pc, inst) in enumerate(ir.insts[:e + 1]):
+            ctx.n, ctx.pc = offset + i, pc
+            ctx.flags_live = live[k]
+            k += 1
+            if i == e and inst[0] in _COND:
+                # taken: on to the cycle's next block; not taken: the
+                # rest of this block, ending in its own exit or jump
+                _flush(lines, ctx)
+                lines.append("if %s:" % ctx.cond(_NEGATE[inst[0]]))
+                pending = ctx.fsrc
+                tail = []
+                _emit_run(tail, ctx, ir, e + 1,
+                          _flag_liveness(ir.insts, ctx.lazy), offset)
+                lines.extend("    " + line for line in tail)
+                ctx.fsrc = pending
+            else:
+                ctx.link = succ if i == e else None
+                _emit_step(lines, ctx, inst)
+                ctx.link = None
+        offset += min(e + 1, len(ir.insts))
+    _flush(lines, ctx)
+    end_flags = None
+    if ctx.fsrc is not None:
+        if _top_observed(path, ctx.lazy):
+            _settle_flags(lines, ctx)
+        else:
+            end_flags = ctx.flag_stores()[:-2]
+    lines.append("_n += %d" % offset)
+    ctx.jump = "continue"
+    return lines, max(span, offset), end_flags
+
+
 # -- trace assembly ----------------------------------------------------------
 
 
@@ -692,8 +1031,9 @@ def compile_trace(model, image, entry, lazy=False):
 
     Discovers up to :data:`TRACE_MAX_BLOCKS` blocks breadth-first over
     statically-known branch/call/fall-through targets and emits them
-    as one function with an internal dispatch loop; ``lazy`` adds the
-    pending-page guards (module docstring).  Returns
+    as one function with an internal dispatch loop, each simple cycle
+    through a loop head fused into a superblock (module docstring);
+    ``lazy`` adds the pending-page guards.  Returns
     ``(trace_function, n_instructions, n_linked_blocks)``, or
     ``(INTERP, 0, 0)`` when ``entry`` is outside the text segment or
     its first instruction is uncompilable.
@@ -703,7 +1043,7 @@ def compile_trace(model, image, entry, lazy=False):
         return INTERP, 0, 0
     order = [root]
     seen = {entry}
-    frontier = list(root.targets)
+    frontier = [t for __, t in root.links]
     while frontier and len(order) < TRACE_MAX_BLOCKS:
         tpc = frontier.pop(0)
         if tpc in seen:
@@ -713,12 +1053,12 @@ def compile_trace(model, image, entry, lazy=False):
         if ir is None:
             continue  # exit edge: CPU._run dispatches it separately
         order.append(ir)
-        frontier.extend(ir.targets)
-    heads = frozenset(ir.pc for ir in order)
+        frontier.extend(t for __, t in ir.links)
+    by_pc = {ir.pc: ir for ir in order}
     # the dispatcher walks its arms linearly, so put loop heads (blocks
     # reached by a back edge) first: they dominate the dynamic count
-    loop_heads = {tpc for ir in order for tpc in ir.targets
-                  if tpc in heads and tpc <= ir.pc}
+    loop_heads = {tpc for ir in order for __, tpc in ir.links
+                  if tpc in by_pc and tpc <= ir.pc}
     order.sort(key=lambda ir: ir.pc not in loop_heads)
 
     dused, aused = set(), set()
@@ -735,7 +1075,8 @@ def compile_trace(model, image, entry, lazy=False):
     spill = "; ".join(parts) + ("; " if parts else "")
 
     ctx = _Ctx(image.text_base + image.text_size, image.mem_size, lazy,
-               dmap, amap, heads, spill)
+               dmap, amap, frozenset(by_pc), spill)
+    limits = []
     body = []
     ndecoded = 0
     for index, ir in enumerate(order):
@@ -744,19 +1085,28 @@ def compile_trace(model, image, entry, lazy=False):
         # one budget guard per block; re-reaching the entry head with
         # zero progress bails so the interpreter runs the quantum tail
         sig = "(0 if _n else 3)" if ir.pc == entry else "0"
-        body.append("            if budget - _n < %d: %sreturn _n, %d,"
-                    " zf, nf, %s" % (len(ir.insts), spill, ir.pc, sig))
-        lines = []
-        live = _flag_liveness(ir.insts, lazy)
-        for i, (pc, inst) in enumerate(ir.insts):
-            ctx.n, ctx.pc = i, pc
-            ctx.flags_live = live[i]
-            _emit_instruction(lines, ctx, inst)
-        if not ir.terminated:
-            lines.append(ctx.transfer(len(ir.insts), ir.end_pc,
-                                      "%d" % ir.end_pc))
-        body.extend("            " + line for line in lines)
+        arm = ["if budget - _n < %d: %sreturn _n, %d, zf, nf, %s"
+               % (len(ir.insts), spill, ir.pc, sig)]
+        ctx.fsrc = None
+        _emit_run(arm, ctx, ir, 0, _flag_liveness(ir.insts, lazy), 0)
         ndecoded += len(ir.insts)
+        cycle = _find_cycle(ir, by_pc) if ir.pc in loop_heads else None
+        if cycle is None:
+            body.extend("            " + line for line in arm)
+            continue
+        # the superblock: whole iterations while the budget covers
+        # one, then the block's own arm for the quantum tail
+        loop, span, end_flags = _emit_cycle(ctx, cycle)
+        limit = "_lim%d" % len(limits)
+        limits.append("    %s = budget - %d" % (limit, span))
+        if end_flags:
+            body.append("            _m = _n")
+        body.append("            while _n <= %s:" % limit)
+        body.extend("                " + line for line in loop)
+        body.append("            else:")
+        if end_flags:
+            body.append("                if _n != _m: %s" % end_flags)
+        body.extend("                " + line for line in arm)
     body.append("        else:")
     body.append("            %sreturn _n, _pc, zf, nf, 0" % spill)
 
@@ -766,6 +1116,7 @@ def compile_trace(model, image, entry, lazy=False):
         head.append("    mv4 = memoryview(mem).cast('i')")
     head += ["    rd%d = d[%d]" % (i, i) for i in sorted(dused)]
     head += ["    ra%d = a[%d]" % (i, i) for i in sorted(aused)]
+    head += limits
     head += ["    _n = 0", "    _pc = %d" % entry, "    while 1:"]
     source = "\n".join(head + body) + "\n"
     namespace = {}

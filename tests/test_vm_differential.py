@@ -17,6 +17,13 @@ avoids is *stores that land inside the code window*: self-modifying
 code mid-quantum hits the legacy per-run decode-cache staleness that
 predates the trace compiler, in both engines.
 
+Loops get their own generator: counted loops of two to four blocks,
+with side exits, tails after conditional links and extra back edges,
+registers and immediates near the 32-bit edges, and budgets below, at
+and above the loop's length, so the trace compiler's loop superblocks
+(fused iterations, pending flags, deferred and one-sided wraps) are
+checked against the interpreter on both trace variants.
+
 The lazy variant is fuzzed the same way: random copy-on-reference
 chunks pending over the data window and the stack, each fetched by a
 logging hook, must fault in at the same instruction on both engines —
@@ -238,6 +245,346 @@ def _run_differential(text, dregs, aregs, model, budgets, cap=400,
 def test_compiled_traces_match_interpreter(text, dregs, aregs,
                                            budgets, model):
     _run_differential(text, dregs, aregs, model, budgets)
+
+
+# -- loops --------------------------------------------------------------
+
+#: immediates that carry 32-bit arithmetic across its edges
+EDGE_IMM = st.one_of(
+    st.integers(-8, 8),
+    st.integers(2 ** 31 - 300, 2 ** 31 - 1),
+    st.integers(-(2 ** 31), -(2 ** 31) + 300),
+    st.sampled_from([2 ** 30, -(2 ** 30), 65537, 7, 123]),
+)
+
+#: loop-body registers: d0 counts the loop down; few destinations, so
+#: runs of ops on one register are common
+BODY_REG = st.integers(1, 7)
+BODY_DST = st.integers(1, 3)
+
+#: register values near the edges (and small ones)
+EDGE_DREGS = st.lists(st.one_of(st.integers(-100, 100),
+                                st.integers(2 ** 31 - 300, 2 ** 31 - 1),
+                                st.integers(-(2 ** 31), -(2 ** 31) + 300)),
+                      min_size=8, max_size=8)
+
+ARITH = ([Op.ADD, Op.SUB, Op.MUL, Op.MOVE] * 3
+         + [Op.AND, Op.OR, Op.XOR, Op.CMP, Op.TST, Op.MOD, Op.DIV,
+            Op.SHL, Op.SHR, Op.NOT, Op.NEG, Op.MULL, Op.DIVL, Op.BFEXT])
+
+CONDS = [Op.BEQ, Op.BNE, Op.BLT, Op.BLE, Op.BGT, Op.BGE]
+
+
+@st.composite
+def _arith(draw):
+    """A loop-body instruction: mostly register arithmetic (the
+    deferred-wrap chains), sometimes on memory or through the stack."""
+    op = draw(st.sampled_from(ARITH))
+    src = (Mode.IMM, draw(EDGE_IMM)) if draw(st.booleans()) \
+        else (Mode.DREG, draw(BODY_REG))
+    if draw(st.integers(0, 5)) == 0:
+        dst = (Mode.ABS, DATA_BASE + 4 * draw(st.integers(0, 7)))
+    elif draw(st.integers(0, 7)) == 0:
+        dst = (Mode.IND, draw(REG))
+    else:
+        dst = (Mode.DREG, draw(BODY_DST))
+    if op in isa.ONE_OPERAND_DST:
+        return isa.encode(op, 0, 0, *dst)
+    return isa.encode(op, *src, *dst)
+
+
+@st.composite
+def _chain(draw):
+    """A run of ring ops on one register, often started by a ``move``
+    into it: a deferred-wrap chain when its flags are dead."""
+    reg = draw(BODY_DST)
+    run = []
+    if draw(st.booleans()):
+        run.append(isa.encode(Op.MOVE, Mode.DREG, draw(BODY_REG),
+                              Mode.DREG, reg))
+    for __ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from([Op.ADD, Op.SUB, Op.MUL, Op.MULL,
+                                   Op.AND, Op.OR, Op.XOR]))
+        src = (Mode.IMM, draw(EDGE_IMM)) if draw(st.booleans()) \
+            else (Mode.DREG, draw(BODY_REG))
+        run.append(isa.encode(op, *src, Mode.DREG, reg))
+    return run
+
+
+@st.composite
+def _loop_program(draw):
+    """A counted loop of 2-4 blocks.
+
+    Each block is an optional leading side exit (it reads the flags the
+    previous block or iteration left), a few body instructions and
+    deferred-wrap chains, an optional side exit, and a link to the next
+    block: ``bra``, or a conditional branch whose fall-through tail
+    ends in a ``bra`` out, back or on.  The last block counts ``d0``
+    down and branches back to the first, conditionally or with a
+    ``ble`` out and a ``bra`` back; the loop falls out into a
+    ``trap``.  Side exits go to the exit, to any block, or to
+    ``side``: a conditional branch the trace compiler cannot compile
+    (bad target mode), so the interpreter reads the flags the exit left
+    and faults if they are wrong.
+    """
+    nblocks = draw(st.integers(2, 4))
+    items = [isa.encode(Op.MOVE, Mode.IMM, draw(st.integers(1, 40)),
+                        Mode.DREG, 0)]
+    labels = {}
+    targets = ["exit", "side"] + list(range(nblocks))
+
+    def side_exit():
+        items.append((draw(st.sampled_from(CONDS)),
+                      draw(st.sampled_from(targets))))
+
+    for b in range(nblocks):
+        labels[b] = len(items)
+        if draw(st.integers(0, 3)) == 0:
+            side_exit()
+        for run in draw(st.lists(st.one_of(_arith().map(lambda i: [i]),
+                                           _chain()),
+                                 min_size=1, max_size=4)):
+            items += run
+        if draw(st.booleans()):
+            side_exit()
+        if b == nblocks - 1:
+            items.append(isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0))
+            back = draw(st.sampled_from([Op.BGT, Op.BNE, Op.BGE, Op.BRA]))
+            if back == Op.BRA:
+                items.append((Op.BLE, "exit"))
+            items.append((back, 0))
+        elif draw(st.booleans()):
+            items.append((Op.BRA, b + 1))
+        else:
+            items.append((draw(st.sampled_from(CONDS)), b + 1))
+            items += [draw(_arith()) for __ in range(draw(st.integers(0, 2)))]
+            items.append((Op.BRA, draw(st.sampled_from(["exit", 0, b + 1]))))
+    labels["exit"] = len(items)
+    items.append(isa.encode(Op.TRAP))
+    labels["side"] = len(items)
+    items.append(isa.encode(draw(st.sampled_from(CONDS)), 7, 0))
+    items.append(isa.encode(Op.TRAP))
+    return b"".join(
+        isa.encode(item[0], Mode.IMM, TEXT_BASE + ISIZE * labels[item[1]])
+        if isinstance(item, tuple) else item for item in items)
+
+
+#: budgets below, around and well above a loop's length
+LOOP_BUDGETS = st.lists(st.one_of(st.integers(3, 17).map(lambda v: v | 1),
+                                  st.integers(18, 60),
+                                  st.integers(40, 400)),
+                        min_size=1, max_size=4)
+
+
+@given(text=_loop_program(), dregs=EDGE_DREGS, aregs=AREGS,
+       budgets=LOOP_BUDGETS, model=st.sampled_from([MC68010, MC68020]))
+@settings(max_examples=150, deadline=None)
+def test_loop_superblocks_match_interpreter(text, dregs, aregs, budgets,
+                                            model):
+    _run_differential(text, dregs, aregs, model, budgets, cap=3000)
+
+
+@given(text=_loop_program(), dregs=EDGE_DREGS, aregs=AREGS,
+       budgets=LOOP_BUDGETS, model=st.sampled_from([MC68010, MC68020]),
+       lazy=_pending_chunks())
+@settings(max_examples=100, deadline=None)
+def test_lazy_loop_superblocks_match_interpreter(text, dregs, aregs,
+                                                 budgets, model, lazy):
+    chunks, fail = lazy
+    _run_differential(text, dregs, aregs, model, budgets, cap=3000,
+                      chunks=chunks, fail=fail)
+
+
+def _loop(*body, back=Op.BGT):
+    """``body`` as a loop on ``d0`` counted down from its initial
+    value, then a trap; returns ``(text, length)``."""
+    insts = list(body) + [isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0),
+                          isa.encode(back, Mode.IMM, TEXT_BASE),
+                          isa.encode(Op.TRAP)]
+    return b"".join(insts), len(insts) - 1
+
+
+def _source(text, lazy=False):
+    image = _fresh_image(text, [0] * 8, [DATA_BASE + 512] * 8)
+    return compile_trace(MC68010, image, TEXT_BASE, lazy=lazy)[0].source
+
+
+def test_one_sided_wrap_at_the_top_of_the_range():
+    """``add #k`` can only overflow upwards and ``sub #k`` downwards:
+    one test each, exact at 2147483647 + k for every k the loop steps
+    through.  A register difference can overflow either way."""
+    text, length = _loop(isa.encode(Op.ADD, Mode.IMM, 3, Mode.DREG, 1),
+                         isa.encode(Op.SUB, Mode.IMM, 2, Mode.DREG, 2),
+                         isa.encode(Op.MOVE, Mode.DREG, 1, Mode.DREG, 4),
+                         isa.encode(Op.SUB, Mode.DREG, 2, Mode.DREG, 4))
+    source = _source(text)
+    assert "if rd1 > 2147483647: rd1 -= 4294967296" in source
+    assert "if rd2 < -2147483648: rd2 += 4294967296" in source
+    assert "rd1 < -2147483648" not in source
+    assert "rd4 = (rd1 - rd2)\n" in source
+    assert "if rd4 > 2147483647 or rd4 < -2147483648" in source
+    dregs = [40, 2 ** 31 - 7, -(2 ** 31) + 5, 0, 0, 0, 0, 0]
+    done = _run_differential(text, dregs, [DATA_BASE + 512] * 8, MC68010,
+                             [3 * length + 1, 41], cap=5000)
+    assert isinstance(done, TrapStop)
+
+
+def test_deferred_chain_crosses_the_edge_mid_chain():
+    """``move``, ``mul``, ``add``, ``sub``, ``xor`` on one register wrap
+    once, at the ``mod`` that reads them, though the value leaves the
+    32-bit range after the ``mul`` and comes back after the ``add``."""
+    text, length = _loop(
+        isa.encode(Op.MOVE, Mode.DREG, 1, Mode.DREG, 2),
+        isa.encode(Op.MUL, Mode.IMM, 3, Mode.DREG, 2),
+        isa.encode(Op.ADD, Mode.IMM, -(2 ** 31), Mode.DREG, 2),
+        isa.encode(Op.SUB, Mode.IMM, 5, Mode.DREG, 2),
+        isa.encode(Op.XOR, Mode.DREG, 3, Mode.DREG, 2),
+        isa.encode(Op.MOD, Mode.IMM, 1000, Mode.DREG, 2),
+        isa.encode(Op.ADD, Mode.DREG, 2, Mode.DREG, 4),
+        isa.encode(Op.ADD, Mode.IMM, 2 ** 29 + 7, Mode.DREG, 1))
+    source = _source(text)
+    assert "rd2 = ((((rd1 * 3) + -2147483648) - 5) ^ rd3)" in source
+    assert "rd2 = rd1" not in source
+    dregs = [30, 2 ** 30 - 11, 0, 12345, 0, 0, 0, 0]
+    for budgets in ([2 * length + 3, 61], [400]):
+        done = _run_differential(text, dregs, [DATA_BASE + 512] * 8,
+                                 MC68010, budgets, cap=5000)
+        assert isinstance(done, TrapStop)
+
+
+def test_move_folds_into_the_op_that_reads_it():
+    """``move d1, d2`` folds into a constant ``mod`` on ``d2``; before
+    a ``div`` by a register, which may bail, it is assigned, so the
+    interpreter replays the fpe with ``d2`` already moved."""
+    text, length = _loop(
+        isa.encode(Op.ADD, Mode.IMM, 2 ** 30 + 3, Mode.DREG, 1),
+        isa.encode(Op.MOVE, Mode.DREG, 1, Mode.DREG, 2),
+        isa.encode(Op.MOD, Mode.IMM, 20000, Mode.DREG, 2),
+        isa.encode(Op.ADD, Mode.DREG, 2, Mode.DREG, 4),
+        isa.encode(Op.MOVE, Mode.DREG, 1, Mode.DREG, 3),
+        isa.encode(Op.DIV, Mode.DREG, 5, Mode.DREG, 3),
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 5))
+    source = _source(text)
+    assert "rd2 = rd1 % 20000 if rd1 >= 0 else -(-rd1 % 20000)" in source
+    assert "rd3 = rd1\n" in source
+    dregs = [40, 2 ** 31 - 100, 0, 0, 0, 9, 0, 0]
+    for budgets in ([3 * length + 2, 45], [400]):
+        done = _run_differential(text, dregs, [DATA_BASE + 512] * 8,
+                                 MC68010, budgets, cap=5000)
+        assert isinstance(done, FaultStop) and done.kind == "fpe"
+
+
+def test_side_exit_leaves_the_flags_the_interpreter_reads():
+    """A side exit out of the fused loop stores the flags it left
+    pending; the interpreter branches on them at the exit's target (a
+    branch the trace compiler cannot compile) and faults if they are
+    wrong."""
+    side = TEXT_BASE + 6 * ISIZE
+    text = b"".join([
+        isa.encode(Op.ADD, Mode.IMM, 1, Mode.DREG, 1),
+        isa.encode(Op.CMP, Mode.IMM, 17, Mode.DREG, 1),
+        isa.encode(Op.BEQ, Mode.IMM, side),       # side exit, flags pending
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0),
+        isa.encode(Op.BGT, Mode.IMM, TEXT_BASE),
+        isa.encode(Op.TRAP),
+        isa.encode(Op.BNE, 7, 0),                 # side: taken would segv
+        isa.encode(Op.TRAP),
+    ])
+    assert "while _n <= _lim0" in _source(text)
+    done = _run_differential(text, [100, 0, 0, 0, 0, 0, 0, 0],
+                             [DATA_BASE + 512] * 8, MC68010, [200],
+                             cap=5000)
+    assert isinstance(done, TrapStop)
+    # 16 whole iterations, three instructions of the 17th, bne, trap
+    assert done.executed == 16 * 5 + 3 + 2
+
+
+def test_next_block_reads_flags_pending_across_an_in_cycle_branch():
+    """The in-cycle ``bne`` leaves the ``cmp`` flags pending; the next
+    block's first instruction branches on them, after the not-taken
+    side (a tail ending in a linked jump) has stored them."""
+    block_b = TEXT_BASE + 5 * ISIZE
+    side = TEXT_BASE + 9 * ISIZE
+    text = b"".join([
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 1),
+        isa.encode(Op.CMP, Mode.IMM, 5, Mode.DREG, 1),
+        isa.encode(Op.BNE, Mode.IMM, block_b),    # the in-cycle edge
+        isa.encode(Op.ADD, Mode.IMM, 3, Mode.DREG, 2),
+        isa.encode(Op.BRA, Mode.IMM, block_b),
+        isa.encode(Op.BLT, Mode.IMM, side),       # block_b: reads cmp
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0),
+        isa.encode(Op.BGT, Mode.IMM, TEXT_BASE),
+        isa.encode(Op.TRAP),
+        isa.encode(Op.TRAP),                      # side
+    ])
+    assert "while _n <= _lim0" in _source(text)
+    done = _run_differential(text, [30, 12, 0, 0, 0, 0, 0, 0],
+                             [DATA_BASE + 512] * 8, MC68010, [200],
+                             cap=5000)
+    assert isinstance(done, TrapStop)
+
+
+def test_loop_top_reads_the_flags_the_last_iteration_left():
+    """The head's first instruction branches on the flags the previous
+    iteration's last write left, so the back edge must store them."""
+    exit_pc = TEXT_BASE + 5 * ISIZE
+    text = b"".join([
+        isa.encode(Op.BLT, Mode.IMM, exit_pc + ISIZE),
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0),
+        isa.encode(Op.BLE, Mode.IMM, exit_pc),
+        isa.encode(Op.ADD, Mode.IMM, 0x30000001, Mode.DREG, 1),
+        isa.encode(Op.BRA, Mode.IMM, TEXT_BASE),
+        isa.encode(Op.TRAP),   # counted out
+        isa.encode(Op.TRAP),   # d1 went negative
+    ])
+    assert "while _n <= _lim0" in _source(text)
+    done = _run_differential(text, [50, 1, 0, 0, 0, 0, 0, 0],
+                             [DATA_BASE + 512] * 8, MC68010, [7, 41, 400],
+                             cap=5000)
+    assert isinstance(done, TrapStop)
+
+
+def test_budget_exit_stores_the_flags_an_iteration_left_pending():
+    """A loop whose blocks end at its edges needs no wider budget than
+    its length, so a quantum can end exactly on an iteration boundary:
+    the trace then returns the flags the last iteration left pending
+    (the loop's ``else`` stores them) with nothing run after it."""
+    exit_pc = TEXT_BASE + 5 * ISIZE
+    text = b"".join([
+        isa.encode(Op.ADD, Mode.IMM, 1, Mode.DREG, 2),
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0),
+        isa.encode(Op.BLE, Mode.IMM, exit_pc),
+        isa.encode(Op.ADD, Mode.IMM, 0x30000001, Mode.DREG, 1),
+        isa.encode(Op.BRA, Mode.IMM, TEXT_BASE),
+        isa.encode(Op.TRAP),
+    ])
+    source = _source(text)
+    assert "_lim0 = budget - 5" in source
+    assert "if _n != _m: zf = rd1 == 0; nf = rd1 < 0" in source
+    for d0 in (-5, 0, 30):
+        dregs = [d0, 1, 0, 0, 0, 0, 0, 0]
+        # whole iterations only: every chunk ends on the back edge,
+        # with the sign of d1 (and so nf) changing as it wraps
+        done = _run_differential(text, dregs, [DATA_BASE + 512] * 8,
+                                 MC68010, [10, 15, 5], cap=500)
+        assert isinstance(done, TrapStop)
+
+
+def test_budget_one_short_of_the_loop_drops_into_the_block_arms():
+    """Budgets that leave one instruction too few for a whole iteration
+    (of the loop, or of the widest block check it covers) finish the
+    quantum in the per-block arms and the interpreter, exactly."""
+    text, length = _loop(isa.encode(Op.ADD, Mode.DREG, 0, Mode.DREG, 1),
+                         isa.encode(Op.MUL, Mode.IMM, 5, Mode.DREG, 1))
+    # the head's block runs on through the back edge to the trap
+    span = length + 1
+    assert "_lim0 = budget - %d" % span in _source(text)
+    dregs = [60, 2 ** 31 - 9, 0, 0, 0, 0, 0, 0]
+    for budgets in ([length - 1], [span - 1], [3 * length + span - 1],
+                    [2 * length - 1, span - 1]):
+        done = _run_differential(text, dregs, [DATA_BASE + 512] * 8,
+                                 MC68010, budgets, cap=5000)
+        assert isinstance(done, TrapStop)
 
 
 def test_linked_loop_matches_interpreter_chunked():
