@@ -21,14 +21,14 @@ the low-volume trace categories:
   daemon scheduling, report exchange and the migrations themselves
   are all deterministic virtual-time events.
 
-Writes ``BENCH_loadbalance.json``; with ``--perf-report FILE`` the
-rows are also merged into an existing ``BENCH_perf.json`` under a
-``loadbalance`` key.
+Writes the report to ``--out``; with ``--perf-report FILE`` the rows
+and the speedup are also merged into an existing ``BENCH_perf.json``
+under a ``loadbalance`` key.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_loadbalance.py [--smoke]
-        [--out BENCH_loadbalance.json] [--perf-report BENCH_perf.json]
+        --out /tmp/BENCH_loadbalance.json [--perf-report BENCH_perf.json]
 """
 
 import argparse
@@ -99,8 +99,7 @@ def run_storm(engine, balance, hosts, hogs, iterations, rounds=20):
     return row, site.cluster.tracer.to_jsonl()
 
 
-def run_benchmark(shape, out="BENCH_loadbalance.json",
-                  perf_report=None, verbose=True):
+def run_benchmark(shape, out, perf_report=None, verbose=True):
     def say(msg):
         if verbose:
             print(msg, flush=True)
@@ -159,7 +158,8 @@ def run_benchmark(shape, out="BENCH_loadbalance.json",
     if perf_report and os.path.exists(perf_report):
         with open(perf_report) as fh:
             merged = json.load(fh)
-        merged["loadbalance"] = rows
+        merged["loadbalance"] = {"rows": rows,
+                                 "speedup": report["speedup"]}
         with open(perf_report, "w") as fh:
             json.dump(merged, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -169,7 +169,7 @@ def run_benchmark(shape, out="BENCH_loadbalance.json",
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_loadbalance.json")
+    parser.add_argument("--out", required=True)
     parser.add_argument("--perf-report", default=None,
                         help="existing BENCH_perf.json to append the "
                              "loadbalance rows to")

@@ -40,7 +40,7 @@ the cold fill and is reported but not gated:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_migration_latency.py
-        [--smoke] [--out BENCH_migration_latency.json]
+        [--smoke] --out /tmp/BENCH_migration_latency.json
         [--perf-report BENCH_perf.json]
 """
 
@@ -173,8 +173,8 @@ def run_mode(mode_name, overrides, hops, program="dcounter"):
     return row
 
 
-def run_benchmark(hops=DEFAULT_HOPS, out="BENCH_migration_latency.json",
-                  perf_report=None, verbose=True):
+def run_benchmark(out, hops=DEFAULT_HOPS, perf_report=None,
+                  verbose=True):
     def say(msg):
         if verbose:
             print(msg, flush=True)
@@ -247,10 +247,8 @@ def run_benchmark(hops=DEFAULT_HOPS, out="BENCH_migration_latency.json",
         with open(perf_report) as fh:
             merged = json.load(fh)
         merged["migration_latency"] = {
-            "rows": rows, "counter_dedup": counter_row,
-            "warm_lazy_freeze_speedup":
-                report["warm_lazy_freeze_speedup"],
-        }
+            key: value for key, value in report.items()
+            if key != "benchmark"}
         with open(perf_report, "w") as fh:
             json.dump(merged, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -260,7 +258,7 @@ def run_benchmark(hops=DEFAULT_HOPS, out="BENCH_migration_latency.json",
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_migration_latency.json")
+    parser.add_argument("--out", required=True)
     parser.add_argument("--perf-report", default=None,
                         help="existing BENCH_perf.json to merge the "
                              "latency rows into")
@@ -268,8 +266,7 @@ def main(argv=None):
                         help="fewer hops for CI")
     args = parser.parse_args(argv)
     hops = SMOKE_HOPS if args.smoke else DEFAULT_HOPS
-    run_benchmark(hops=hops, out=args.out,
-                  perf_report=args.perf_report)
+    run_benchmark(args.out, hops=hops, perf_report=args.perf_report)
     return 0
 
 

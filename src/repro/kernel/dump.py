@@ -49,7 +49,7 @@ class DumpSupport:
         # front, success or failure, so a later plain dump of a
         # surviving process can never re-archive into a stale
         # (possibly already reaped) record directory
-        recdir = getattr(proc, "ledger_dir", None)
+        arming = getattr(proc, "ledger_dir", None)
         proc.ledger_dir = None
         if not proc.is_vm():
             self.log("SIGDUMP: pid %d (%s) is not dumpable"
@@ -92,11 +92,11 @@ class DumpSupport:
                 written.append(path)
             self._verify_dump(inodes[aout_path], inodes[files_path],
                               inodes[stack_path])
-            if recdir:
+            if arming:
                 # a ledgered dump (dumpproc -L) is also archived
                 # through the chunk store, inside the same
                 # all-or-nothing window: no archive, no dump
-                self._archive_dump(proc, recdir,
+                self._archive_dump(proc, arming,
                                    (aout_blob, files_blob, stack_blob))
         except UnixError as err:
             # all-or-nothing: a partial dump is worse than none
@@ -167,7 +167,7 @@ class DumpSupport:
             for view in views:
                 view.release()
 
-    def _archive_dump(self, proc, recdir, blobs):
+    def _archive_dump(self, proc, arming, blobs):
         """Archive the three dump blobs into a ledger record directory.
 
         Each blob is chunked into the cluster chunk store (which
@@ -178,11 +178,15 @@ class DumpSupport:
         restorable archive or no usable one at all.  Any failure
         unlinks the partial archive and propagates — the surrounding
         all-or-nothing dump then fails too and the victim survives.
+        ``arming`` is ``(recdir, cred)`` from dump_ledger(): the files
+        are written under the armer's credentials, not the victim's.
         """
+        recdir, cred = arming
         from repro.core.formats import ChunkManifest, ledger_archive_names
         store = self.machine.cluster.chunk_store
         chunk_bytes = max(1, int(self.costs.dump_chunk_bytes))
         written = []
+        victim_cred, proc.user.cred = proc.user.cred, cred
         try:
             self._archive_record_check(proc, recdir)
             for path, blob in zip(ledger_archive_names(recdir), blobs):
@@ -208,6 +212,8 @@ class DumpSupport:
             for path in written:
                 self._kunlink_quiet(proc, path)
             raise
+        finally:
+            proc.user.cred = victim_cred
         self.machine.cluster.perf.ml_archives += 1
         if self.tracer.enabled:
             self.tracer.emit("dump", "archive", self.machine,

@@ -73,8 +73,9 @@ class Proc:
         self.term_signal = None
         #: set when the process was killed by SIGDUMP and dumped
         self.dumped = False
-        #: ledger record directory armed by dump_ledger(): the next
-        #: SIGDUMP also archives the dump through the chunk store
+        #: ``(record directory, armer's credentials)`` set by
+        #: dump_ledger(): the next SIGDUMP also archives the dump
+        #: through the chunk store, on the armer's behalf
         self.ledger_dir = None
         #: CPU accounting, microseconds
         self.utime_us = 0.0

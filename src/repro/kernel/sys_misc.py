@@ -339,6 +339,9 @@ class MiscSyscalls:
         chunk store into ``recdir`` (manifests + the ``dump.ok``
         commit marker), inside the dump's all-or-nothing window.  Same
         permission rule as kill(): only the superuser or the owner.
+        The archive is written with the caller's credentials: the
+        record directory is the caller's, who may be the superuser
+        moving another user's job.
         """
         from repro.kernel.constants import SZOMB
         if not isinstance(recdir, str) or not recdir.startswith("/"):
@@ -349,7 +352,7 @@ class MiscSyscalls:
         if not proc.user.cred.can_signal(target.user.cred):
             from repro.errors import EPERM
             raise UnixError(EPERM, "dump_ledger %d" % pid)
-        target.ledger_dir = recdir
+        target.ledger_dir = (recdir, proc.user.cred.copy())
         return 0
 
     def sys_store_get(self, proc, digest):

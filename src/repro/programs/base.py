@@ -10,7 +10,7 @@ Error convention: kernel errors arrive as negative ints (``-errno``);
 :func:`repro.errors.iserr` tests for them.
 """
 
-from repro.errors import iserr, EIO, ENOENT
+from repro.errors import iserr, ECHILD, EIO, ENOENT
 from repro.kernel.constants import (O_CREAT, O_RDONLY, O_TRUNC,
                                     O_WRONLY)
 from repro.programs.exitcodes import EX_FAIL
@@ -95,12 +95,13 @@ def remove_files(paths):
 
 def wait_for(child):
     """Reap children until ``child`` exits; returns its exit status
-    (``EX_FAIL`` if a signal killed it or there is nothing to wait
-    for).  Other children reaped on the way are discarded."""
+    (``EX_FAIL`` if a signal killed it or the wait failed, ``-ECHILD``
+    if no child is left to wait for).  Other children reaped on the
+    way are discarded."""
     while True:
         result = yield ("wait",)
         if iserr(result):
-            return EX_FAIL
+            return result if result == -ECHILD else EX_FAIL
         reaped, raw = result
         if reaped == child:
             return (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL

@@ -25,12 +25,14 @@ line.  Each round it:
    duplicating a process.  Destinations it just fed are assumed one
    job busier for ``SETTLE_ROUNDS`` rounds, damping the herd effect
    of re-balancing against a peer's not-yet-updated report;
-5. moves a job by running ``dumpproc`` locally, then ``restart -k``
-   on the destination through ``migrationd-run``, taking the kernel's
-   consumption of the staged a.out as the ack (the ``migrate``
-   technique).  If the remote restart fails the job is restarted
-   *locally* from the same dump — a failed move degrades to a no-op
-   instead of losing the job.
+5. moves a job through the shared migration pipeline
+   (:func:`repro.programs.pipeline.move`, the one ``migrate`` runs),
+   with this host as both source and orchestrator and
+   ``migrationd-run`` as the remote runner: the same retries, restart
+   ack and rollback to this host when the destination never takes the
+   job, and — with the ``migration_ledger`` knob on — the same intent
+   record, so a crash mid-move is finished or rolled back by
+   ``recoveryd -m``.
 
 The companion ``loadd-recv`` process owns the well-known port: it
 blocks in accept (so an idle cluster still quiesces), reads one
@@ -45,16 +47,13 @@ Usage: ``loadd [-i interval] [-n rounds] [-P policy] peer...``
 list and is ignored there).
 """
 
-from repro.errors import iserr
-from repro.core.formats import dump_file_names
 from repro.apps.policy import HostLoad, make_policy
 from repro.net.loadd import LOADD, MAX_CANDIDATES, SPOOL_DIR, LoadReport
 from repro.net.report import (is_stale, listen_for_reports, next_report,
                               read_spooled, send_report)
-from repro.programs.base import (await_restart, parse_options,
-                                 print_err, remove_files, wait_for,
-                                 write_file)
+from repro.programs.base import parse_options, print_err, write_file
 from repro.programs.exitcodes import EX_FAIL, EX_OK
+from repro.programs.pipeline import move
 
 USAGE = "usage: loadd [-i interval] [-n rounds] [-P policy] peer..."
 
@@ -192,67 +191,23 @@ def _balance(policy, view, local, round_no):
     yield ("trace_span", "loadd", "B", round_id)
     ok = 1
     landed = []
-    for move in policy.select(view):
-        if move.source != local:
+    for choice in policy.select(view):
+        if choice.source != local:
             # only the owner dumps its own jobs: a decision about
             # another host is that host's loadd's business
             continue
         yield ("trace_mark", "loadd", "move",
-               "%s:%d" % (local, move.pid))
-        moved = yield from _move_one(move.pid, move.destination,
-                                     local)
-        if moved:
+               "%s:%d" % (local, choice.pid))
+        status = yield from move(choice.pid, local, choice.destination,
+                                 local, "migrationd-run")
+        if status == EX_OK:
             yield ("perf_note", "ld_moves")
-            landed.append(move.destination)
+            landed.append(choice.destination)
         else:
             yield ("perf_note", "ld_move_failures")
             ok = 0
     yield ("trace_span", "loadd", "E", round_id, ok)
     return landed
-
-
-def _move_one(pid, destination, local):
-    """dumpproc locally, restart remotely via migrationd.
-
-    A failed dump leaves the victim running (nothing to undo).  A
-    failed remote restart falls back to restarting the job *locally*
-    from the same dump, so the worst normal outcome of a move is the
-    status quo; only a host that dies mid-fallback can lose the job
-    (fail-stop, same as any crash).
-    """
-    child = yield ("spawn", "/bin/dumpproc",
-                   ["dumpproc", "-p", str(pid)])
-    if iserr(child):
-        return False
-    status = yield from wait_for(child)
-    if status != EX_OK:
-        return False
-    dump_paths = dump_file_names(pid)
-
-    restart_cmd = "restart -k -p %d -h %s" % (pid, local)
-    runner = ["migrationd-run", destination, restart_cmd]
-    child = yield ("spawn", "/bin/migrationd-run", runner)
-    landed = yield from _await_ack(child, dump_paths[0])
-    if landed:
-        return True
-
-    # undo: bring the job back up where it was
-    child = yield ("spawn", "/bin/restart",
-                   ["restart", "-k", "-p", str(pid)])
-    landed = yield from _await_ack(child, dump_paths[0])
-    if not landed:
-        yield from remove_files(dump_paths)
-    return False
-
-
-def _await_ack(child, aout_path):
-    """Poll for the restart ack: the staged a.out disappearing."""
-    if iserr(child):
-        return False
-    poll_tries = yield ("sysctl0", "restart_poll_tries")
-    poll_sleep = yield ("sysctl0", "restart_poll_sleep_s")
-    return (yield from await_restart(child, aout_path, poll_tries,
-                                     poll_sleep))
 
 
 def _drain_children():

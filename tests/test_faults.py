@@ -380,17 +380,32 @@ def test_crash_mid_dump_kills_the_source_host():
 
 def test_crash_mid_restart_kills_the_destination_host():
     """The destination dies inside rest_proc; migrate (typed on the
-    surviving source) gives up gracefully."""
-    summary = _engines_agree(
-        lambda engine: _host_scenario(engine,
-                                      "restproc.overlay crash n=1",
-                                      typed_on="brick"))
+    surviving source) rolls the job back to the source."""
+    restored = {}
+
+    def run(engine):
+        site, victim, plan, handle = _host_scenario(
+            engine, "restproc.overlay crash n=1", typed_on="brick")
+        proc = site.find_restarted("brick")
+        restored[engine] = (proc is not None and not proc.zombie()
+                            and proc.command == "a.out%d" % victim.pid)
+        # the restored counter resumes where the dump left it
+        site.type_at("brick", "two\n")
+        site.run_until(lambda: "r=2 s=2 k=2" in site.console("brick"),
+                       max_steps=10_000_000)
+        return site, victim, plan, handle
+
+    summary = _engines_agree(run)
     assert summary["alive"] == ("brick", "brador")
     assert summary["status"] not in (None, 0)
     assert not summary["restarted"]
-    # the dump consumed the victim and the restart never landed: the
-    # process is lost, but the pipeline said so instead of hanging
+    # the dump consumed the victim and the restart never landed on
+    # schooner: the pipeline said so instead of hanging, and restarted
+    # the job on brick from its own dump (a new process, not the
+    # victim's pid)
     assert summary["victim_alive"] is False
+    assert restored == {"scan": True, "fast": True}
+    assert "rolled back to brick" in summary["consoles"][0]
 
 
 def test_crash_of_the_file_server_spares_the_migration():

@@ -22,6 +22,10 @@ asserts:
 * no dump files left anywhere;
 * the identical run under BOTH cluster engines (consoles, clocks,
   counters and trace byte-for-byte).
+
+A second, smaller matrix cuts a ``loadd`` balancing move at the same
+boundaries: loadd moves jobs through migrate's pipeline, so its moves
+are ledgered, swept and counted the same way.
 """
 
 import pytest
@@ -247,7 +251,10 @@ def _run_cell(engine, spec):
         max_steps=120_000_000)
     _drain(site, 3.0)
     _heal_and_sweep(site)
+    return _summarize(site, victim, plan)
 
+
+def _summarize(site, victim, plan):
     perf = site.cluster.perf
     snapshot = perf.snapshot()
     return {
@@ -266,12 +273,12 @@ def _run_cell(engine, spec):
     }
 
 
-@pytest.mark.parametrize("name,spec,expected", CELLS,
-                         ids=[c[0] for c in CELLS])
-def test_crash_point_cell_on_both_engines(name, spec, expected):
+def _check_cell(name, run_cell, spec, expected):
+    """Run one cell on both engines and check the exactly-once
+    contract on each."""
     summaries = {}
     for engine in ("scan", "fast"):
-        summary = _run_cell(engine, spec)
+        summary = run_cell(engine, spec)
         summaries[engine] = summary
 
         want = () if expected is None else (expected,)
@@ -289,6 +296,78 @@ def test_crash_point_cell_on_both_engines(name, spec, expected):
 
     assert summaries["scan"] == summaries["fast"], \
         "%s: engines disagree" % name
+
+
+@pytest.mark.parametrize("name,spec,expected", CELLS,
+                         ids=[c[0] for c in CELLS])
+def test_crash_point_cell_on_both_engines(name, spec, expected):
+    _check_cell(name, _run_cell, spec, expected)
+
+
+# -- loadd-orchestrated moves ----------------------------------------------
+#
+# loadd moves jobs through the same pipeline as migrate, so with the
+# ledger on a balancing move is crash-atomic too.  loadd runs on the
+# source: brick is both source and orchestrator, and a rule without
+# target= crashes brick.  A crash of brick before the intent record
+# exists kills the victim with its host pre-capture — the
+# put-source-dies carve-out above — so every row below keeps exactly
+# one live copy.
+
+#: balance every second, and count any job with 0.1 s of CPU as a
+#: candidate
+LOADD_KNOBS = dict(loadd_interval_s=1.0, loadd_min_cpu_s=0.1)
+
+#: loadd rounds per daemon: the move lands in the first round that
+#: sees schooner's report, and the rest find nothing to balance
+LOADD_ROUNDS = 4
+
+LOADD_CELLS = [
+    ("loadd-put-destination-dies",
+     "ledger.put crash n=1 target=schooner",
+     ("brick", "aout")),  # ledgered rollback to the source
+    ("loadd-dumped-source-dies", "ledger.advance crash n=1",
+     ("tanker", "aout")),  # sweep restages from the archive
+    ("loadd-restarting-source-dies", "ledger.advance crash n=1 skip=1",
+     ("tanker", "aout")),
+    ("loadd-done-source-dies", "ledger.advance crash n=1 skip=2",
+     ("schooner", "aout")),  # sweep's probe finds the copy live
+]
+
+
+def _loadd_move(engine, spec=""):
+    """loadd on brick and schooner; brick's loadd moves the victim.
+
+    A filler hog makes brick two jobs busier than schooner, so the
+    policy moves exactly one job: its busiest candidate, the victim,
+    which got a second's head start.  Returns (site, victim, plan).
+    """
+    site = _site(engine, **LOADD_KNOBS)
+    victim = _start_victim(site)
+    _drain(site, 1.0)
+    site.start("brick", "/bin/cpuhog", ["cpuhog", str(VICTIM_ITERS)],
+               uid=100)
+    plan = site.cluster.inject_faults(spec, seed=77)
+    names = ("brick", "schooner")
+    daemons = site.start_loadd(hosts=names, rounds=LOADD_ROUNDS)
+    site.run_until(
+        lambda: all(daemon.exited or not site.machine(name).running
+                    for daemon, name in zip(daemons, names)),
+        max_steps=120_000_000)
+    _drain(site, 3.0)
+    return site, victim, plan
+
+
+def _run_loadd_cell(engine, spec):
+    site, victim, plan = _loadd_move(engine, spec)
+    _heal_and_sweep(site)
+    return _summarize(site, victim, plan)
+
+
+@pytest.mark.parametrize("name,spec,expected", LOADD_CELLS,
+                         ids=[c[0] for c in LOADD_CELLS])
+def test_loadd_crash_point_cell_on_both_engines(name, spec, expected):
+    _check_cell(name, _run_loadd_cell, spec, expected)
 
 
 # -- the no-ledger baseline (the documented lost-job window) ---------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ECHILD, EINTR
 from repro.programs.exitcodes import EX_FAIL, EX_TRANSIENT
-from repro.programs.migrate import _run
+from repro.programs.pipeline import _run
 from tests.conftest import start_counter
 
 
@@ -114,7 +114,7 @@ def test_migrate_nonexistent_process_fails(site):
 
 
 def _drive_run_until_wait(gen):
-    """Advance migrate's ``_run`` to its first ("wait",) yield."""
+    """Advance the pipeline's ``_run`` to its first ("wait",) yield."""
     op = gen.send(None)
     assert op[0] == "spawn"
     op = gen.send(42)  # the spawned child's pid
@@ -140,7 +140,7 @@ def test_run_wait_echild_is_transient_not_fail():
     retry is safe), not permanent.  The old code took the generic
     error branch and gave up the whole migration."""
     gen = _drive_run_until_wait(
-        _run("brick", "brick", ["dumpproc", "-p", "3"], "rsh", True))
+        _run("brick", "brick", ["dumpproc", "-p", "3"], "rsh"))
     assert _finish(gen, -ECHILD) == EX_TRANSIENT
 
 
@@ -148,7 +148,7 @@ def test_run_wait_other_errors_still_permanent():
     """The distinction matters both ways: a non-ECHILD wait error is
     still the permanent failure it always was."""
     gen = _drive_run_until_wait(
-        _run("brick", "brick", ["dumpproc", "-p", "3"], "rsh", True))
+        _run("brick", "brick", ["dumpproc", "-p", "3"], "rsh"))
     assert _finish(gen, -EINTR) == EX_FAIL
 
 
@@ -156,7 +156,7 @@ def test_run_wait_skips_other_children():
     """A reaped sibling (some earlier retry's corpse) is not the
     answer: _run keeps waiting for *its* child."""
     gen = _drive_run_until_wait(
-        _run("brick", "brick", ["dumpproc", "-p", "3"], "rsh", True))
+        _run("brick", "brick", ["dumpproc", "-p", "3"], "rsh"))
     op = gen.send((41, 0))  # somebody else's child
     assert op == ("wait",)
     assert _finish(gen, (42, 0)) == 0

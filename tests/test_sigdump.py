@@ -246,6 +246,25 @@ def test_ledgered_dump_archives_into_its_record_dir(armed):
                                           "rec"]
 
 
+def test_ledgered_archive_is_written_as_the_armer(armed):
+    """loadd runs as root and moves other users' jobs: the record
+    directory is root's, so the archive must be written with the
+    credentials of whoever armed the dump, not the victim's."""
+    from types import SimpleNamespace
+    from repro.kernel.cred import Credentials
+    brick, cluster, handle = armed
+    brick.fs.makedirs("/tmp/rootrec", mode=0o755)
+    brick.fs.install_file("/tmp/rootrec/rec", b"intent")
+    root = SimpleNamespace(user=SimpleNamespace(cred=Credentials(0, 0)))
+    brick.kernel.sys_dump_ledger(root, handle.pid, "/tmp/rootrec")
+    brick.kernel.post_signal(handle.proc, SIGDUMP)
+    cluster.run_until(lambda: handle.exited)
+    assert handle.proc.dumped
+    ok = brick.fs.resolve_local("/tmp/rootrec/dump.ok")
+    assert ok.uid == 0
+    assert handle.proc.user.cred.euid == 100  # the victim's, restored
+
+
 def test_reaped_record_fails_the_dump_and_disarms_the_ledger(armed):
     """A record directory without ``rec`` means a recovery sweep
     aborted the intent and reaped it: committing an archive there
