@@ -1,15 +1,25 @@
 """Engine benchmark: an N-machine, K-process migration storm.
 
-Runs the same workload twice — once on the reference engine
-(``engine="scan"``: O(M) driver scan per step, lazily-decoding
-interpreter) and once on the fast engine (lazy-heap event-horizon
-driver, predecoded instruction blocks) — then:
+Two drivers; the VM is chosen separately.  The same workload runs
+three times:
 
-* asserts the two engines produced **identical virtual-time results**
+* the reference: the O(M) scan driver (``engine="scan"``) with every
+  machine's ``cpu.use_predecode`` turned off, so the CPUs interpret
+  every instruction;
+* the scan driver with compiled traces;
+* the fast engine: the lazy-heap event-horizon driver with compiled
+  traces.
+
+It then:
+
+* asserts the three runs produced **identical virtual-time results**
   (clocks, consoles, network traffic, step counts), and
-* writes ``BENCH_perf.json`` with real wall-clock steps/sec for both,
-  the speedup, the fast engine's burst-length histogram and the
-  decode-cache hit rate.
+* writes ``BENCH_perf.json`` with real wall-clock steps/sec for each,
+  the end-to-end speedup (reference against fast), the driver ratio
+  (scan against fast, both traced) and the VM ratio (interpreter
+  against traces, both on the scan driver), the fast engine's
+  burst-length histogram and the decode-cache hit rate.  The two
+  ratios have no floor.
 
 It also times site setup (``site_setup``): a ``MigrationSite()`` and
 a short cpuhog on it, first *cold* (the process-wide guest assembly
@@ -66,16 +76,21 @@ FLOOR_FILE = os.path.join(os.path.dirname(__file__) or ".",
 
 
 def run_storm(engine, machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
-              iterations=DEFAULT_ITERATIONS, trace=False):
-    """Run the storm on one engine; returns (fingerprint, stats).
+              iterations=DEFAULT_ITERATIONS, trace=False,
+              interpreter=False):
+    """Run the storm on one driver; returns (fingerprint, stats).
 
     ``trace=True`` turns on full-category event tracing — used by
     ``bench_trace_smoke.py`` to measure tracing overhead and to check
-    that tracing never perturbs virtual time.
+    that tracing never perturbs virtual time.  ``interpreter=True``
+    turns the trace compiler off on every machine.
     """
     names = ["w%d" % i for i in range(machines)]
     site = MigrationSite(workstations=names, server=None,
                          daemons=False, engine=engine)
+    if interpreter:
+        for machine in site.cluster.machines.values():
+            machine.cpu.use_predecode = False
     if trace:
         site.cluster.tracer.enable()
     timer = RealStopwatch()
@@ -206,22 +221,27 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
 
     say("migration storm: %d machines, %d processes, %d iterations"
         % (machines, procs, iterations))
-    say("running reference engine (scan driver + interpreter)...")
-    scan_print, scan_stats = run_storm("scan", machines, procs,
-                                       iterations)
-    say("  %.2fs, %.0f steps/sec" % (scan_stats["elapsed_s"],
-                                     scan_stats["steps_per_sec"]))
-    say("running fast engine (horizon bursts + predecoded blocks)...")
-    fast_print, fast_stats = run_storm("fast", machines, procs,
-                                       iterations)
-    say("  %.2fs, %.0f steps/sec" % (fast_stats["elapsed_s"],
-                                     fast_stats["steps_per_sec"]))
-
-    if scan_print != fast_print:
-        diverged = [key for key in scan_print
-                    if scan_print[key] != fast_print[key]]
-        raise AssertionError(
-            "engines diverged on virtual-time results: %s" % diverged)
+    prints, stats = {}, {}
+    for key, engine, interpreter, label in (
+            ("scan", "scan", True, "reference (scan driver + interpreter)"),
+            ("scan_traces", "scan", False, "scan driver + compiled traces"),
+            ("fast", "fast", False,
+             "fast engine (horizon bursts + compiled traces)")):
+        say("running %s..." % label)
+        # every traced run compiles its traces cold: neither driver
+        # inherits the other's trace store
+        cpu_module._clear_store()
+        prints[key], stats[key] = run_storm(
+            engine, machines, procs, iterations, interpreter=interpreter)
+        say("  %.2fs, %.0f steps/sec" % (stats[key]["elapsed_s"],
+                                         stats[key]["steps_per_sec"]))
+    for key in ("scan_traces", "fast"):
+        if prints[key] != prints["scan"]:
+            diverged = [name for name in prints["scan"]
+                        if prints["scan"][name] != prints[key][name]]
+            raise AssertionError(
+                "%s diverged from the reference on virtual-time "
+                "results: %s" % (key, diverged))
     say("virtual-time results: identical across engines")
     say("site setup: cold, then warm (process-wide memos filled)...")
     setup = run_site_setup()
@@ -229,25 +249,33 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
         "(%d)" % (setup["cold_site_ms"], setup["cold_site_assemble_calls"],
                   setup["warm_site_ms"], setup["warm_site_assemble_calls"]))
 
-    speedup = (fast_stats["steps_per_sec"]
-               / scan_stats["steps_per_sec"]) \
-        if scan_stats["steps_per_sec"] else float("inf")
+    rate = {key: run["steps_per_sec"] for key, run in stats.items()}
+
+    def ratio(fast, slow):
+        return rate[fast] / rate[slow] if rate[slow] else float("inf")
+    speedup = ratio("fast", "scan")
+    driver, vm = ratio("fast", "scan_traces"), ratio("scan_traces", "scan")
     report = {
         "benchmark": "bench_perf_scale",
         "workload": {
             "machines": machines,
             "processes": procs,
             "iterations_per_process": iterations,
-            "migrations": fast_stats["migrations"],
-            "wall_time_us": fast_print["wall_us"],
+            "migrations": stats["fast"]["migrations"],
+            "wall_time_us": prints["fast"]["wall_us"],
         },
-        "engines": {"scan": scan_stats, "fast": fast_stats},
+        "engines": stats,
         "speedup_steps_per_sec": round(speedup, 3),
+        # the two factors of the end-to-end speedup, reported apart:
+        # scan/heap with traces on both, interpreter/traces on scan
+        "speedup_driver": round(driver, 3),
+        "speedup_vm": round(vm, 3),
         "virtual_time_identical": True,
         "site_setup": setup,
     }
     _merge_write(out, report)
-    say("speedup: %.2fx (written to %s)" % (speedup, out))
+    say("speedup: %.2fx = driver %.2fx x VM %.2fx (written to %s)"
+        % (speedup, driver, vm, out))
     return report
 
 

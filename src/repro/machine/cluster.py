@@ -34,7 +34,9 @@ Two drivers implement that contract:
   interference).  It is kept for benchmarking and as the executable
   specification the fast driver must agree with step for step.
 
-Both produce identical virtual-time results; the fast driver only
+Two drivers; the VM is chosen separately (``CPU.use_predecode``
+picks compiled traces or the interpreter on either driver).  All four
+pairings produce identical virtual-time results; the fast driver only
 changes how much *real* time the host spends finding the next event.
 """
 
@@ -88,9 +90,6 @@ class Cluster:
         # one that invalidates the minimum)
         self._horizon = (_INF, _INF)
         self._horizon_src = None
-        #: the scan engine's sticky burst machine (the reference twin
-        #: of the fast engine's burst; reset per run()/run_until())
-        self._burst_machine = None
         # compiled traces shared by every machine's CPU, so a migrated
         # process arrives with its hot code already compiled
         self._code_cache = CodeCache()
@@ -101,15 +100,10 @@ class Cluster:
         if name in self.machines:
             raise ValueError("duplicate machine %r" % name)
         machine = Machine(name, self, cpu=cpu)
-        # the insertion index is the driver's deterministic tie-break,
-        # mirroring the reference driver's dict-order scan
+        # the insertion index is both drivers' deterministic tie-break
         machine.order = len(self.machines)
         machine.cpu.perf = self.perf
         machine.cpu.code_cache = self._code_cache
-        if self.engine == "scan":
-            # the reference engine is the *whole* pre-change engine:
-            # O(M) scan driver and lazily-decoding interpreter
-            machine.cpu.use_predecode = False
         self.machines[name] = machine
         return machine
 
@@ -249,54 +243,9 @@ class Cluster:
                 best = key
         return best
 
-    def step(self):
-        """Step the laggard machine once; False if nothing has work.
-
-        This is the reference driver (and the ``engine="scan"``
-        building block): an O(M) scan with dict-insertion-order
-        tie-break.  A sticky burst machine keeps getting picked while
-        no peer's overlap window lets it interfere earlier — the exact
-        schedule the fast driver reproduces with its heap and
-        memoized horizon.
-        """
-        current = self._burst_machine
-        if current is not None and current.has_work() \
-                and (current.next_time(), current.order) \
-                < self._peers_horizon(current):
-            current.step()
-            self.perf.steps += 1
-            return True
-        best = None
-        best_key = (_INF, _INF)
-        for machine in self.machines.values():
-            if not machine.has_work():
-                continue
-            key = (machine.next_time(), machine.order)
-            if key < best_key:
-                best = machine
-                best_key = key
-        self._burst_machine = best
-        if best is None:
-            return False
-        best.step()
-        self.perf.steps += 1
-        return True
-
     def run(self, max_steps=5_000_000, until_us=None):
         """Run until idle, a time bound, or a step bound."""
-        if self.engine == "scan":
-            # a fresh drive starts with a fresh pick, exactly like the
-            # fast engine's _drive (bursts never span driver calls)
-            self._burst_machine = None
-            for __ in range(max_steps):
-                if until_us is not None \
-                        and self.wall_time_us() >= until_us:
-                    return True
-                if not self.step():
-                    return True
-            raise SimulationStuck("exceeded %d steps" % max_steps)
-        status = self._drive(max_steps, until_us=until_us)
-        if status in ("until", "idle"):
+        if self._run(max_steps, until_us=until_us) in ("until", "idle"):
             return True
         raise SimulationStuck("exceeded %d steps" % max_steps)
 
@@ -307,18 +256,7 @@ class Cluster:
         example a process is waiting for terminal input nobody will
         type) or the step bound is hit with the predicate still false.
         """
-        if self.engine == "scan":
-            self._burst_machine = None
-            for __ in range(max_steps):
-                if predicate():
-                    return
-                if not self.step():
-                    if predicate():
-                        return
-                    raise SimulationStuck(
-                        "cluster idle but the awaited condition is false")
-            raise SimulationStuck("exceeded %d steps" % max_steps)
-        status = self._drive(max_steps, predicate=predicate)
+        status = self._run(max_steps, predicate=predicate)
         if status == "predicate":
             return
         if status == "idle":
@@ -327,6 +265,42 @@ class Cluster:
             raise SimulationStuck(
                 "cluster idle but the awaited condition is false")
         raise SimulationStuck("exceeded %d steps" % max_steps)
+
+    def _run(self, max_steps, until_us=None, predicate=None):
+        """Drive until the predicate holds, the time bound or the step
+        bound is reached, or the cluster goes idle; returns
+        ``"predicate"``, ``"until"``, ``"steps"`` or ``"idle"``.
+
+        ``engine="fast"`` hands the drive to :meth:`_drive`.  The scan
+        engine is the reference it must reproduce: an O(M) scan for
+        the laggard at every step, ties broken by insertion order, and
+        a sticky burst machine that keeps getting picked while no
+        peer's overlap window lets it interfere earlier.  Both drivers
+        check the bounds before every step and after the last one, and
+        neither lets a burst span two drives.
+        """
+        if self.engine == "fast":
+            return self._drive(max_steps, until_us, predicate)
+        current = None
+        steps = 0
+        while True:
+            if predicate is not None and predicate():
+                return "predicate"
+            if until_us is not None and self.wall_time_us() >= until_us:
+                return "until"
+            if steps == max_steps:
+                return "steps"
+            if current is None or not current.has_work() \
+                    or (current.next_time(), current.order) \
+                    >= self._peers_horizon(current):
+                current = min((m for m in self.machines.values()
+                               if m.has_work()), default=None,
+                              key=lambda m: (m.next_time(), m.order))
+                if current is None:
+                    return "idle"
+            current.step()
+            self.perf.steps += 1
+            steps += 1
 
     def run_handle(self, handle, max_steps=5_000_000):
         """Run until a SpawnHandle's process has exited."""

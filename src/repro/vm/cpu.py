@@ -153,14 +153,16 @@ class CodeCache:
 class CPU:
     """Interpreter for one CPU model."""
 
+    #: the VM: compiled traces, or the interpreter alone when false.
+    #: The cluster has two drivers; the VM is chosen separately, here:
+    #: per CPU, or on the class for every CPU.  Virtual time is the
+    #: same either way.
+    use_predecode = True
+
     def __init__(self, model):
         self.model = isa.cpu_model(model)
         #: optional :class:`~repro.perf.PerfCounters` (set by the cluster)
         self.perf = None
-        #: trace compilation switch; the cluster's reference engine
-        #: ("scan") turns it off so benchmarks can measure the
-        #: pre-change engine end to end
-        self.use_predecode = True
         #: content-keyed compiled-trace registry; the cluster replaces
         #: it with one instance shared by every machine's CPU so a
         #: migrated process finds its traces already compiled
@@ -181,7 +183,7 @@ class CPU:
         variant it will run.
         """
         if not self.use_predecode:
-            return  # the reference engine never compiles anything
+            return  # the interpreter never compiles anything
         __, hit = self.code_cache.blocks_for(self.model, image,
                                              image._lazy is not None)
         perf = self.perf

@@ -8,6 +8,10 @@ from repro.programs import install_standard_programs
 from repro.programs.guest import libasm
 from repro.vm import cpu as cpu_module
 
+#: the two simulation drivers: the O(M) reference scan and the lazy
+#: heap (see repro.machine.cluster); the VM is chosen separately
+DRIVERS = ("scan", "fast")
+
 
 @pytest.fixture
 def cluster():
@@ -47,6 +51,27 @@ def fresh_code_caches():
     clear_process_caches()
     yield
     clear_process_caches()
+
+
+def drivers_agree(run):
+    """Call ``run(engine)`` once per simulation driver, assert the
+    summaries it returns are equal, and return the heap driver's."""
+    summaries = {engine: run(engine) for engine in DRIVERS}
+    assert summaries["scan"] == summaries["fast"], "drivers disagree"
+    return summaries["fast"]
+
+
+@pytest.fixture
+def interpreter():
+    """``interpreter(run, *args)`` calls ``run(*args)`` with the trace
+    compiler off: ``CPU.use_predecode`` is patched on the class, so
+    every CPU that ``run`` builds (a figure driver's own sites
+    included) interprets every instruction."""
+    def interpreted(run, *args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cpu_module.CPU, "use_predecode", False)
+            return run(*args)
+    return interpreted
 
 
 def run_native(machine, factory, argv=None, uid=0, name="testprog",

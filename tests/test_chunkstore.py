@@ -27,7 +27,7 @@ from repro.vm.aout import AOutHeader, AOUT_FLAG_CHUNKED
 from repro.vm.image import (ProcessImage, Registers, SegmentationFault,
                             PAGE_BYTES)
 
-from tests.conftest import start_counter
+from tests.conftest import drivers_agree, start_counter
 
 
 # -- manifest / format round-trips ------------------------------------------
@@ -188,7 +188,7 @@ def test_image_copy_drains_pending_chunks():
     assert clone.read_bytes(base, 16) == b"z" * 16
 
 
-# -- cluster scenarios: both engines, identical clocks ----------------------
+# -- cluster scenarios: both drivers, identical clocks ----------------------
 
 
 def _incremental_site(engine, lazy=False, faults=None):
@@ -244,19 +244,17 @@ def test_remigration_dedup_and_engine_identity():
     program dirties; the latency benchmark measures that shape on a
     data-heavy image.)
     """
-    prints = {}
-    for engine in ("fast", "scan"):
+    def run(engine):
         site, first, second = _bounce(engine, lazy=False)
         assert first > 0
         assert second * 5 <= first
         assert site.cluster.perf.chunks_clean_skipped > 0
-        prints[engine] = (_fingerprint(site), first, second)
-    assert prints["fast"] == prints["scan"]
+        return _fingerprint(site), first, second
+    drivers_agree(run)
 
 
 def test_lazy_restart_faults_in_and_engine_identity():
-    prints = {}
-    for engine in ("fast", "scan"):
+    def run(engine):
         site, first, second = _bounce(engine, lazy=True)
         perf = site.cluster.perf
         assert perf.lazy_faults > 0
@@ -265,16 +263,15 @@ def test_lazy_restart_faults_in_and_engine_identity():
                  if e["cat"] == "restart" and e["name"] == "fault_in"]
         assert any(e.get("span") == "E" and e.get("ok")
                    for e in spans)
-        prints[engine] = _fingerprint(site)
-    assert prints["fast"] == prints["scan"]
+        return _fingerprint(site)
+    drivers_agree(run)
 
 
 def test_corrupt_chunk_manifest_fails_dump_and_victim_survives():
     """_verify_dump re-parses what was written: a corrupted chunked
     a.out (its manifests) is caught, the partial dump is removed, and
     the victim keeps running."""
-    prints = {}
-    for engine in ("fast", "scan"):
+    def run(engine):
         site = _incremental_site(
             engine, faults="dump.write.aout corrupt n=1")
         handle = start_counter(site)
@@ -290,17 +287,16 @@ def test_corrupt_chunk_manifest_fails_dump_and_victim_survives():
         # the typed line still reaches the living process
         site.type_at("brick", "one\n")
         site.run_until(lambda: "r=2" in site.console("brick"))
-        prints[engine] = (site.cluster.wall_time_us(),
-                          tuple(map(tuple, site.cluster.faults.fired)))
-    assert prints["fast"] == prints["scan"]
+        return (site.cluster.wall_time_us(),
+                tuple(map(tuple, site.cluster.faults.fired)))
+    drivers_agree(run)
 
 
 def test_missing_chunk_restart_fails_cleanly():
     """A store.get failure at restart exits EX_RESTPROC without a
     half-restored process; once the fault rule is spent, the kept
     dump restarts fine and the store is still consistent."""
-    prints = {}
-    for engine in ("fast", "scan"):
+    def run(engine):
         site = _incremental_site(
             engine, faults="store.get fail n=1 errno=EIO")
         handle = start_counter(site)
@@ -315,9 +311,9 @@ def test_missing_chunk_restart_fails_cleanly():
         rh2 = site.restart("schooner", handle.pid, from_host="brick",
                            uid=100)
         assert rh2.proc.is_vm()
-        prints[engine] = (site.cluster.wall_time_us(),
-                          tuple(map(tuple, site.cluster.faults.fired)))
-    assert prints["fast"] == prints["scan"]
+        return (site.cluster.wall_time_us(),
+                tuple(map(tuple, site.cluster.faults.fired)))
+    drivers_agree(run)
 
 
 # -- lazy images run compiled traces ----------------------------------------
@@ -336,12 +332,13 @@ def _bighog_site(engine):
     return site
 
 
-def test_lazy_restart_runs_compiled_traces(monkeypatch,
+def test_lazy_restart_runs_compiled_traces(monkeypatch, interpreter,
                                           fresh_code_caches):
     """Regression guard: a lazily restarted image must not fall back to
-    interpreter-only execution while chunks are pending.  On the fast
-    engine the lazy-variant cache entry holds compiled traces and the
-    hog's instructions run through them; virtual time matches scan."""
+    interpreter-only execution while chunks are pending.  On both
+    drivers the lazy-variant cache entry holds compiled traces and the
+    hog's instructions run through them; virtual time matches an
+    interpreter-only run, which compiles nothing."""
     from repro.programs.guest.cpuhog import expected_checksum
     from repro.vm import cpu as cpu_module
     from repro.vm.predecode import INTERP
@@ -362,8 +359,7 @@ def test_lazy_restart_runs_compiled_traces(monkeypatch,
         return trace, ndecoded, nlinked
 
     monkeypatch.setattr(cpu_module, "compile_trace", counting)
-    prints = {}
-    for engine in ("fast", "scan"):
+    def run(engine):
         site = _bighog_site(engine)
         handle = site.start("brick", "/bin/bighog", ["bighog", "60000"])
         site.run(until_us=site.cluster.wall_time_us() + 100_000)
@@ -376,7 +372,7 @@ def test_lazy_restart_runs_compiled_traces(monkeypatch,
         site.run(until_us=site.cluster.wall_time_us() + 200_000)
         ran = perf.vm_instructions - before
         assert image._lazy is not None and not restart.exited
-        if engine == "fast":
+        if site.machine("schooner").cpu.use_predecode:
             __, lazy, blocks, __ = image._decode_cache
             assert lazy
             assert any(block is not INTERP for block in blocks.values())
@@ -386,8 +382,8 @@ def test_lazy_restart_runs_compiled_traces(monkeypatch,
         site.run_until(lambda: restart.exited)
         assert ("checksum=%d" % expected_checksum(60000)) \
             in site.console("schooner")
-        prints[engine] = _fingerprint(site)
-    assert prints["fast"] == prints["scan"]
+        return _fingerprint(site)
+    assert interpreter(run, "fast") == drivers_agree(run)
 
 
 # -- the sysctl0 polling knobs ----------------------------------------------

@@ -6,6 +6,7 @@ ordering, id()-keyed behavior, hidden randomness).
 """
 
 from repro.core.api import MigrationSite
+from tests.conftest import drivers_agree
 
 
 def _one_full_migration(engine="fast"):
@@ -47,13 +48,21 @@ def test_two_identical_runs_agree_exactly():
 
 
 def test_fast_and_scan_engines_agree_exactly():
-    """The burst driver and the predecoded VM must be invisible in
-    virtual time: a full migration gives bit-identical results (event
-    trace, socket ids, clocks, consoles, even the step count) on both
-    engines."""
-    assert _one_full_migration("fast") == _one_full_migration("scan")
+    """The burst driver must be invisible in virtual time: a full
+    migration gives bit-identical results (event trace, socket ids,
+    clocks, consoles, even the step count) on both drivers."""
+    drivers_agree(_one_full_migration)
 
 
 def test_figure_drivers_are_deterministic():
     from repro.bench import fig1
     assert fig1() == fig1()
+
+
+def test_interpreter_agrees_with_compiled_traces(interpreter):
+    """The trace compiler must be invisible in virtual time too: the
+    full migration and the four figure drivers give bit-identical
+    results when every CPU they build interprets every instruction."""
+    from repro.bench import fig1, fig2, fig3, fig4
+    for run in (_one_full_migration, fig1, fig2, fig3, fig4):
+        assert interpreter(run) == run(), run.__name__

@@ -5,12 +5,13 @@ Two halves:
 * unit tests for the plan grammar and rule semantics — firing is a
   pure function of the plan, never of the clock;
 * a scenario matrix driving a full daemon-based migration with one
-  fault recipe armed, run under BOTH cluster engines.  Every scenario
+  fault recipe armed, run under BOTH simulation drivers, and once
+  more with the trace compiler off.  Every scenario
   must either *recover* (the migration completes despite the faults)
   or *degrade gracefully* (the pipeline gives up with a non-zero
   status) — and in all cases the invariants hold: no orphaned dump
   files anywhere, no zombie processes, the cluster still schedules
-  work, and the two engines observed the *identical* run (same fault
+  work, and the three runs observed the *identical* run (same fault
   firings, same statuses, same virtual clocks).
 """
 
@@ -21,7 +22,7 @@ from repro.costmodel import CostModel
 from repro.errors import ENOSPC, EIO, UnixError
 from repro.faults import FaultPlan, FaultRule
 from repro.faults.injector import _mangle
-from tests.conftest import start_counter
+from tests.conftest import drivers_agree, start_counter
 
 #: knobs shrunk so degrade scenarios stay cheap in virtual time
 FAST_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
@@ -157,7 +158,7 @@ SCENARIOS = [
 #: the low-volume trace categories enabled during chaos runs, so the
 #: cross-engine comparison also covers byte-identical JSONL traces
 #: (the high-volume sched/syscall/net.msg firehose is exercised by
-#: tests/test_obs.py instead — 16 scenarios x 2 engines of it would
+#: tests/test_obs.py instead — 16 scenarios x 3 runs of it would
 #: dominate the suite's memory for no extra signal)
 TRACE_CATEGORIES = ("fault", "hb", "dump", "restart", "migrate",
                     "recovery", "net.sock")
@@ -222,13 +223,12 @@ def _summarize(site, victim, plan, handle):
 
 @pytest.mark.parametrize("name,spec,expectation", SCENARIOS,
                          ids=[s[0] for s in SCENARIOS])
-def test_chaos_scenario_on_both_engines(name, spec, expectation):
-    summaries = {}
-    for engine in ("scan", "fast"):
+def test_chaos_scenario_on_both_engines(name, spec, expectation,
+                                       interpreter):
+    def run(engine):
         site, victim, plan, handle = _run_scenario(engine, spec,
                                                    seed=1234)
         summary = _summarize(site, victim, plan, handle)
-        summaries[engine] = summary
 
         # -- universal invariants ------------------------------------
         assert summary["orphans"] == (), \
@@ -253,10 +253,12 @@ def test_chaos_scenario_on_both_engines(name, spec, expectation):
             assert summary["status"] != 0, \
                 "%s/%s: expected a graceful failure" % (name, engine)
             assert not summary["restarted"]
+        return summary
 
-    # -- the engines saw the identical run ---------------------------
-    assert summaries["scan"] == summaries["fast"], \
-        "%s: engines disagree" % name
+    # -- both drivers, and the interpreter, saw the identical run ----
+    summary = drivers_agree(run)
+    assert interpreter(run, "fast") == summary, \
+        "%s: the interpreter disagrees with compiled traces" % name
 
 
 def test_recovery_scenarios_consume_retry_counters():
@@ -296,7 +298,7 @@ def test_unfaulted_run_identical_to_no_plan():
 # -- host-level chaos: crashes and partitions -------------------------------
 #
 # The crash/partition fault kinds (DESIGN.md section 8).  Every
-# scenario runs under BOTH engines and the two summaries must match
+# scenario runs under BOTH drivers and the two summaries must match
 # exactly — a crashed host is still a deterministic event.
 
 
@@ -314,11 +316,11 @@ def test_parse_crash_and_partition_kinds():
         FaultPlan.parse("net.connect partition n=1")  # peer missing
 
 
-def _summarize_hosts(site, plan, handle):
-    """Engine-comparable summary for scenarios where hosts die."""
+def _summarize_hosts(site, victim, plan, handle):
+    """Driver-comparable summary for scenarios where hosts die."""
     perf = site.cluster.perf
     hosts = ("brick", "schooner", "brador")
-    return {
+    summary = {
         "status": handle.exit_status if handle.exited else None,
         "alive": tuple(n for n in hosts if site.machine(n).running),
         "restarted": site.find_restarted("schooner") is not None,
@@ -330,7 +332,15 @@ def _summarize_hosts(site, plan, handle):
                            for n in hosts),
         "consoles": tuple(site.console(n) for n in hosts),
         "trace_jsonl": site.cluster.tracer.to_jsonl(),
+        "victim_alive": (site.machine("brick").running
+                         and site.machine("brick").kernel.procs.lookup(
+                             victim.pid) is not None),
     }
+    # every surviving workstation still schedules fresh work
+    for host in ("brick", "schooner"):
+        if site.machine(host).running:
+            assert site.run_command(host, ["ps"], uid=100) == 0
+    return summary
 
 
 def _host_scenario(engine, spec, typed_on="schooner"):
@@ -347,30 +357,12 @@ def _host_scenario(engine, spec, typed_on="schooner"):
     return site, victim, plan, handle
 
 
-def _engines_agree(run):
-    """Run a host scenario on both engines; return the summaries."""
-    summaries = {}
-    for engine in ("scan", "fast"):
-        site, victim, plan, handle = run(engine)
-        summaries[engine] = _summarize_hosts(site, plan, handle)
-        summaries[engine]["victim_alive"] = (
-            site.machine("brick").running
-            and site.machine("brick").kernel.procs.lookup(victim.pid)
-            is not None)
-        # every surviving workstation still schedules fresh work
-        for host in ("brick", "schooner"):
-            if site.machine(host).running:
-                assert site.run_command(host, ["ps"], uid=100) == 0
-    assert summaries["scan"] == summaries["fast"], "engines disagree"
-    return summaries["fast"]
-
-
 def test_crash_mid_dump_kills_the_source_host():
     """The source host dies while the dump files are being written:
     migrate degrades, the survivors keep working."""
-    summary = _engines_agree(
-        lambda engine: _host_scenario(engine,
-                                      "dump.write.files crash n=1"))
+    summary = drivers_agree(
+        lambda engine: _summarize_hosts(*_host_scenario(
+            engine, "dump.write.files crash n=1")))
     assert summary["alive"] == ("schooner", "brador")
     assert summary["status"] not in (None, 0)
     assert not summary["restarted"]
@@ -393,9 +385,9 @@ def test_crash_mid_restart_kills_the_destination_host():
         site.type_at("brick", "two\n")
         site.run_until(lambda: "r=2 s=2 k=2" in site.console("brick"),
                        max_steps=10_000_000)
-        return site, victim, plan, handle
+        return _summarize_hosts(site, victim, plan, handle)
 
-    summary = _engines_agree(run)
+    summary = drivers_agree(run)
     assert summary["alive"] == ("brick", "brador")
     assert summary["status"] not in (None, 0)
     assert not summary["restarted"]
@@ -411,9 +403,9 @@ def test_crash_mid_restart_kills_the_destination_host():
 def test_crash_of_the_file_server_spares_the_migration():
     """brador (the NFS home-directory server) dies mid-migration; the
     workstation-to-workstation pipeline doesn't touch it and wins."""
-    summary = _engines_agree(
-        lambda engine: _host_scenario(
-            engine, "net.connect crash n=1 target=brador"))
+    summary = drivers_agree(
+        lambda engine: _summarize_hosts(*_host_scenario(
+            engine, "net.connect crash n=1 target=brador")))
     assert summary["alive"] == ("brick", "schooner")
     assert summary["status"] == 0
     assert summary["restarted"]
@@ -436,9 +428,9 @@ def test_partition_during_migrate_then_heal():
                              use_daemon=True)
         site.run_quiet(max_steps=20_000_000)
         assert again.exit_status == 0
-        return site, victim, plan, again
+        return _summarize_hosts(site, victim, plan, again)
 
-    summary = _engines_agree(run)
+    summary = drivers_agree(run)
     assert summary["alive"] == ("brick", "schooner", "brador")
     assert summary["net_partitions"] == 1
     assert summary["restarted"]
@@ -475,14 +467,9 @@ def test_reboot_then_rejoin():
         site.run_quiet(max_steps=20_000_000)
         assert handle.exit_status == 0
         assert site.find_restarted("brick") is not None
-        return site, victim, plan, handle
-
-    summaries = {}
-    for engine in ("scan", "fast"):
-        site, victim, plan, handle = run(engine)
         perf = site.cluster.perf
         assert perf.host_crashes == 1 and perf.host_reboots == 1
-        summaries[engine] = {
+        return {
             "status": handle.exit_status,
             "clocks_us": tuple(site.machine(n).clock.now_us
                                for n in ("brick", "schooner",
@@ -490,12 +477,13 @@ def test_reboot_then_rejoin():
             "consoles": tuple(site.console(n)
                               for n in ("brick", "schooner")),
         }
-    assert summaries["scan"] == summaries["fast"]
+
+    drivers_agree(run)
 
 
 # -- loadd chaos: the balancing daemon under report loss, delays, -----------
 #    crashes and partitions (DESIGN.md section 11).  Every scenario
-#    runs under BOTH engines with byte-identical summaries, and the
+#    runs under BOTH drivers with byte-identical summaries, and the
 #    exactly-one-live-copy invariant holds for every job: however the
 #    reports are lost or mangled, no job is ever duplicated, and none
 #    is lost short of a host crash.
@@ -583,18 +571,10 @@ def _summarize_loadd(site, jobs, plan, handles):
     }
 
 
-def _loadd_engines_agree(run):
-    summaries = {}
-    for engine in ("scan", "fast"):
-        summaries[engine] = run(engine)
-    assert summaries["scan"] == summaries["fast"], "engines disagree"
-    return summaries["fast"]
-
-
 def test_loadd_chaos_report_loss_leaves_jobs_in_place():
     """Every report is lost: each daemon only ever sees itself, so no
     moves happen and every job stays exactly where it was."""
-    summary = _loadd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_loadd(*_loadd_scenario(
             engine, "loadd.send fail n=*")))
     assert summary["statuses"] == (0, 0)
@@ -609,7 +589,7 @@ def test_loadd_chaos_report_loss_leaves_jobs_in_place():
 def test_loadd_chaos_delayed_reports_still_balance():
     """Delivery delays shift the rounds but the view still forms:
     exactly one job moves, none is lost or duplicated."""
-    summary = _loadd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_loadd(*_loadd_scenario(
             engine, "loadd.recv delay n=4 delay=0.4")))
     assert summary["statuses"] == (0, 0)
@@ -624,7 +604,7 @@ def test_loadd_chaos_host_crash_mid_balance():
     """The destination dies at the first report exchange: no report
     ever crosses, so nothing moves toward the corpse; the failure
     detector kicks in and the jobs all survive at home."""
-    summary = _loadd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_loadd(*_loadd_scenario(
             engine, "loadd.send crash n=1 target=schooner")))
     assert summary["alive"] == ("brick", "brador")
@@ -641,7 +621,7 @@ def test_loadd_chaos_partition_then_heal_balances_late():
     """A partition cuts the report flow mid-run; after heal() the
     reports resume and the overdue balance lands — exactly one copy
     of every job throughout."""
-    summary = _loadd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_loadd(*_loadd_scenario(
             engine,
             "loadd.send partition n=1 host=brick peer=schooner",
@@ -699,15 +679,10 @@ def test_double_recovery_race_partition_then_heal():
                 if p.is_vm() and p.command.startswith("a.out")
                 and not p.zombie())
         assert len(live) == 1 and live[0].startswith("schooner:")
-        return site
-
-    summaries = {}
-    for engine in ("scan", "fast"):
-        site = run(engine)
         perf = site.cluster.perf
         assert perf.recoveries == 1
         assert perf.hb_suspects >= 1
-        summaries[engine] = {
+        return {
             "clocks_us": tuple(site.machine(n).clock.now_us
                                for n in ("brick", "schooner",
                                          "brador")),
@@ -716,13 +691,14 @@ def test_double_recovery_race_partition_then_heal():
             "recoveries": perf.recoveries,
             "suspects": perf.hb_suspects,
         }
-    assert summaries["scan"] == summaries["fast"]
+
+    drivers_agree(run)
 
 
 # -- statd chaos: the telemetry pipeline under report loss, spool ------------
 #    delays and host crashes (DESIGN.md section 13).  Telemetry is
 #    best-effort by design: every scenario leaves the daemons exiting
-#    cleanly and the cluster scheduling work, and both engines
+#    cleanly and the cluster scheduling work, and both drivers
 #    observe the identical run.
 
 
@@ -782,18 +758,10 @@ def _summarize_statd(site, plan, handles):
     }
 
 
-def _statd_engines_agree(run):
-    summaries = {}
-    for engine in ("scan", "fast"):
-        summaries[engine] = run(engine)
-    assert summaries["scan"] == summaries["fast"], "engines disagree"
-    return summaries["fast"]
-
-
 def test_statd_chaos_report_loss_leaves_spool_empty():
     """Every report is lost in flight: sampling continues unharmed,
     nothing reaches the spool, every loss is counted."""
-    summary = _statd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_statd(*_statd_scenario(
             engine, "statd.send fail n=*")))
     assert summary["statuses"] == (0, 0)
@@ -808,7 +776,7 @@ def test_statd_chaos_report_loss_leaves_spool_empty():
 def test_statd_chaos_spool_delay_still_lands():
     """A slow spool shifts virtual time but loses nothing: every
     report still lands and the delay is pure virtual time."""
-    summary = _statd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_statd(*_statd_scenario(
             engine, "statd.spool delay n=2 delay=0.4")))
     assert summary["statuses"] == (0, 0)
@@ -824,7 +792,7 @@ def test_statd_chaos_server_crash_mid_report():
     """The file server dies on the first report: the spool dies with
     it, the daemons shrug — they skip the suspect spooler, finish
     their rounds and exit cleanly."""
-    summary = _statd_engines_agree(
+    summary = drivers_agree(
         lambda engine: _summarize_statd(*_statd_scenario(
             engine, "statd.send crash n=1 target=brador",
             rounds=10)))

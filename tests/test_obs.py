@@ -17,7 +17,7 @@ from repro.obs import (CATEGORIES, MetricsRegistry, dump_migration_id,
                        to_chrome, validate_chrome)
 from repro.perf.counters import (PerfCounters, COUNTER_DOCS,
                                  METRIC_DOCS)
-from tests.conftest import start_counter
+from tests.conftest import DRIVERS, drivers_agree, start_counter
 
 PHASES = ["signal", "dump", "rewrite", "transfer", "restart", "ack"]
 
@@ -89,16 +89,16 @@ def test_migration_timeline_phases_sum_to_end_to_end():
 
 
 def test_trace_jsonl_byte_identical_across_engines():
-    """One migration, every category on: both engines produce the
-    same bytes (the scan scheduling order is the fast engine's
+    """One migration, every category on: both drivers produce the
+    same bytes (the scan scheduling order is the fast driver's
     contract, so the global event order must match too)."""
-    traces = {}
-    for engine in ("scan", "fast"):
+    def run(engine):
         site, __ = _migrated_site(engine=engine, categories=())
-        traces[engine] = site.cluster.tracer.to_jsonl()
-    assert traces["scan"] == traces["fast"]
-    assert traces["fast"]  # non-empty
-    for line in traces["fast"].splitlines():
+        return site.cluster.tracer.to_jsonl()
+
+    trace = drivers_agree(run)
+    assert trace  # non-empty
+    for line in trace.splitlines():
         json.loads(line)  # every line is one JSON event
 
 
@@ -163,11 +163,11 @@ def test_trace_status_syscall_and_migstat_command(site):
     assert "tracing: on" in site.console("schooner")
 
 
-@pytest.mark.parametrize("engine", ["scan", "fast"])
+@pytest.mark.parametrize("engine", DRIVERS)
 def test_vmcache_pseudo_call_and_footers(engine):
     """migstat and migtop surface the shared code cache's counters;
-    after a migration of unchanged text, arrivals are warm (the fast
-    engine) or simply zero (the scan engine never compiles)."""
+    after a migration of unchanged text, arrivals are warm on either
+    driver."""
     site, __ = _migrated_site(engine=engine, categories=None)
     assert site.run_command("brick", ["migstat"], uid=100) == 0
     console = site.console("brick")
@@ -177,10 +177,9 @@ def test_vmcache_pseudo_call_and_footers(engine):
     perf = site.cluster.perf
     assert ("%d warm arrivals" % perf.shared_cache_hits) in line[0]
     assert ("%d rebuilds" % perf.cache_rebuilds) in line[0]
-    if engine == "fast":
-        # the guest's text recompiled at most once; the migrated
-        # re-arrival found it in the shared cache
-        assert perf.shared_cache_hits > 0
+    # the guest's text recompiled at most once; the migrated
+    # re-arrival found it in the shared cache
+    assert perf.shared_cache_hits > 0
     assert site.run_command("schooner", ["migtop"], uid=100) == 0
     top = site.console("schooner")
     assert any(l.startswith("vm cache:") and "arrivals warm" in l

@@ -1,13 +1,18 @@
-"""The fast-path engine: horizon batching, decode cache, satellites.
+"""The fast path: horizon batching, decode cache, satellites.
 
-The fast driver and the predecoded-block VM must be *invisible* in
-virtual time: every test here pins some part of the contract that the
-reference scan engine defines and the fast engine must reproduce.
+Two drivers; the VM is chosen separately.  The heap driver
+(``engine="fast"``) and the compiled-trace VM (``CPU.use_predecode``)
+must each be *invisible* in virtual time: every driver test here pins
+some part of the contract that the reference scan driver defines and
+the heap driver must reproduce, on whichever VM the CPUs run.
 """
 
+import pytest
+
 from repro.core.api import MigrationSite
-from repro.machine.cluster import Cluster
+from repro.machine.cluster import Cluster, SimulationStuck
 from repro.programs.guest.cpuhog import expected_checksum
+from tests.conftest import drivers_agree
 
 
 def _message_scenario(engine):
@@ -57,15 +62,16 @@ def test_mid_burst_message_arrives_causally():
 
 def test_run_until_stops_exactly_like_scan():
     """Bursts must not overshoot a predicate: run_until stops after
-    the same number of events on both engines."""
-    for engine in ("scan", "fast"):
+    the same number of events on both drivers."""
+    def run(engine):
         cluster = Cluster(engine=engine)
         a = cluster.add_machine("a")
         log = []
         for t in range(10):
             a.post_event(float(t * 100), lambda: log.append(len(log)))
         cluster.run_until(lambda: len(log) >= 3, max_steps=100)
-        assert len(log) == 3, engine
+        return len(log)
+    assert drivers_agree(run) == 3
 
 
 def test_run_until_us_bound_matches_scan():
@@ -79,7 +85,26 @@ def test_run_until_us_bound_matches_scan():
         cluster.run(until_us=4500, max_steps=100)
         return fired, cluster.wall_time_us()
 
-    assert drive("fast") == drive("scan")
+    drivers_agree(drive)
+
+
+def test_clock_moved_outside_the_driver_rekeys_the_heap():
+    """A clock advanced from outside the driver (as sync_clocks does)
+    moves a machine's next action past its heap key: the heap driver
+    re-keys the entry instead of picking the machine early."""
+    def run(engine):
+        cluster = Cluster(engine=engine)
+        a = cluster.add_machine("a")
+        b = cluster.add_machine("b")
+        log = []
+        for machine, when in ((a, 10.0), (a, 100.0), (b, 500.0)):
+            machine.post_event(when, lambda m=machine: log.append(
+                (m.name, m.clock.now_us)))
+        cluster.run_until(lambda: log, max_steps=10)
+        a.clock.advance_to(1000.0)
+        cluster.run(max_steps=10)
+        return log
+    assert drivers_agree(run) == [("a", 10.0), ("b", 500.0), ("a", 1000.0)]
 
 
 def test_perf_counters_populated():
@@ -177,14 +202,38 @@ def test_socket_ids_are_per_network():
 
 
 def test_engines_agree_on_idle_and_stuck():
-    import pytest
-    from repro.machine.cluster import SimulationStuck
-    for engine in ("scan", "fast"):
+    """Both drivers answer one status protocol (``Cluster._run``): a
+    time bound, a predicate that turns true on the last allowed step,
+    an exhausted step bound, and idle with the predicate false."""
+    def run(engine):
         cluster = Cluster(engine=engine)
-        cluster.add_machine("a")
+        a = cluster.add_machine("a")
         assert cluster.run(max_steps=10) is True  # idle is not an error
-        with pytest.raises(SimulationStuck):
+        with pytest.raises(SimulationStuck, match="idle"):
             cluster.run_until(lambda: False, max_steps=10)
+        fired = []
+        for t in range(10):
+            a.post_event(float(t * 1000),
+                         lambda: fired.append(a.clock.now_us))
+        statuses = [
+            cluster._run(100, until_us=2500),
+            cluster._run(2, predicate=lambda: len(fired) >= 6),
+            cluster._run(1, predicate=lambda: False),
+        ]
+        assert len(fired) == 7
+        # the public wrappers: success on the last allowed step, a
+        # stuck step bound, and the time bound
+        cluster.run_until(lambda: len(fired) >= 8, max_steps=1)
+        with pytest.raises(SimulationStuck, match="exceeded"):
+            cluster.run_until(lambda: False, max_steps=1)
+        assert cluster.run(until_us=9500) is True
+        statuses.append(cluster._run(100, predicate=lambda: False))
+        return statuses, fired, cluster.wall_time_us()
+
+    statuses, fired, wall_us = drivers_agree(run)
+    assert statuses == ["until", "predicate", "steps", "idle"]
+    assert fired == [t * 1000.0 for t in range(10)]
+    assert wall_us == 9000.0
 
 
 def _bench_module():

@@ -16,7 +16,7 @@ from repro.kernel.signals import SIGKILL
 from repro.programs.base import println
 from repro.programs.ckmeta import parse_meta
 from repro.programs.exitcodes import EX_JOBLOST, EX_TRANSIENT
-from tests.conftest import run_native, start_counter
+from tests.conftest import drivers_agree, run_native, start_counter
 
 #: knobs shrunk so failure paths stay cheap in virtual time
 FAST_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
@@ -110,9 +110,7 @@ def _run_demo(engine):
 
 
 def test_crash_recovery_demo_identical_on_both_engines():
-    summaries = {engine: _run_demo(engine)
-                 for engine in ("scan", "fast")}
-    assert summaries["scan"] == summaries["fast"]
+    drivers_agree(_run_demo)
 
 
 def test_ckptd_reports_job_lost_between_rounds(site):
@@ -165,7 +163,7 @@ def test_migrationd_run_fails_fast_on_suspected_host(site):
 def test_detection_latency_is_bounded_by_timeout_plus_interval():
     """The detector suspects a silent host no earlier than the timeout
     and no later than one heartbeat interval past it."""
-    for engine in ("scan", "fast"):
+    def run(engine):
         site = MigrationSite(engine=engine)
         site.run_quiet()
 
@@ -186,3 +184,6 @@ def test_detection_latency_is_bounded_by_timeout_plus_interval():
         assert costs.hb_timeout_s - 1.0 <= latency_s \
             <= costs.hb_timeout_s + costs.hb_interval_s, \
             "%s: detection took %.2f s" % (engine, latency_s)
+        return latency_s
+
+    drivers_agree(run)
