@@ -1,6 +1,7 @@
 """Tests for the section 8 applications."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import (CheckpointManager, HostLoad, LoadBalancer,
                         LoadBalancerPolicy, Move,
@@ -150,6 +151,37 @@ def test_balancing_preserves_results(site):
     site.run_until(lambda: moved.zombie(), max_steps=10_000_000)
     expected = "checksum=%d" % expected_checksum(iters)
     assert expected in site.console("schooner")
+
+
+def _checksum_by_loop(iterations):
+    """The guest's loop, run on the host: the oracle's reference."""
+    total = 0
+    for i in range(1, iterations + 1):
+        total = (total + ((i * 7) + 3) % 123) & 0xFFFFFFFF
+    if total & 0x80000000:
+        total -= 1 << 32
+    return total
+
+
+def test_expected_checksum_matches_the_loop():
+    storm_ladder = [40_000 + 640 * k for k in range(32)]
+    for n in [*range(-3, 4 * 123), *storm_ladder, 12_000, 60_000, 600_000]:
+        assert expected_checksum(n) == _checksum_by_loop(n), n
+
+
+@given(n=st.integers(min_value=0, max_value=10 ** 12))
+@settings(max_examples=200, deadline=None)
+def test_expected_checksum_adds_one_period_sum_per_period(n):
+    """Any 123 consecutive iterations add 0 + 1 + ... + 122."""
+    step = expected_checksum(n + 123) - expected_checksum(n)
+    assert step % 2 ** 32 == 7503
+
+
+def test_expected_checksum_is_closed_form():
+    """A loop over 10**12 iterations would never return."""
+    periods, rest = divmod(10 ** 12, 123)
+    step = expected_checksum(10 ** 12) - _checksum_by_loop(rest)
+    assert step % 2 ** 32 == periods * 7503 % 2 ** 32
 
 
 def test_balancing_improves_makespan():
