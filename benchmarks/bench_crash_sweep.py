@@ -12,23 +12,17 @@ Two measurements on the fast engine (DESIGN.md section 12):
   virtual latency from sweeper start to the recovered job is measured
   for each sweep interval.
 
-Writes ``BENCH_crash_sweep.json``; with ``--perf-report FILE`` the
-rows are also merged into an existing ``BENCH_perf.json`` so the
-ledger numbers ride along with the engine report.
+The rows are merged into ``--out`` under a ``crash_sweep`` key.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_crash_sweep.py [--smoke]
-        [--out BENCH_crash_sweep.json] [--perf-report BENCH_perf.json]
+    python benchmarks/bench_crash_sweep.py [--smoke] [--out BENCH_perf.json]
 """
 
-import argparse
-import json
-import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import arg_parser, say, write_report
 
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
@@ -47,11 +41,11 @@ KNOBS = dict(ledger_stale_s=3.0, hb_interval_s=1.0, hb_timeout_s=3.0,
              dump_poll_sleep_s=0.5)
 
 
-def _site(ledger_on, engine="fast"):
+def _site(ledger_on):
     costs = CostModel(migration_ledger=ledger_on, **KNOBS)
     site = MigrationSite(costs=costs,
                          workstations=("brick", "schooner", "tanker"),
-                         engine=engine)
+                         engine="fast")
     site.run_quiet()
     # the operator-provisioned ledger spool (migledger.5)
     site.machine("brador").fs.makedirs("/usr/spool/migledger",
@@ -121,13 +115,7 @@ def measure_sweep(sweep_interval_s):
     }
 
 
-def run_benchmark(intervals=DEFAULT_INTERVALS,
-                  out="BENCH_crash_sweep.json", perf_report=None,
-                  verbose=True):
-    def say(msg):
-        if verbose:
-            print(msg, flush=True)
-
+def run_benchmark(intervals, out):
     plain_s = measure_migrate(ledger_on=False)
     ledgered_s = measure_migrate(ledger_on=True)
     overhead_pct = 100.0 * (ledgered_s - plain_s) / plain_s
@@ -148,35 +136,14 @@ def run_benchmark(intervals=DEFAULT_INTERVALS,
         say("%12.1f  %12.2f" % (row["sweep_interval_s"],
                                 row["recovery_s"]))
 
-    report = {"benchmark": "bench_crash_sweep", "rows": rows}
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    say("written to %s" % out)
-
-    if perf_report and os.path.exists(perf_report):
-        with open(perf_report) as fh:
-            merged = json.load(fh)
-        merged["crash_sweep"] = rows
-        with open(perf_report, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        say("merged into %s" % perf_report)
-    return report
+    write_report(out, {"crash_sweep": rows})
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_crash_sweep.json")
-    parser.add_argument("--perf-report", default=None,
-                        help="existing BENCH_perf.json to append the "
-                             "crash-sweep rows to")
-    parser.add_argument("--smoke", action="store_true",
-                        help="single sweep interval for CI")
-    args = parser.parse_args(argv)
-    intervals = SMOKE_INTERVALS if args.smoke else DEFAULT_INTERVALS
-    run_benchmark(intervals=intervals, out=args.out,
-                  perf_report=args.perf_report)
+    args = arg_parser(__doc__, "single sweep interval for CI") \
+        .parse_args(argv)
+    run_benchmark(SMOKE_INTERVALS if args.smoke else DEFAULT_INTERVALS,
+                  args.out)
     return 0
 
 

@@ -37,21 +37,20 @@ the cold fill and is reported but not gated:
   section 6.2 program);
 * fast and scan engines must agree on every virtual measurement.
 
+The report is merged into ``--out`` under a ``migration_latency`` key.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_migration_latency.py
-        [--smoke] --out /tmp/BENCH_migration_latency.json
-        [--perf-report BENCH_perf.json]
+    python benchmarks/bench_migration_latency.py [--smoke]
+        [--out BENCH_perf.json]
 """
 
-import argparse
-import json
-import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import arg_parser, say, write_report
 
+from repro.bench import drivers_agree
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 
@@ -143,7 +142,6 @@ def run_storm(engine, overrides, hops, program="dcounter"):
                              % (hops, len(freezes)))
     warm = freezes[1:] if len(freezes) > 1 else freezes
     return {
-        "engine": engine,
         "hops": hops,
         "freeze_ms": [round(f / 1e3, 3) for f in freezes],
         "mean_freeze_ms": round(sum(freezes) / len(freezes) / 1e3, 3),
@@ -157,28 +155,13 @@ def run_storm(engine, overrides, hops, program="dcounter"):
 
 
 def run_mode(mode_name, overrides, hops, program="dcounter"):
-    """One storm on both engines; asserts the virtual times agree."""
-    fast = run_storm("fast", overrides, hops, program)
-    scan = run_storm("scan", overrides, hops, program)
-    virtual = ("wall_us", "freeze_ms", "hop_chunk_bytes",
-               "lazy_faults", "chunks_clean_skipped")
-    for key in virtual:
-        if fast[key] != scan[key]:
-            raise AssertionError(
-                "%s: engines disagree on %s: %r vs %r"
-                % (mode_name, key, fast[key], scan[key]))
-    row = dict(fast)
-    row["mode"] = mode_name
-    del row["engine"]
-    return row
+    """One storm on both engines; asserts the rows agree."""
+    row = drivers_agree(
+        lambda engine: run_storm(engine, overrides, hops, program))
+    return dict(row, mode=mode_name)
 
 
-def run_benchmark(out, hops=DEFAULT_HOPS, perf_report=None,
-                  verbose=True):
-    def say(msg):
-        if verbose:
-            print(msg, flush=True)
-
+def run_benchmark(hops, out):
     say("migration storm: %d hops of a counter carrying a %d KB "
         "buffer (virtual freeze = dump begin -> rest_proc end):"
         % (hops, BIG_BYTES // 1024))
@@ -229,44 +212,19 @@ def run_benchmark(out, hops=DEFAULT_HOPS, perf_report=None,
     say("counter dedup: first dump %d bytes, second %d bytes"
         % (c_first, c_second))
 
-    report = {
-        "benchmark": "bench_migration_latency",
+    write_report(out, {"migration_latency": {
         "big_buffer_bytes": BIG_BYTES,
         "engines_identical": True,
         "rows": rows,
         "counter_dedup": counter_row,
         "warm_lazy_freeze_speedup":
             round(eager / lazy, 2) if lazy else None,
-    }
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    say("written to %s" % out)
-
-    if perf_report and os.path.exists(perf_report):
-        with open(perf_report) as fh:
-            merged = json.load(fh)
-        merged["migration_latency"] = {
-            key: value for key, value in report.items()
-            if key != "benchmark"}
-        with open(perf_report, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        say("merged into %s" % perf_report)
-    return report
+    }})
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--perf-report", default=None,
-                        help="existing BENCH_perf.json to merge the "
-                             "latency rows into")
-    parser.add_argument("--smoke", action="store_true",
-                        help="fewer hops for CI")
-    args = parser.parse_args(argv)
-    hops = SMOKE_HOPS if args.smoke else DEFAULT_HOPS
-    run_benchmark(args.out, hops=hops, perf_report=args.perf_report)
+    args = arg_parser(__doc__, "fewer hops for CI").parse_args(argv)
+    run_benchmark(SMOKE_HOPS if args.smoke else DEFAULT_HOPS, args.out)
     return 0
 
 

@@ -26,8 +26,9 @@ a short cpuhog on it, first *cold* (the process-wide guest assembly
 memo and trace store emptied) and then *warm*, with the number of
 ``assemble`` and ``compile_trace`` calls each paid.
 
-The JSON write is merge-preserving: keys other benchmarks put in the
-same file (``bench_vm_micro``'s ``vm_micro`` section) survive a rerun.
+The report's keys are merged into the top level of ``--out``
+(``BENCH_perf.json`` by default), so the sections other benchmarks
+keep there (``bench_vm_micro``'s ``vm_micro``, for one) survive.
 
 ``--check-floor`` compares the run against the committed
 ``benchmarks/perf_floor.json`` — recorded reference numbers scaled by
@@ -37,8 +38,8 @@ runner hardware.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_perf_scale.py [--smoke]
-    PYTHONPATH=src python benchmarks/bench_perf_scale.py --smoke --check-floor
+    python benchmarks/bench_perf_scale.py [--smoke] [--out BENCH_perf.json]
+    python benchmarks/bench_perf_scale.py --smoke --check-floor
 
 The workload: K CPU-bound hogs spread over N machines run for a
 while, then every hog is migrated one machine to the right (dumpproc
@@ -47,13 +48,12 @@ runs to completion.  Every hog's printed checksum is verified, so the
 storm double-checks migration correctness while it measures speed.
 """
 
-import argparse
 import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import arg_parser, say, write_report
 
 from repro.clock import RealStopwatch
 from repro.core.api import MigrationSite
@@ -62,9 +62,9 @@ from repro.programs.guest.cpuhog import expected_checksum
 from repro.vm import assembler
 from repro.vm import cpu as cpu_module
 
-DEFAULT_MACHINES = 8
-DEFAULT_PROCS = 32
-DEFAULT_ITERATIONS = 50_000
+MACHINES = 8
+PROCS = 32
+ITERATIONS = 50_000
 SMOKE_ITERATIONS = 5_000
 
 #: virtual time at which the storm strikes (hogs must be mid-loop)
@@ -75,9 +75,8 @@ FLOOR_FILE = os.path.join(os.path.dirname(__file__) or ".",
                           "perf_floor.json")
 
 
-def run_storm(engine, machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
-              iterations=DEFAULT_ITERATIONS, trace=False,
-              interpreter=False):
+def run_storm(engine, machines=MACHINES, procs=PROCS,
+              iterations=ITERATIONS, trace=False, interpreter=False):
     """Run the storm on one driver; returns (fingerprint, stats).
 
     ``trace=True`` turns on full-category event tracing — used by
@@ -212,15 +211,9 @@ def run_site_setup():
     return report
 
 
-def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
-                  iterations=DEFAULT_ITERATIONS, out="BENCH_perf.json",
-                  verbose=True):
-    def say(msg):
-        if verbose:
-            print(msg, flush=True)
-
+def run_benchmark(iterations, out):
     say("migration storm: %d machines, %d processes, %d iterations"
-        % (machines, procs, iterations))
+        % (MACHINES, PROCS, iterations))
     prints, stats = {}, {}
     for key, engine, interpreter, label in (
             ("scan", "scan", True, "reference (scan driver + interpreter)"),
@@ -232,7 +225,7 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
         # inherits the other's trace store
         cpu_module._clear_store()
         prints[key], stats[key] = run_storm(
-            engine, machines, procs, iterations, interpreter=interpreter)
+            engine, iterations=iterations, interpreter=interpreter)
         say("  %.2fs, %.0f steps/sec" % (stats[key]["elapsed_s"],
                                          stats[key]["steps_per_sec"]))
     for key in ("scan_traces", "fast"):
@@ -258,8 +251,8 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
     report = {
         "benchmark": "bench_perf_scale",
         "workload": {
-            "machines": machines,
-            "processes": procs,
+            "machines": MACHINES,
+            "processes": PROCS,
             "iterations_per_process": iterations,
             "migrations": stats["fast"]["migrations"],
             "wall_time_us": prints["fast"]["wall_us"],
@@ -273,28 +266,10 @@ def run_benchmark(machines=DEFAULT_MACHINES, procs=DEFAULT_PROCS,
         "virtual_time_identical": True,
         "site_setup": setup,
     }
-    _merge_write(out, report)
-    say("speedup: %.2fx = driver %.2fx x VM %.2fx (written to %s)"
-        % (speedup, driver, vm, out))
+    say("speedup: %.2fx = driver %.2fx x VM %.2fx"
+        % (speedup, driver, vm))
+    write_report(out, report)
     return report
-
-
-def _merge_write(out, report):
-    """Write ``report``'s keys into ``out`` without clobbering keys
-    other benchmarks keep in the same file (e.g. ``vm_micro``)."""
-    doc = {}
-    if os.path.exists(out):
-        try:
-            with open(out) as fh:
-                doc = json.load(fh)
-        except (ValueError, OSError):
-            doc = {}
-    if not isinstance(doc, dict):
-        doc = {}
-    doc.update(report)
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _lookup(report, dotted):
@@ -304,7 +279,7 @@ def _lookup(report, dotted):
     return value
 
 
-def check_floor(report, smoke, floor_path=FLOOR_FILE, verbose=True):
+def check_floor(report, smoke):
     """Compare a run against the committed floor; returns the list of
     human-readable failures (empty when everything clears).
 
@@ -315,7 +290,7 @@ def check_floor(report, smoke, floor_path=FLOOR_FILE, verbose=True):
     (a broken trace emitter, an accidentally-quadratic driver), not to
     measure the CI runner.
     """
-    with open(floor_path) as fh:
+    with open(FLOOR_FILE) as fh:
         doc = json.load(fh)
     tolerance = doc["tolerance"]
     floors = doc["floors"]["smoke" if smoke else "full"]
@@ -323,11 +298,9 @@ def check_floor(report, smoke, floor_path=FLOOR_FILE, verbose=True):
     for dotted, reference in sorted(floors.items()):
         gate = reference * tolerance
         measured = _lookup(report, dotted)
-        status = "ok" if measured >= gate else "FAIL"
-        if verbose:
-            print("  floor %-28s %10.1f >= %10.1f (%.1f * %.2f)  %s"
-                  % (dotted, measured, gate, reference, tolerance,
-                     status), flush=True)
+        say("  floor %-28s %10.1f >= %10.1f (%.1f * %.2f)  %s"
+            % (dotted, measured, gate, reference, tolerance,
+               "ok" if measured >= gate else "FAIL"))
         if measured < gate:
             failures.append("%s: measured %.1f below floor %.1f "
                             "(reference %.1f, tolerance %.2f)"
@@ -337,22 +310,14 @@ def check_floor(report, smoke, floor_path=FLOOR_FILE, verbose=True):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--machines", type=int, default=DEFAULT_MACHINES)
-    parser.add_argument("--procs", type=int, default=DEFAULT_PROCS)
-    parser.add_argument("--iterations", type=int,
-                        default=DEFAULT_ITERATIONS)
-    parser.add_argument("--out", default="BENCH_perf.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small iteration count for CI "
-                             "(same storm shape, no speedup gate)")
+    parser = arg_parser(__doc__, "small iteration count for CI "
+                                 "(same storm shape, no speedup gate)")
     parser.add_argument("--check-floor", action="store_true",
                         help="fail if the run lands below the floors "
                              "committed in benchmarks/perf_floor.json")
     args = parser.parse_args(argv)
-    iterations = SMOKE_ITERATIONS if args.smoke else args.iterations
-    report = run_benchmark(machines=args.machines, procs=args.procs,
-                           iterations=iterations, out=args.out)
+    report = run_benchmark(
+        SMOKE_ITERATIONS if args.smoke else ITERATIONS, args.out)
     if args.check_floor:
         failures = check_floor(report, smoke=args.smoke)
         if failures:

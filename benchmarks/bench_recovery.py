@@ -14,23 +14,17 @@ recovery daemon starts:
 * **recovery** — the job restarted on the survivor (detection plus
   the claim, restage and restart machinery).
 
-Writes ``BENCH_recovery.json``; with ``--perf-report FILE`` the
-rows are also merged into an existing ``BENCH_perf.json`` so the
-recovery numbers ride along with the engine report.
+The rows are merged into ``--out`` under a ``recovery`` key.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_recovery.py [--smoke]
-        [--out BENCH_recovery.json] [--perf-report BENCH_perf.json]
+    python benchmarks/bench_recovery.py [--smoke] [--out BENCH_perf.json]
 """
 
-import argparse
-import json
-import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import arg_parser, say, write_report
 
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
@@ -44,10 +38,10 @@ FAST_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
                   restart_poll_sleep_s=0.5)
 
 
-def run_recovery(hb_interval_s, engine="fast"):
+def run_recovery(hb_interval_s):
     """One crash-recovery pass; returns a result row (virtual times)."""
     costs = CostModel(hb_interval_s=hb_interval_s, **FAST_KNOBS)
-    site = MigrationSite(costs=costs, engine=engine)
+    site = MigrationSite(costs=costs, engine="fast")
     site.run_quiet()
     site.machine("brador").fs.makedirs("/tmp/ckpt", mode=0o777)
 
@@ -113,13 +107,7 @@ def run_recovery(hb_interval_s, engine="fast"):
     }
 
 
-def run_benchmark(intervals=DEFAULT_INTERVALS,
-                  out="BENCH_recovery.json", perf_report=None,
-                  verbose=True):
-    def say(msg):
-        if verbose:
-            print(msg, flush=True)
-
+def run_benchmark(intervals, out):
     rows = []
     say("crash recovery latency vs heartbeat interval "
         "(virtual seconds on the survivor, from recoveryd start):")
@@ -131,35 +119,14 @@ def run_benchmark(intervals=DEFAULT_INTERVALS,
                                         row["detection_s"],
                                         row["recovery_s"]))
 
-    report = {"benchmark": "bench_recovery", "rows": rows}
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    say("written to %s" % out)
-
-    if perf_report and os.path.exists(perf_report):
-        with open(perf_report) as fh:
-            merged = json.load(fh)
-        merged["recovery"] = rows
-        with open(perf_report, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        say("merged into %s" % perf_report)
-    return report
+    write_report(out, {"recovery": rows})
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_recovery.json")
-    parser.add_argument("--perf-report", default=None,
-                        help="existing BENCH_perf.json to append the "
-                             "recovery rows to")
-    parser.add_argument("--smoke", action="store_true",
-                        help="single heartbeat interval for CI")
-    args = parser.parse_args(argv)
-    intervals = SMOKE_INTERVALS if args.smoke else DEFAULT_INTERVALS
-    run_benchmark(intervals=intervals, out=args.out,
-                  perf_report=args.perf_report)
+    args = arg_parser(__doc__, "single heartbeat interval for CI") \
+        .parse_args(argv)
+    run_benchmark(SMOKE_INTERVALS if args.smoke else DEFAULT_INTERVALS,
+                  args.out)
     return 0
 
 

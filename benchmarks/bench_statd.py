@@ -23,26 +23,20 @@ The critical-path analyzer runs over the instrumented storm's
 migration timelines and its per-phase breakdown is included in the
 report (and must telescope to the measured end-to-end latencies).
 
-Writes ``BENCH_statd.json``; with ``--perf-report FILE`` the rows
-and the critical-path report are also merged into an existing
-``BENCH_perf.json`` under a ``statd`` key.
+The rows, the overhead and the critical-path report are merged into
+``--out`` under a ``statd`` key.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_statd.py [--smoke]
-        [--out BENCH_statd.json] [--perf-report BENCH_perf.json]
+    python benchmarks/bench_statd.py [--smoke] [--out BENCH_perf.json]
 """
 
-import argparse
-import json
-import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import arg_parser, loadd_storm, say, write_report
 
-from repro.core.api import MigrationSite
-from repro.costmodel import CostModel
+from repro.bench import DRIVERS, drivers_agree
 from repro.errors import UnixError
 from repro.net.statd import SPOOL_DIR, spool_path
 from repro.obs.critpath import critical_path_report
@@ -53,13 +47,6 @@ FULL = dict(hosts=8, hogs=6, iterations=300_000)
 #: the CI smoke variant: half the storm on half the cluster
 SMOKE = dict(hosts=4, hogs=3, iterations=150_000)
 
-#: retry/poll knobs shrunk as in the chaos tests, plus loadd to give
-#: the analyzer real migrations to attribute
-FAST_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
-                  net_read_timeout_s=5.0, restart_poll_tries=30,
-                  restart_poll_sleep_s=0.5, loadd_interval_s=1.0,
-                  loadd_min_cpu_s=0.1, loadd_max_moves=4)
-
 #: low-volume categories for the byte-identity comparisons
 TRACE_CATEGORIES = ("fault", "hb", "dump", "restart", "migrate",
                     "recovery", "statd", "alert")
@@ -68,113 +55,55 @@ TRACE_CATEGORIES = ("fault", "hb", "dump", "restart", "migrate",
 OVERHEAD_CEILING = 1.05
 
 
-def run_storm(engine, telemetry, hosts, hogs, iterations):
-    """One storm to completion; returns (row, trace, spool, report)."""
-    workstations = ["w%d" % i for i in range(hosts)]
-    knobs = dict(FAST_KNOBS)
-    if telemetry:
-        knobs.update(stat_interval_s=1.0, stat_rounds=12)
-    site = MigrationSite(costs=CostModel(**knobs),
-                         workstations=workstations, engine=engine)
-    site.cluster.tracer.enable(*TRACE_CATEGORIES)
-    site.run_quiet()
-    for __ in range(hogs):
-        site.start("w0", "/bin/cpuhog",
-                   ["cpuhog", str(iterations)], uid=100)
-    site.start_loadd(rounds=12)
-    if telemetry:
-        site.start_statd()
-
-    def all_done():
-        return all(p.zombie() or not p.is_vm()
-                   for m in site.cluster.machines.values()
-                   for p in m.kernel.procs.all_procs())
-
-    site.run_until(all_done, max_steps=400_000_000)
-    if not all_done():
-        raise AssertionError("storm did not finish (engine=%s "
-                             "telemetry=%s)" % (engine, telemetry))
-    perf = site.cluster.perf
-    snapshot = perf.snapshot()
+def run_storm(engine, telemetry, shape):
+    """One storm to completion; returns (row, trace, spool, report).
+    loadd balances it to give the analyzer real migrations."""
+    site = loadd_storm(engine, categories=TRACE_CATEGORIES,
+                       loadd_rounds=12,
+                       statd_rounds=12 if telemetry else 0, **shape)
     spool = {}
     server = site.machine("brador")
-    for name in workstations:
+    for name in ("w%d" % i for i in range(shape["hosts"])):
         try:
             spool[name] = server.fs.read_file(
                 spool_path(SPOOL_DIR, name)).hex()
         except UnixError:
             spool[name] = None
     critpath = critical_path_report(site.cluster)
-    row = {
-        "engine": engine,
-        "statd": bool(telemetry),
-        "hosts": hosts,
-        "hogs": hogs,
-        "iterations": iterations,
-        "makespan_s": round(site.wall_seconds(), 3),
-        "migrations": critpath["migrations"],
-        "st": {k: v for k, v in snapshot.items()
-               if k.startswith("st_")},
-    }
+    row = dict(shape, statd=telemetry,
+               makespan_s=round(site.wall_seconds(), 3),
+               migrations=critpath["migrations"],
+               st={k: v for k, v in site.cluster.perf.snapshot().items()
+                   if k.startswith("st_")})
     return row, site.cluster.tracer.to_jsonl(), spool, critpath
 
 
-def run_benchmark(shape, out="BENCH_statd.json", perf_report=None,
-                  verbose=True):
-    def say(msg):
-        if verbose:
-            print(msg, flush=True)
-
+def run_benchmark(shape, out):
     say("telemetry storm: %(hogs)d hogs piled on w0 of %(hosts)d "
         "workstations, %(iterations)d iterations each" % shape)
-    rows, traces, spools, critpaths = [], {}, {}, {}
+    # the determinism gates: each storm engine-identical, rows, trace,
+    # spooled reports and critical path alike
+    runs = {}
     for telemetry in (False, True):
-        for engine in ("scan", "fast"):
-            row, trace, spool, critpath = run_storm(
-                engine, telemetry, **shape)
-            rows.append(row)
-            traces[(telemetry, engine)] = trace
-            spools[(telemetry, engine)] = spool
-            critpaths[(telemetry, engine)] = critpath
-            say("  statd=%-5s engine=%-4s makespan=%8.2fs "
-                "migrations=%d"
-                % (row["statd"], engine, row["makespan_s"],
-                   row["migrations"]))
-
-    by = {(r["statd"], r["engine"]): r for r in rows}
-
-    # -- determinism gates -------------------------------------------
-    def comparable(row):
-        return {k: v for k, v in row.items() if k != "engine"}
-
-    for telemetry in (False, True):
-        scan, fast = by[(telemetry, "scan")], by[(telemetry, "fast")]
-        if comparable(scan) != comparable(fast) \
-                or traces[(telemetry, "scan")] \
-                != traces[(telemetry, "fast")] \
-                or spools[(telemetry, "scan")] \
-                != spools[(telemetry, "fast")] \
-                or json.dumps(critpaths[(telemetry, "scan")],
-                              sort_keys=True) \
-                != json.dumps(critpaths[(telemetry, "fast")],
-                              sort_keys=True):
-            raise AssertionError(
-                "engines disagree with statd=%s" % telemetry)
-    off = by[(False, "fast")]
+        runs[telemetry] = drivers_agree(
+            lambda engine: run_storm(engine, telemetry, shape))
+        row = runs[telemetry][0]
+        say("  statd=%-5s makespan=%8.2fs migrations=%d"
+            % (telemetry, row["makespan_s"], row["migrations"]))
+    off, off_trace, off_spool, __ = runs[False]
+    on, __, __, critpath = runs[True]
     if any(off["st"].values()):
         raise AssertionError("statd-off run shows statd activity")
-    if any(spools[(False, "fast")].values()):
+    if any(off_spool.values()):
         raise AssertionError("statd-off run populated the spool")
     for needle in ('"cat":"statd"', '"cat": "statd"',
                    '"cat":"alert"', '"cat": "alert"'):
-        if needle in traces[(False, "fast")]:
+        if needle in off_trace:
             raise AssertionError("statd-off trace has statd events")
 
     # -- the telemetry flowed and the analyzer telescopes ------------
-    on = by[(True, "fast")]
     if not on["st"]["st_reports_recv"]:
         raise AssertionError("no report reached the spool")
-    critpath = critpaths[(True, "fast")]
     if critpath["migrations"]:
         total = sum(r["total_us"] for r in critpath["phases"])
         if total != critpath["end_to_end"]["total_us"]:
@@ -190,39 +119,16 @@ def run_benchmark(shape, out="BENCH_statd.json", perf_report=None,
         raise AssertionError(
             "telemetry overhead %.3fx above the %.2fx ceiling"
             % (overhead, OVERHEAD_CEILING))
-
-    report = {"benchmark": "bench_statd",
-              "overhead": round(overhead, 4),
-              "critical_path": critpath, "rows": rows}
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    say("written to %s" % out)
-
-    if perf_report and os.path.exists(perf_report):
-        with open(perf_report) as fh:
-            merged = json.load(fh)
-        merged["statd"] = {"rows": rows,
-                           "overhead": round(overhead, 4),
-                           "critical_path": critpath}
-        with open(perf_report, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        say("merged into %s" % perf_report)
-    return report
+    rows = [dict(row, engine=engine)
+            for row in (off, on) for engine in DRIVERS]
+    write_report(out, {"statd": {"rows": rows,
+                                 "overhead": round(overhead, 4),
+                                 "critical_path": critpath}})
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_statd.json")
-    parser.add_argument("--perf-report", default=None,
-                        help="existing BENCH_perf.json to append the "
-                             "statd rows to")
-    parser.add_argument("--smoke", action="store_true",
-                        help="half-size storm for CI")
-    args = parser.parse_args(argv)
-    run_benchmark(SMOKE if args.smoke else FULL, out=args.out,
-                  perf_report=args.perf_report)
+    args = arg_parser(__doc__, "half-size storm for CI").parse_args(argv)
+    run_benchmark(SMOKE if args.smoke else FULL, args.out)
     return 0
 
 

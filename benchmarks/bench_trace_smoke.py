@@ -15,32 +15,32 @@ and checks:
 * the tracing-on slowdown is reported (informational — recording
   every syscall/sched event is allowed to cost real time).
 
+The storm is smoke-sized (``bench_perf_scale``'s smoke iteration
+count).  The result is merged into ``--out`` under a
+``trace_overhead`` key.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_trace_smoke.py [--smoke]
-        [--out BENCH_trace_overhead.json]
+    python benchmarks/bench_trace_smoke.py [--out BENCH_perf.json]
 """
 
 import argparse
-import json
-import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__) or ".",
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import DEFAULT_OUT, say, write_report
 
-from bench_perf_scale import (run_storm, DEFAULT_MACHINES,
-                              DEFAULT_PROCS, SMOKE_ITERATIONS)
+from bench_perf_scale import run_storm, SMOKE_ITERATIONS
 
 #: |off1 - off2| / max must stay under this (the CI gate)
 OFF_JITTER_GATE = 0.05
 RETRIES = 5
 
 
-def _measure(iterations, machines, procs):
-    off1_print, off1 = run_storm("fast", machines, procs, iterations)
-    off2_print, off2 = run_storm("fast", machines, procs, iterations)
-    on_print, on = run_storm("fast", machines, procs, iterations,
+def _measure():
+    off1_print, off1 = run_storm("fast", iterations=SMOKE_ITERATIONS)
+    off2_print, off2 = run_storm("fast", iterations=SMOKE_ITERATIONS)
+    on_print, on = run_storm("fast", iterations=SMOKE_ITERATIONS,
                              trace=True)
     if not (off1_print == off2_print == on_print):
         raise AssertionError(
@@ -59,40 +59,29 @@ def _measure(iterations, machines, procs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--machines", type=int,
-                        default=DEFAULT_MACHINES)
-    parser.add_argument("--procs", type=int, default=DEFAULT_PROCS)
-    parser.add_argument("--iterations", type=int,
-                        default=SMOKE_ITERATIONS)
-    parser.add_argument("--smoke", action="store_true",
-                        help="alias kept for CI symmetry (the default "
-                             "iteration count is already smoke-sized)")
-    parser.add_argument("--out", default="BENCH_trace_overhead.json")
+    parser.add_argument("--out", default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
     result = None
     for attempt in range(RETRIES):
-        result = _measure(args.iterations, args.machines, args.procs)
-        print("attempt %d: off jitter %.1f%%, on slowdown %.2fx, "
-              "%d events" % (attempt + 1,
-                             100 * result["off_jitter"],
-                             result["on_slowdown"],
-                             result["trace_events"]), flush=True)
+        result = _measure()
+        say("attempt %d: off jitter %.1f%%, on slowdown %.2fx, "
+            "%d events" % (attempt + 1, 100 * result["off_jitter"],
+                           result["on_slowdown"],
+                           result["trace_events"]))
         if result["off_jitter"] < OFF_JITTER_GATE:
             break
     result["attempts"] = attempt + 1
     result["gate"] = OFF_JITTER_GATE
     result["passed"] = result["off_jitter"] < OFF_JITTER_GATE
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(args.out, {"trace_overhead": result})
     if not result["passed"]:
         print("FAIL: tracing-off throughput jitter %.1f%% exceeds "
               "the %.0f%% gate" % (100 * result["off_jitter"],
                                    100 * OFF_JITTER_GATE))
         return 1
-    print("tracing-off overhead within %.0f%% (written to %s)"
-          % (100 * OFF_JITTER_GATE, args.out))
+    print("tracing-off overhead within %.0f%%"
+          % (100 * OFF_JITTER_GATE))
     return 0
 
 

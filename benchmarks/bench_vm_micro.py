@@ -20,23 +20,23 @@ kernel quantum, and the final registers, flags, memory and dirty
 pages must be identical before any number is reported.  Each engine
 runs ``REPEATS`` times and the fastest run counts (runs after the
 first find their traces compiled).  Results merge
-into ``BENCH_perf.json`` under the ``vm_micro`` key, preserving
-whatever else lives in that file.
+into ``--out`` under the ``vm_micro`` key.
+
+Usage::
+
+    python benchmarks/bench_vm_micro.py [--smoke] [--out BENCH_perf.json]
 """
 
-import argparse
-import json
-import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__),
-                                os.pardir, "src"))
+# harness puts src/ on sys.path
+from harness import arg_parser, say, write_report
 
-from repro.vm import assemble, CPU  # noqa: E402
-from repro.vm.cpu import TrapStop  # noqa: E402
-from repro.vm.image import PAGE_BYTES, ProcessImage, TEXT_BASE  # noqa: E402
-from repro.vm.isa import cpu_model  # noqa: E402
+from repro.vm import assemble, CPU
+from repro.vm.cpu import TrapStop
+from repro.vm.image import PAGE_BYTES, ProcessImage, TEXT_BASE
+from repro.vm.isa import cpu_model
 
 #: one kernel scheduling quantum's worth of instructions
 CHUNK = 5_000
@@ -192,7 +192,7 @@ def _visible(image):
             bytes(image.dirty_pages))
 
 
-def run_workload(name, source, iters, verbose=True):
+def run_workload(name, source, iters):
     out = assemble(source % {"iters": iters})
     interp, n_interp, t_interp = _best_run(out, use_predecode=False)
     traced, n_traced, t_traced = _best_run(out, use_predecode=True)
@@ -215,53 +215,27 @@ def run_workload(name, source, iters, verbose=True):
         "lazy_instr_per_sec": round(n_lazy / t_lazy, 1),
         "speedup": round(t_interp / t_traced, 3) if t_traced else 0.0,
     }
-    if verbose:
-        print("  %-11s %9d instr   interp %9.0f/s   "
-              "traces %9.0f/s   %5.2fx   lazy %9.0f/s"
-              % (name, n_interp, result["interp_instr_per_sec"],
-                 result["trace_instr_per_sec"], result["speedup"],
-                 result["lazy_instr_per_sec"]),
-              flush=True)
+    say("  %-11s %9d instr   interp %9.0f/s   "
+        "traces %9.0f/s   %5.2fx   lazy %9.0f/s"
+        % (name, n_interp, result["interp_instr_per_sec"],
+           result["trace_instr_per_sec"], result["speedup"],
+           result["lazy_instr_per_sec"]))
     return result
 
 
-def merge_report(path, key, payload):
-    """Read-modify-write ``path``: set ``key`` without disturbing any
-    other benchmark's results already in the file."""
-    doc = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (ValueError, OSError):
-            doc = {}
-    if not isinstance(doc, dict):
-        doc = {}
-    doc[key] = payload
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_perf.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny iteration counts (shape check only)")
-    args = parser.parse_args(argv)
-
-    print("vm micro: interpreter vs trace engine "
-          "(%d-instruction chunks)" % CHUNK, flush=True)
+    args = arg_parser(__doc__, "tiny iteration counts (shape check only)") \
+        .parse_args(argv)
+    say("vm micro: interpreter vs trace engine "
+        "(%d-instruction chunks)" % CHUNK)
     results = {}
     for name, source, iters in WORKLOADS:
         if args.smoke:
             iters = max(10, iters // 100)
         results[name] = run_workload(name, source, iters)
-    merge_report(args.out, "vm_micro",
-                 {"benchmark": "bench_vm_micro",
-                  "chunk_instructions": CHUNK,
-                  "workloads": results})
-    print("written to %s" % args.out, flush=True)
+    write_report(args.out, {"vm_micro": {"benchmark": "bench_vm_micro",
+                                         "chunk_instructions": CHUNK,
+                                         "workloads": results}})
     return 0
 
 

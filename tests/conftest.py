@@ -2,15 +2,12 @@
 
 import pytest
 
+from repro.bench import DRIVERS, drivers_agree  # noqa: F401
 from repro.core.api import MigrationSite
 from repro.machine import Cluster
 from repro.programs import install_standard_programs
 from repro.programs.guest import libasm
 from repro.vm import cpu as cpu_module
-
-#: the two simulation drivers: the O(M) reference scan and the lazy
-#: heap (see repro.machine.cluster); the VM is chosen separately
-DRIVERS = ("scan", "fast")
 
 
 @pytest.fixture
@@ -51,14 +48,6 @@ def fresh_code_caches():
     clear_process_caches()
     yield
     clear_process_caches()
-
-
-def drivers_agree(run):
-    """Call ``run(engine)`` once per simulation driver, assert the
-    summaries it returns are equal, and return the heap driver's."""
-    summaries = {engine: run(engine) for engine in DRIVERS}
-    assert summaries["scan"] == summaries["fast"], "drivers disagree"
-    return summaries["fast"]
 
 
 @pytest.fixture
