@@ -1,6 +1,6 @@
 """Crash-sweep benchmark: what the migration ledger costs and buys.
 
-Two measurements on the fast engine (DESIGN.md section 12):
+Two measurements (DESIGN.md section 12):
 
 * **overhead** — the same successful daemon-relayed migration is
   timed with the ``migration_ledger`` knob off and on; the difference
@@ -44,8 +44,7 @@ KNOBS = dict(ledger_stale_s=3.0, hb_interval_s=1.0, hb_timeout_s=3.0,
 def _site(ledger_on):
     costs = CostModel(migration_ledger=ledger_on, **KNOBS)
     site = MigrationSite(costs=costs,
-                         workstations=("brick", "schooner", "tanker"),
-                         engine="fast")
+                         workstations=("brick", "schooner", "tanker"))
     site.run_quiet()
     # the operator-provisioned ledger spool (migledger.5)
     site.machine("brador").fs.makedirs("/usr/spool/migledger",

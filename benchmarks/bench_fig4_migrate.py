@@ -35,13 +35,14 @@ def test_fig4_phase_timeline():
         timeline = row["timeline"]
         assert timeline is not None, row["case"]
         assert [p["phase"] for p in timeline["phases"]] == PHASES
-        total = sum(p["duration_us"] for p in timeline["phases"])
+        total = sum(p["duration_ns"] for p in timeline["phases"])
         # the phases telescope: they sum to the end-to-end latency
-        # (floating-point sum, hence the epsilon, not a tolerance)
-        assert abs(total - timeline["end_to_end_us"]) < 1e-6
+        # (integer nanoseconds, so exactly)
+        assert total == timeline["end_to_end_ns"]
         # ...which is itself bounded by the figure's wall-clock number
-        assert timeline["end_to_end_us"] <= row["migrate_us"] + 1e-6
-        assert all(p["duration_us"] >= 0 for p in timeline["phases"])
+        # (each stamp was rounded to the nanosecond once)
+        assert timeline["end_to_end_ns"] <= row["migrate_us"] * 1000 + 1
+        assert all(p["duration_ns"] >= 0 for p in timeline["phases"])
         chrome = to_chrome(row["trace_events"])
         validate_chrome(chrome)
     out = os.environ.get("TRACE_OUT")

@@ -15,8 +15,8 @@ buffer it barely touches) ping-pongs between ``brick`` and
 **Freeze latency** is the span from the dump beginning on the source
 to ``rest_proc`` completing on the destination — the window in which
 the process exists nowhere.  It is measured from the trace timeline
-(virtual time), so every mode runs on both engines and the report
-asserts the clocks agree exactly.
+(virtual time), so every mode runs under ``scan_checked``: every
+step the driver takes is checked against the O(M) reference scan.
 
 The storm runs on a *fast-metadata* cost profile (creates and remove
 RPCs at mid-90s speeds instead of the paper's 190-215 ms): with the
@@ -35,7 +35,7 @@ the cold fill and is reported but not gated:
   least 5x fewer chunk-store bytes than the first (the counter-only
   ``counter_dedup`` row asserts the same for the paper's unmodified
   section 6.2 program);
-* fast and scan engines must agree on every virtual measurement.
+* the driver must step exactly as the reference scan would.
 
 The report is merged into ``--out`` under a ``migration_latency`` key.
 
@@ -50,7 +50,7 @@ import sys
 # harness puts src/ on sys.path
 from harness import arg_parser, say, write_report
 
-from repro.bench import drivers_agree
+from repro.bench import scan_checked
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 
@@ -87,9 +87,9 @@ def _big_counter_aout():
     return program(BODY, DATA + "\n" + "\n".join(chunks) + "\n").aout
 
 
-def _site(engine, overrides):
+def _site(overrides):
     costs = CostModel().with_overrides(**dict(POLL_KNOBS, **overrides))
-    site = MigrationSite(costs, engine=engine)
+    site = MigrationSite(costs)
     site.run_quiet()
     return site
 
@@ -109,9 +109,9 @@ def _freeze_spans(events):
     return spans
 
 
-def run_storm(engine, overrides, hops, program="dcounter"):
+def run_storm(overrides, hops, program="dcounter"):
     """Ping-pong one guest ``hops`` times; returns a result row."""
-    site = _site(engine, overrides)
+    site = _site(overrides)
     if program == "dcounter":
         aout = _big_counter_aout()
         site.machine("brick").install_aout("dcounter", aout)
@@ -155,9 +155,8 @@ def run_storm(engine, overrides, hops, program="dcounter"):
 
 
 def run_mode(mode_name, overrides, hops, program="dcounter"):
-    """One storm on both engines; asserts the rows agree."""
-    row = drivers_agree(
-        lambda engine: run_storm(engine, overrides, hops, program))
+    """One storm, checked against the reference scan."""
+    row = scan_checked(lambda: run_storm(overrides, hops, program))
     return dict(row, mode=mode_name)
 
 
@@ -214,7 +213,6 @@ def run_benchmark(hops, out):
 
     write_report(out, {"migration_latency": {
         "big_buffer_bytes": BIG_BYTES,
-        "engines_identical": True,
         "rows": rows,
         "counter_dedup": counter_row,
         "warm_lazy_freeze_speedup":

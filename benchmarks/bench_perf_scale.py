@@ -1,25 +1,20 @@
 """Engine benchmark: an N-machine, K-process migration storm.
 
-Two drivers; the VM is chosen separately.  The same workload runs
-three times:
+The same workload runs twice on the one simulation driver (the
+lazy-heap event-horizon driver), once per VM:
 
-* the reference: the O(M) scan driver (``engine="scan"``) with every
-  machine's ``cpu.use_predecode`` turned off, so the CPUs interpret
-  every instruction;
-* the scan driver with compiled traces;
-* the fast engine: the lazy-heap event-horizon driver with compiled
-  traces.
+* ``interpreter``: every machine's ``cpu.use_predecode`` turned off,
+  so the CPUs interpret every instruction;
+* ``fast``: compiled traces.
 
 It then:
 
-* asserts the three runs produced **identical virtual-time results**
+* asserts the two runs produced **identical virtual-time results**
   (clocks, consoles, network traffic, step counts), and
 * writes ``BENCH_perf.json`` with real wall-clock steps/sec for each,
-  the end-to-end speedup (reference against fast), the driver ratio
-  (scan against fast, both traced) and the VM ratio (interpreter
-  against traces, both on the scan driver), the fast engine's
-  burst-length histogram and the decode-cache hit rate.  The two
-  ratios have no floor.
+  the speedup (``speedup_steps_per_sec``, compiled traces over the
+  interpreter), the driver's burst-length histogram and the
+  decode-cache hit rate.
 
 It also times site setup (``site_setup``): a ``MigrationSite()`` and
 a short cpuhog on it, first *cold* (the process-wide guest assembly
@@ -75,9 +70,9 @@ FLOOR_FILE = os.path.join(os.path.dirname(__file__) or ".",
                           "perf_floor.json")
 
 
-def run_storm(engine, machines=MACHINES, procs=PROCS,
-              iterations=ITERATIONS, trace=False, interpreter=False):
-    """Run the storm on one driver; returns (fingerprint, stats).
+def run_storm(machines=MACHINES, procs=PROCS, iterations=ITERATIONS,
+              trace=False, interpreter=False):
+    """Run the storm; returns (fingerprint, stats).
 
     ``trace=True`` turns on full-category event tracing — used by
     ``bench_trace_smoke.py`` to measure tracing overhead and to check
@@ -86,7 +81,7 @@ def run_storm(engine, machines=MACHINES, procs=PROCS,
     """
     names = ["w%d" % i for i in range(machines)]
     site = MigrationSite(workstations=names, server=None,
-                         daemons=False, engine=engine)
+                         daemons=False)
     if interpreter:
         for machine in site.cluster.machines.values():
             machine.cpu.use_predecode = False
@@ -105,8 +100,8 @@ def run_storm(engine, machines=MACHINES, procs=PROCS,
                if not handle.exited]
     if len(victims) != procs:
         raise AssertionError(
-            "engine=%s: %d hogs finished before the storm struck; "
-            "raise iterations" % (engine, procs - len(victims)))
+            "%d hogs finished before the storm struck; "
+            "raise iterations" % (procs - len(victims)))
     # the storm, phase 1: dump every hog at once
     dumps = [site.start(host, "/bin/dumpproc",
                         ["dumpproc", "-p", str(handle.pid)], uid=100)
@@ -115,8 +110,7 @@ def run_storm(engine, machines=MACHINES, procs=PROCS,
                    max_steps=200_000_000)
     failed = sum(1 for d in dumps if d.exit_status != 0)
     if failed:
-        raise AssertionError("engine=%s: %d dumps failed"
-                             % (engine, failed))
+        raise AssertionError("%d dumps failed" % failed)
     # phase 2: restart every hog one machine to the right, in parallel
     restarts = [site.start(names[(names.index(host) + 1) % machines],
                            "/bin/restart",
@@ -132,11 +126,11 @@ def run_storm(engine, machines=MACHINES, procs=PROCS,
     finished = sum(text.count(checksum) for text in consoles.values())
     if finished != procs:
         raise AssertionError(
-            "engine=%s: %d/%d hogs produced the expected checksum"
-            % (engine, finished, procs))
+            "%d/%d hogs produced the expected checksum"
+            % (finished, procs))
     if migrated != procs:
-        raise AssertionError("engine=%s: only %d/%d migrated hogs ran "
-                             "to completion" % (engine, migrated, procs))
+        raise AssertionError("only %d/%d migrated hogs ran to "
+                             "completion" % (migrated, procs))
 
     fingerprint = {
         "wall_us": site.cluster.wall_time_us(),
@@ -215,39 +209,31 @@ def run_benchmark(iterations, out):
     say("migration storm: %d machines, %d processes, %d iterations"
         % (MACHINES, PROCS, iterations))
     prints, stats = {}, {}
-    for key, engine, interpreter, label in (
-            ("scan", "scan", True, "reference (scan driver + interpreter)"),
-            ("scan_traces", "scan", False, "scan driver + compiled traces"),
-            ("fast", "fast", False,
-             "fast engine (horizon bursts + compiled traces)")):
-        say("running %s..." % label)
-        # every traced run compiles its traces cold: neither driver
-        # inherits the other's trace store
+    for key, interpreter in (("interpreter", True), ("fast", False)):
+        say("running the %s..." % ("interpreter" if interpreter
+                                   else "compiled traces"))
+        # the traced run compiles its traces cold
         cpu_module._clear_store()
-        prints[key], stats[key] = run_storm(
-            engine, iterations=iterations, interpreter=interpreter)
+        prints[key], stats[key] = run_storm(iterations=iterations,
+                                            interpreter=interpreter)
         say("  %.2fs, %.0f steps/sec" % (stats[key]["elapsed_s"],
                                          stats[key]["steps_per_sec"]))
-    for key in ("scan_traces", "fast"):
-        if prints[key] != prints["scan"]:
-            diverged = [name for name in prints["scan"]
-                        if prints["scan"][name] != prints[key][name]]
-            raise AssertionError(
-                "%s diverged from the reference on virtual-time "
-                "results: %s" % (key, diverged))
-    say("virtual-time results: identical across engines")
+    if prints["fast"] != prints["interpreter"]:
+        diverged = [name for name in prints["fast"]
+                    if prints["fast"][name] != prints["interpreter"][name]]
+        raise AssertionError("compiled traces diverged from the "
+                             "interpreter on virtual-time results: %s"
+                             % diverged)
+    say("virtual-time results: interpreter vs traces; identical")
     say("site setup: cold, then warm (process-wide memos filled)...")
     setup = run_site_setup()
     say("  MigrationSite() %.1f ms cold (%d assembles), %.1f ms warm "
         "(%d)" % (setup["cold_site_ms"], setup["cold_site_assemble_calls"],
                   setup["warm_site_ms"], setup["warm_site_assemble_calls"]))
 
-    rate = {key: run["steps_per_sec"] for key, run in stats.items()}
-
-    def ratio(fast, slow):
-        return rate[fast] / rate[slow] if rate[slow] else float("inf")
-    speedup = ratio("fast", "scan")
-    driver, vm = ratio("fast", "scan_traces"), ratio("scan_traces", "scan")
+    slow = stats["interpreter"]["steps_per_sec"]
+    speedup = stats["fast"]["steps_per_sec"] / slow if slow \
+        else float("inf")
     report = {
         "benchmark": "bench_perf_scale",
         "workload": {
@@ -259,15 +245,10 @@ def run_benchmark(iterations, out):
         },
         "engines": stats,
         "speedup_steps_per_sec": round(speedup, 3),
-        # the two factors of the end-to-end speedup, reported apart:
-        # scan/heap with traces on both, interpreter/traces on scan
-        "speedup_driver": round(driver, 3),
-        "speedup_vm": round(vm, 3),
         "virtual_time_identical": True,
         "site_setup": setup,
     }
-    say("speedup: %.2fx = driver %.2fx x VM %.2fx"
-        % (speedup, driver, vm))
+    say("speedup: %.2fx (compiled traces over the interpreter)" % speedup)
     write_report(out, report)
     return report
 

@@ -2,10 +2,10 @@
 interval.
 
 For each heartbeat interval, the scripted crash-recovery scenario
-from ``tests/test_recovery.py`` runs on the fast engine: a counter
-job on ``brick`` is checkpointed to the file server by ``ckptd``,
-``brick`` crashes, and a ``recoveryd`` on ``schooner`` detects the
-death and restarts the job from the archived round.  Two virtual
+from ``tests/test_recovery.py`` runs: a counter job on ``brick`` is
+checkpointed to the file server by ``ckptd``, ``brick`` crashes, and
+a ``recoveryd`` on ``schooner`` detects the death and restarts the
+job from the archived round.  Two virtual
 latencies are measured on the survivor's clock, from the moment its
 recovery daemon starts:
 
@@ -41,7 +41,7 @@ FAST_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
 def run_recovery(hb_interval_s):
     """One crash-recovery pass; returns a result row (virtual times)."""
     costs = CostModel(hb_interval_s=hb_interval_s, **FAST_KNOBS)
-    site = MigrationSite(costs=costs, engine="fast")
+    site = MigrationSite(costs=costs)
     site.run_quiet()
     site.machine("brador").fs.makedirs("/tmp/ckpt", mode=0o777)
 

@@ -1,7 +1,7 @@
 """Trace-overhead smoke: tracing off must cost ~nothing.
 
-Runs the ``bench_perf_scale`` migration storm three times on the fast
-engine — twice with tracing off, once with full-category tracing on —
+Runs the ``bench_perf_scale`` migration storm three times on compiled
+traces — twice with tracing off, once with full-category tracing on —
 and checks:
 
 * all three runs produce the **identical virtual-time fingerprint**
@@ -38,9 +38,9 @@ RETRIES = 5
 
 
 def _measure():
-    off1_print, off1 = run_storm("fast", iterations=SMOKE_ITERATIONS)
-    off2_print, off2 = run_storm("fast", iterations=SMOKE_ITERATIONS)
-    on_print, on = run_storm("fast", iterations=SMOKE_ITERATIONS,
+    off1_print, off1 = run_storm(iterations=SMOKE_ITERATIONS)
+    off2_print, off2 = run_storm(iterations=SMOKE_ITERATIONS)
+    on_print, on = run_storm(iterations=SMOKE_ITERATIONS,
                              trace=True)
     if not (off1_print == off2_print == on_print):
         raise AssertionError(

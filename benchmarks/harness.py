@@ -66,7 +66,7 @@ STORM_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
                    loadd_min_cpu_s=0.1, loadd_max_moves=4)
 
 
-def loadd_storm(engine, hosts, hogs, iterations, categories,
+def loadd_storm(hosts, hogs, iterations, categories,
                 loadd_rounds, statd_rounds=0):
     """Pile ``hogs`` cpuhogs of ``iterations`` each on ``w0`` of a
     ``hosts``-workstation site and run until every guest has exited.
@@ -81,7 +81,7 @@ def loadd_storm(engine, hosts, hogs, iterations, categories,
     if statd_rounds:
         knobs.update(stat_interval_s=1.0, stat_rounds=statd_rounds)
     site = MigrationSite(costs=CostModel(**knobs),
-                         workstations=workstations, engine=engine)
+                         workstations=workstations)
     site.cluster.tracer.enable(*categories)
     site.run_quiet()
     for __ in range(hogs):
@@ -99,6 +99,5 @@ def loadd_storm(engine, hosts, hogs, iterations, categories,
 
     site.run_until(all_done, max_steps=400_000_000)
     if not all_done():
-        raise AssertionError("storm did not finish (engine=%s)"
-                             % engine)
+        raise AssertionError("storm did not finish")
     return site

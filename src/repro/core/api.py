@@ -39,9 +39,9 @@ class MigrationSite:
 
     def __init__(self, costs=None, workstations=("brick", "schooner"),
                  server="brador", cpus=None, users=None, daemons=True,
-                 engine="fast", faults=None, fault_seed=0):
+                 faults=None, fault_seed=0):
         self.costs = costs or CostModel()
-        self.cluster = Cluster(self.costs, engine=engine)
+        self.cluster = Cluster(self.costs)
         if faults is not None:
             self.cluster.inject_faults(faults, seed=fault_seed)
         self.server_name = server

@@ -4,7 +4,7 @@ The injector is threaded through the kernel and network layers as
 named *sites* (``dump.write.aout``, ``net.connect``, ...).  A seeded
 :class:`FaultPlan` decides, purely from per-rule hit counters, which
 calls fail, stall or hand back corrupted bytes — so a chaos run
-replays bit-identically under both cluster engines.
+replays bit-identically from run to run.
 """
 
 from repro.faults.plan import FaultPlan, FaultRule

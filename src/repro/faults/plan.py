@@ -5,7 +5,7 @@ A plan is a list of rules.  Each rule names a site (exactly, or by
 site it applies to.  Rules never consult the clock or global
 randomness at decision time: whether hit *N* of a site fires is a
 pure function of the plan, so two runs of the same scenario — on
-either cluster engine — inject identical faults at identical points.
+either VM — inject identical faults at identical points.
 
 The textual format (see docs/man/faultplan.5.md)::
 
@@ -140,7 +140,7 @@ class FaultPlan:
 
     def fired(self):
         """(site, kind, fired) for every rule that acted — the chaos
-        tests compare this tuple across engines."""
+        tests compare this tuple across VMs."""
         return tuple((r.site, r.kind, r.fired)
                      for r in self.rules if r.fired)
 

@@ -44,7 +44,7 @@ class Scheduler:
         if proc not in self.runq:
             self.runq.append(proc)
             # a newly runnable process moves the machine's
-            # next-action time; tell the cluster's fast driver
+            # next-action time; tell the cluster's driver
             machine = self.kernel.machine
             machine.cluster.note_activity(machine)
 

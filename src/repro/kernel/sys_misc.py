@@ -286,7 +286,7 @@ class MiscSyscalls:
         p50/p95/max breakdowns with host/pair rollups, then evaluates
         the SLO thresholds (raising ``alert`` trace events).  Purely
         a function of the recorded trace and cluster state, so the
-        report is byte-identical across engines.
+        report is byte-identical from run to run.
         """
         from repro.obs.critpath import critical_path_report, slo_alerts
         cluster = self.machine.cluster

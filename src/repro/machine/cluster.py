@@ -9,35 +9,30 @@ The simulation driver is conservative parallel discrete-event: the
 machine with the smallest next-action time always steps first, so
 cross-machine messages never arrive in a receiver's past.
 
-Two drivers implement that contract:
+The driver keeps machines in a lazy min-heap keyed by next-action
+time and, once the laggard is chosen, lets it run a *burst* of steps
+up to its event horizon — the earliest virtual time any other machine
+could affect it.  In a pure message-passing simulation that is the
+peers' best next-action time plus the network's minimum message
+latency (the classic conservative-PDES lookahead).  Our machines
+additionally share synchronous NFS state, which collapses the latency
+term to zero — but a peer whose next action is a *scheduling slot*
+(purely runnable, no pending events) cannot emit anything visible
+before its slot charges the context switch and runs, so such peers
+contribute ``next_time + context_switch_us + quantum_us`` to the
+horizon.  That overlap window is what lets machines whose quanta
+overlap in virtual time run several slots per pick instead of
+leapfrogging one step at a time.  The horizon is memoized: a peer's
+activity during a burst does an O(1) min-update, and only growth of
+the horizon machine's own key forces an O(M) recompute.
 
-* ``engine="fast"`` (the default) keeps machines in a lazy min-heap
-  keyed by next-action time and, once the laggard is chosen, lets it
-  run a *burst* of steps up to its event horizon — the earliest
-  virtual time any other machine could affect it.  In a pure
-  message-passing simulation that is the peers' best next-action
-  time plus the network's minimum message latency (the classic
-  conservative-PDES lookahead).  Our machines additionally share
-  synchronous NFS state, which collapses the latency term to zero —
-  but a peer whose next action is a *scheduling slot* (purely
-  runnable, no pending events) cannot emit anything visible before
-  its slot charges the context switch and runs, so such peers
-  contribute ``next_time + context_switch_us + quantum_us`` to the
-  horizon.  That overlap window is what lets machines whose quanta
-  overlap in virtual time run several slots per pick instead of
-  leapfrogging one step at a time.  The horizon is memoized: a
-  peer's activity during a burst does an O(1) min-update, and only
-  growth of the horizon machine's own key forces an O(M) recompute.
-* ``engine="scan"`` is the original reference driver: an O(M) scan
-  per step, using the *same* overlap-window rule (a sticky burst
-  machine it keeps picking while no peer's window allows earlier
-  interference).  It is kept for benchmarking and as the executable
-  specification the fast driver must agree with step for step.
-
-Two drivers; the VM is chosen separately (``CPU.use_predecode``
-picks compiled traces or the interpreter on either driver).  All four
-pairings produce identical virtual-time results; the fast driver only
-changes how much *real* time the host spends finding the next event.
+Its specification is the O(M) reference scan: the laggard by minimum
+``(next_time, order)`` at every step, and a sticky burst machine kept
+while its key stays below its peers' lookahead horizon.  The scan is
+not a second driver; :func:`repro.bench.scan_checked` recomputes it
+before every step the driver takes and fails on the first divergence.
+The VM is chosen separately (``CPU.use_predecode`` picks compiled
+traces or the interpreter); both produce identical virtual time.
 """
 
 import heapq
@@ -62,9 +57,7 @@ class SimulationStuck(Exception):
 class Cluster:
     """A set of machines sharing an Ethernet and NFS cross-mounts."""
 
-    def __init__(self, costs=None, engine="fast"):
-        if engine not in ("fast", "scan"):
-            raise ValueError("unknown engine %r" % engine)
+    def __init__(self, costs=None):
         self.costs = costs or CostModel()
         self.machines = {}
         self.perf = PerfCounters()
@@ -72,12 +65,11 @@ class Cluster:
         # which cache a reference to it
         self.tracer = Tracer(self)
         self.network = Network(self)
-        self.engine = engine
         self.faults = FaultInjector()
         # the content-addressed chunk store backing incremental dumps
         # (cluster-wide, like the NFS-shared dump directory itself)
         self.chunk_store = ChunkStore(self)
-        # fast-driver state: a lazy min-heap of (next_time, order,
+        # driver state: a lazy min-heap of (next_time, order,
         # token, machine).  Stale entries are detected by token (bumped
         # on every re-push) and by re-reading next_time at the top.
         self._heap = []
@@ -100,7 +92,7 @@ class Cluster:
         if name in self.machines:
             raise ValueError("duplicate machine %r" % name)
         machine = Machine(name, self, cpu=cpu)
-        # the insertion index is both drivers' deterministic tie-break
+        # the insertion index is the driver's deterministic tie-break
         machine.order = len(self.machines)
         machine.cpu.perf = self.perf
         machine.cpu.code_cache = self._code_cache
@@ -232,17 +224,6 @@ class Cluster:
             when += self.costs.context_switch_us + self.costs.quantum_us
         return (when, machine.order)
 
-    def _peers_horizon(self, current):
-        """Minimum lookahead key over every other machine with work."""
-        best = (_INF, _INF)
-        for machine in self.machines.values():
-            if machine is current or not machine.has_work():
-                continue
-            key = self._lookahead_key(machine)
-            if key < best:
-                best = key
-        return best
-
     def run(self, max_steps=5_000_000, until_us=None):
         """Run until idle, a time bound, or a step bound."""
         if self._run(max_steps, until_us=until_us) in ("until", "idle"):
@@ -266,48 +247,12 @@ class Cluster:
                 "cluster idle but the awaited condition is false")
         raise SimulationStuck("exceeded %d steps" % max_steps)
 
-    def _run(self, max_steps, until_us=None, predicate=None):
-        """Drive until the predicate holds, the time bound or the step
-        bound is reached, or the cluster goes idle; returns
-        ``"predicate"``, ``"until"``, ``"steps"`` or ``"idle"``.
-
-        ``engine="fast"`` hands the drive to :meth:`_drive`.  The scan
-        engine is the reference it must reproduce: an O(M) scan for
-        the laggard at every step, ties broken by insertion order, and
-        a sticky burst machine that keeps getting picked while no
-        peer's overlap window lets it interfere earlier.  Both drivers
-        check the bounds before every step and after the last one, and
-        neither lets a burst span two drives.
-        """
-        if self.engine == "fast":
-            return self._drive(max_steps, until_us, predicate)
-        current = None
-        steps = 0
-        while True:
-            if predicate is not None and predicate():
-                return "predicate"
-            if until_us is not None and self.wall_time_us() >= until_us:
-                return "until"
-            if steps == max_steps:
-                return "steps"
-            if current is None or not current.has_work() \
-                    or (current.next_time(), current.order) \
-                    >= self._peers_horizon(current):
-                current = min((m for m in self.machines.values()
-                               if m.has_work()), default=None,
-                              key=lambda m: (m.next_time(), m.order))
-                if current is None:
-                    return "idle"
-            current.step()
-            self.perf.steps += 1
-            steps += 1
-
     def run_handle(self, handle, max_steps=5_000_000):
         """Run until a SpawnHandle's process has exited."""
         self.run_until(lambda: handle.exited, max_steps=max_steps)
         return handle
 
-    # -- fast driver internals -------------------------------------------------
+    # -- driver internals --------------------------------------------------------
 
     def note_activity(self, machine):
         """A machine's next-action time may have moved (new event,
@@ -397,11 +342,11 @@ class Cluster:
         self._horizon = best
         self._horizon_src = src
 
-    def _drive(self, max_steps, until_us=None, predicate=None):
-        """The event-horizon batched driver.
-
-        Returns ``"predicate"``, ``"until"`` or ``"idle"``; exhausting
-        ``max_steps`` returns ``"steps"`` and the caller raises.
+    def _run(self, max_steps, until_us=None, predicate=None):
+        """The event-horizon batched driver.  Returns ``"predicate"``,
+        ``"until"``, ``"steps"`` or ``"idle"``: the bounds are checked
+        in that order before every step and after the last one, and no
+        burst spans two drives.
 
         Causality argument: the chosen machine is the laggard (minimum
         next-action time, ties broken by machine order exactly like
@@ -425,11 +370,13 @@ class Cluster:
         """
         perf = self.perf
         steps = 0
-        while steps < max_steps:
+        while True:
             if predicate is not None and predicate():
                 return "predicate"
             if until_us is not None and self.wall_time_us() >= until_us:
                 return "until"
+            if steps >= max_steps:
+                return "steps"
             self._flush_dirty()
             top = self._peek()
             if top is None:
@@ -469,4 +416,3 @@ class Cluster:
                 self._dirty.discard(machine)
                 if machine.has_work():
                     self._push(machine)
-        return "steps"

@@ -192,7 +192,7 @@ class Machine:
             return  # events for a dead host vanish with it
         heapq.heappush(self._events,
                        (when_us, next(self._event_seq), action))
-        # the fast driver must hear about new work: it may move this
+        # the driver must hear about new work: it may move this
         # machine's next-action time, and — if posted from another
         # machine's burst — shrink that burst's event horizon
         self.cluster.note_activity(self)

@@ -6,7 +6,7 @@ and declares a peer **suspected dead** after ``costs.hb_timeout_s`` of
 silence.  Probes are modelled, not sent — whether a peer would answer
 is exactly "is it running and reachable", which the cluster already
 knows — so detection costs no simulated network traffic, only the
-timer events, and remains deterministic across engines.
+timer events, and remains deterministic from run to run.
 
 The probe lane is *leased*: it ticks only while somebody has asked
 ``hb_status`` recently (``costs.hb_lease_s``).  Without the lease an

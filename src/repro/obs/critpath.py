@@ -6,7 +6,8 @@ tracer already stitches each migration's recorded events into the
 phase timeline (:meth:`~repro.obs.tracer.Tracer.migration_timeline`,
 whose phases telescope exactly to the end-to-end latency); this
 module aggregates those timelines across *every* recorded migration
-into one deterministic report:
+into one deterministic report.  Durations stay integer nanoseconds
+throughout, so the phase totals sum to the end-to-end total exactly:
 
 * per-phase p50/p95/max/total durations and each phase's share of
   total migration time, with dominant-phase attribution;
@@ -16,8 +17,8 @@ into one deterministic report:
   category.
 
 Everything here is a pure function of the recorded trace and the
-current cluster state — byte-identical across the scan and fast
-engines, because the traces are.
+current cluster state — byte-identical across runs and across the two
+VMs, because the traces are.
 """
 
 from repro.obs.tracer import _TIMELINE_MARKERS
@@ -41,10 +42,10 @@ def percentile(values, pct):
 def _stats(values):
     return {
         "count": len(values),
-        "p50_us": percentile(values, 50),
-        "p95_us": percentile(values, 95),
-        "max_us": max(values) if values else 0,
-        "total_us": sum(values),
+        "p50_ns": percentile(values, 50),
+        "p95_ns": percentile(values, 95),
+        "max_ns": max(values) if values else 0,
+        "total_ns": sum(values),
     }
 
 
@@ -75,16 +76,16 @@ def critical_path_report(cluster):
     hosts = {}
     pairs = {}
     for timeline in timelines:
-        end_to_end.append(timeline["end_to_end_us"])
+        end_to_end.append(timeline["end_to_end_ns"])
         source = timeline["mig"].rsplit(":", 1)[0]
         pair = "%s->%s" % (source,
                            destinations.get(timeline["mig"], "?"))
         hosts.setdefault(source, []).append(
-            timeline["end_to_end_us"])
-        pairs.setdefault(pair, []).append(timeline["end_to_end_us"])
+            timeline["end_to_end_ns"])
+        pairs.setdefault(pair, []).append(timeline["end_to_end_ns"])
         for interval in timeline["phases"]:
             phase_durations.setdefault(
-                interval["phase"], []).append(interval["duration_us"])
+                interval["phase"], []).append(interval["duration_ns"])
 
     total_all = sum(sum(durations)
                     for durations in phase_durations.values())
@@ -97,11 +98,11 @@ def critical_path_report(cluster):
             continue
         row = _stats(durations)
         row["phase"] = phase
-        row["share"] = round(row["total_us"] / total_all, 6) \
+        row["share"] = round(row["total_ns"] / total_all, 6) \
             if total_all else 0.0
         phases.append(row)
-        if row["total_us"] > dominant_total:
-            dominant_total = row["total_us"]
+        if row["total_ns"] > dominant_total:
+            dominant_total = row["total_ns"]
             dominant = phase
 
     return {
@@ -167,9 +168,10 @@ def slo_alerts(cluster, report, machine, now_s):
     costs = cluster.costs
     alerts = []
     e2e = report["end_to_end"]
-    if e2e["count"] and e2e["p95_us"] > costs.slo_migrate_p95_us:
+    p95_us = e2e["p95_ns"] / 1000
+    if e2e["count"] and p95_us > costs.slo_migrate_p95_us:
         alerts.append({"name": "migrate_p95_us",
-                       "value": e2e["p95_us"],
+                       "value": p95_us,
                        "limit": costs.slo_migrate_p95_us})
     suspects = 0
     for name in cluster.hosts():

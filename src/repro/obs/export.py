@@ -1,7 +1,7 @@
 """Trace exporters: JSONL and Chrome ``trace_event`` format.
 
 JSONL is the determinism format: one compact, key-sorted JSON object
-per line, so byte-for-byte comparison across engines is meaningful.
+per line, so byte-for-byte comparison across runs is meaningful.
 
 The Chrome format targets ``chrome://tracing`` / Perfetto: each
 simulated host becomes a "process" row, span events become async

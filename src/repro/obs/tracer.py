@@ -4,16 +4,17 @@ One :class:`Tracer` is owned by the :class:`~repro.machine.cluster.
 Cluster` and shared by every kernel, the network, the fault injector
 and the heartbeat monitors.  Events are stamped with the *emitting
 machine's* virtual clock (microseconds), never wall time, so a trace
-is a pure function of the simulation schedule — and because the fast
-engine reproduces the scan engine's schedule step for step, the same
-run traced under either engine yields byte-identical JSONL.
+is a pure function of the simulation schedule — the driver's
+deterministic step order, which ``repro.bench.scan_checked`` checks
+against the reference scan step for step — so the same run traced
+twice yields byte-identical JSONL.
 
 Design rules:
 
 * tracing off costs one attribute check (``if tracer.enabled``) at
   every emission site, mirroring the old ``Network.trace`` guard;
 * events are plain dicts (JSON-ready) appended to one global ordered
-  list — ordering comes from the engine's deterministic step order;
+  list — ordering comes from the driver's deterministic step order;
 * **spans** bracket migration phases.  ``span_begin``/``span_end``
   always maintain phase timing (feeding the ``span_us`` histograms in
   the metrics registry even when event emission is off) and
@@ -169,7 +170,8 @@ class Tracer:
 
         Returns ``None`` unless at least a begin and an end marker
         were captured; otherwise a dict with contiguous ``phases``
-        whose durations sum to ``end_to_end_us`` by construction.
+        whose durations sum to ``end_to_end_ns`` exactly: each marker
+        stamp is rounded once, to integer nanoseconds.
         """
         marks = {}
         for event in self.events:
@@ -183,6 +185,7 @@ class Tracer:
         for cat, name, span, phase in _TIMELINE_MARKERS:
             ts = marks.get((cat, name, span))
             if ts is not None:
+                ts = round(ts * 1000)
                 # markers are stamped on different hosts' clocks, and
                 # a later stage can observe an earlier one through
                 # synchronous NFS before its own clock catches up
@@ -197,14 +200,14 @@ class Tracer:
         # that completed there
         phases = []
         for (__, begin), (phase, end) in zip(points, points[1:]):
-            phases.append({"phase": phase, "begin_us": begin,
-                           "end_us": end,
-                           "duration_us": end - begin})
+            phases.append({"phase": phase, "begin_ns": begin,
+                           "end_ns": end,
+                           "duration_ns": end - begin})
         return {
             "mig": mig,
-            "begin_us": points[0][1],
-            "end_us": points[-1][1],
-            "end_to_end_us": points[-1][1] - points[0][1],
+            "begin_ns": points[0][1],
+            "end_ns": points[-1][1],
+            "end_to_end_ns": points[-1][1] - points[0][1],
             "phases": phases,
         }
 

@@ -1,4 +1,4 @@
-"""Counters for the fast-path engine.
+"""Counters for the simulation driver and the VM.
 
 One :class:`PerfCounters` instance is owned by each
 :class:`~repro.machine.cluster.Cluster` and shared with every machine's
@@ -39,13 +39,13 @@ GUEST = True
 #: allowlist are all driven by this one table
 COUNTERS = (
     FlatCounter("steps", "machine steps executed by the cluster driver"),
-    FlatCounter("bursts", "event-horizon bursts (fast engine only)"),
+    FlatCounter("bursts", "event-horizon bursts (laggard picks)"),
     FlatCounter("horizon_invalidations", "horizons recomputed mid-burst"),
     FlatCounter("horizon_memo_hits",
                 "mid-burst activity absorbed by the memoized horizon without "
                 "a recompute"),
     FlatCounter("heap_pushes",
-                "machine re-insertions into the fast engine's lazy heap"),
+                "machine re-insertions into the driver's lazy heap"),
     FlatCounter("vm_instructions", "instructions retired by all CPUs"),
     FlatCounter("instructions_decoded",
                 "instructions decoded: by the interpreter, or in traces on "

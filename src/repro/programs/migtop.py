@@ -121,14 +121,15 @@ def _show_critpath(report):
     yield from println(_PHASE_HEADER)
     for row in report["phases"]:
         yield from println(_PHASE_ROW % (
-            row["phase"], row["count"], row["p50_us"],
-            row["p95_us"], row["max_us"], row["share"] * 100.0))
+            row["phase"], row["count"], row["p50_ns"] // 1000,
+            row["p95_ns"] // 1000, row["max_ns"] // 1000,
+            row["share"] * 100.0))
     e2e = report["end_to_end"]
     yield from println("end-to-end  n=%d p50=%dus p95=%dus max=%dus"
-                       % (e2e["count"], e2e["p50_us"], e2e["p95_us"],
-                          e2e["max_us"]))
+                       % (e2e["count"], e2e["p50_ns"] // 1000,
+                          e2e["p95_ns"] // 1000, e2e["max_ns"] // 1000))
     yield from println("dominant phase: %s" % report["dominant"])
     for pair in sorted(report["pairs"]):
         stats = report["pairs"][pair]
         yield from println("  %-20s n=%d p95=%dus"
-                           % (pair, stats["count"], stats["p95_us"]))
+                           % (pair, stats["count"], stats["p95_ns"] // 1000))

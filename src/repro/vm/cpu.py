@@ -154,9 +154,8 @@ class CPU:
     """Interpreter for one CPU model."""
 
     #: the VM: compiled traces, or the interpreter alone when false.
-    #: The cluster has two drivers; the VM is chosen separately, here:
-    #: per CPU, or on the class for every CPU.  Virtual time is the
-    #: same either way.
+    #: Chosen per CPU, or on the class for every CPU.  Virtual time is
+    #: the same either way.
     use_predecode = True
 
     def __init__(self, model):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import DRIVERS, drivers_agree  # noqa: F401
+from repro.bench import scan_checked  # noqa: F401
 from repro.core.api import MigrationSite
 from repro.machine import Cluster
 from repro.programs import install_standard_programs

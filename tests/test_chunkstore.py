@@ -3,9 +3,10 @@
 Covers the chunk store itself, the chunked dump formats, the
 dirty-page baseline reuse that makes re-migrations cheap, the lazy
 fault-in path, and the failure modes (corrupt manifest at dump time,
-missing chunk at restart).  Every cluster-level scenario runs on both
-engines and must produce identical virtual clocks and counters —
-incremental mode may never depend on the execution engine.
+missing chunk at restart).  Every cluster-level scenario runs under
+``scan_checked``, so the driver steps exactly as the reference scan
+would — incremental mode may never depend on how the cluster is
+driven.
 """
 
 import random
@@ -27,7 +28,7 @@ from repro.vm.aout import AOutHeader, AOUT_FLAG_CHUNKED
 from repro.vm.image import (ProcessImage, Registers, SegmentationFault,
                             PAGE_BYTES)
 
-from tests.conftest import drivers_agree, start_counter
+from tests.conftest import scan_checked, start_counter
 
 
 # -- manifest / format round-trips ------------------------------------------
@@ -188,21 +189,21 @@ def test_image_copy_drains_pending_chunks():
     assert clone.read_bytes(base, 16) == b"z" * 16
 
 
-# -- cluster scenarios: both drivers, identical clocks ----------------------
+# -- cluster scenarios, checked against the reference scan -----------------
 
 
-def _incremental_site(engine, lazy=False, faults=None):
+def _incremental_site(lazy=False, faults=None):
     costs = CostModel().with_overrides(incremental_dumps=True,
                                        lazy_restart=lazy)
-    site = MigrationSite(costs, engine=engine, faults=faults)
+    site = MigrationSite(costs, faults=faults)
     site.run_quiet()
     return site
 
 
-def _bounce(engine, lazy):
+def _bounce(lazy):
     """Migrate brick -> schooner, then straight back, typing at each
     destination so the process keeps its terminal across both hops."""
-    site = _incremental_site(engine, lazy=lazy)
+    site = _incremental_site(lazy=lazy)
     site.cluster.tracer.enable("dump", "restart", "chunk")
     handle = start_counter(site)
     mh = site.migrate(handle.pid, "brick", "schooner",
@@ -244,36 +245,27 @@ def test_remigration_dedup_and_engine_identity():
     program dirties; the latency benchmark measures that shape on a
     data-heavy image.)
     """
-    def run(engine):
-        site, first, second = _bounce(engine, lazy=False)
-        assert first > 0
-        assert second * 5 <= first
-        assert site.cluster.perf.chunks_clean_skipped > 0
-        return _fingerprint(site), first, second
-    drivers_agree(run)
+    site, first, second = scan_checked(lambda: _bounce(lazy=False))
+    assert first > 0
+    assert second * 5 <= first
+    assert site.cluster.perf.chunks_clean_skipped > 0
 
 
 def test_lazy_restart_faults_in_and_engine_identity():
-    def run(engine):
-        site, first, second = _bounce(engine, lazy=True)
-        perf = site.cluster.perf
-        assert perf.lazy_faults > 0
-        # the deferred-transfer span closed once the last chunk landed
-        spans = [e for e in site.cluster.tracer.events
-                 if e["cat"] == "restart" and e["name"] == "fault_in"]
-        assert any(e.get("span") == "E" and e.get("ok")
-                   for e in spans)
-        return _fingerprint(site)
-    drivers_agree(run)
+    site, __, __ = scan_checked(lambda: _bounce(lazy=True))
+    assert site.cluster.perf.lazy_faults > 0
+    # the deferred-transfer span closed once the last chunk landed
+    spans = [e for e in site.cluster.tracer.events
+             if e["cat"] == "restart" and e["name"] == "fault_in"]
+    assert any(e.get("span") == "E" and e.get("ok") for e in spans)
 
 
 def test_corrupt_chunk_manifest_fails_dump_and_victim_survives():
     """_verify_dump re-parses what was written: a corrupted chunked
     a.out (its manifests) is caught, the partial dump is removed, and
     the victim keeps running."""
-    def run(engine):
-        site = _incremental_site(
-            engine, faults="dump.write.aout corrupt n=1")
+    def run():
+        site = _incremental_site(faults="dump.write.aout corrupt n=1")
         handle = start_counter(site)
         status = site.dumpproc("brick", handle.pid, check=False)
         assert status != 0
@@ -287,18 +279,15 @@ def test_corrupt_chunk_manifest_fails_dump_and_victim_survives():
         # the typed line still reaches the living process
         site.type_at("brick", "one\n")
         site.run_until(lambda: "r=2" in site.console("brick"))
-        return (site.cluster.wall_time_us(),
-                tuple(map(tuple, site.cluster.faults.fired)))
-    drivers_agree(run)
+    scan_checked(run)
 
 
 def test_missing_chunk_restart_fails_cleanly():
     """A store.get failure at restart exits EX_RESTPROC without a
     half-restored process; once the fault rule is spent, the kept
     dump restarts fine and the store is still consistent."""
-    def run(engine):
-        site = _incremental_site(
-            engine, faults="store.get fail n=1 errno=EIO")
+    def run():
+        site = _incremental_site(faults="store.get fail n=1 errno=EIO")
         handle = start_counter(site)
         site.dumpproc("brick", handle.pid)
         rh = site.machine("schooner").spawn(
@@ -311,20 +300,18 @@ def test_missing_chunk_restart_fails_cleanly():
         rh2 = site.restart("schooner", handle.pid, from_host="brick",
                            uid=100)
         assert rh2.proc.is_vm()
-        return (site.cluster.wall_time_us(),
-                tuple(map(tuple, site.cluster.faults.fired)))
-    drivers_agree(run)
+    scan_checked(run)
 
 
 # -- lazy images run compiled traces ----------------------------------------
 
 
-def _bighog_site(engine):
+def _bighog_site():
     """A lazy-restart site with ``bighog``: the cpuhog carrying a 64 KB
     buffer it never touches, so its chunks stay pending for good."""
     from repro.programs.guest import cpuhog
     from repro.programs.guest.libasm import program
-    site = _incremental_site(engine, lazy=True)
+    site = _incremental_site(lazy=True)
     aout = program(cpuhog.BODY,
                    cpuhog.DATA + "bigbuf: .space 65536\n").aout
     for name in ("brick", "schooner"):
@@ -335,8 +322,8 @@ def _bighog_site(engine):
 def test_lazy_restart_runs_compiled_traces(monkeypatch, interpreter,
                                           fresh_code_caches):
     """Regression guard: a lazily restarted image must not fall back to
-    interpreter-only execution while chunks are pending.  On both
-    drivers the lazy-variant cache entry holds compiled traces and the
+    interpreter-only execution while chunks are pending.  The
+    lazy-variant cache entry holds compiled traces and the
     hog's instructions run through them; virtual time matches an
     interpreter-only run, which compiles nothing."""
     from repro.programs.guest.cpuhog import expected_checksum
@@ -359,8 +346,8 @@ def test_lazy_restart_runs_compiled_traces(monkeypatch, interpreter,
         return trace, ndecoded, nlinked
 
     monkeypatch.setattr(cpu_module, "compile_trace", counting)
-    def run(engine):
-        site = _bighog_site(engine)
+    def run():
+        site = _bighog_site()
         handle = site.start("brick", "/bin/bighog", ["bighog", "60000"])
         site.run(until_us=site.cluster.wall_time_us() + 100_000)
         site.dumpproc("brick", handle.pid)
@@ -383,7 +370,7 @@ def test_lazy_restart_runs_compiled_traces(monkeypatch, interpreter,
         assert ("checksum=%d" % expected_checksum(60000)) \
             in site.console("schooner")
         return _fingerprint(site)
-    assert interpreter(run, "fast") == drivers_agree(run)
+    assert interpreter(run) == scan_checked(run)
 
 
 # -- the sysctl0 polling knobs ----------------------------------------------

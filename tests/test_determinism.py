@@ -6,11 +6,11 @@ ordering, id()-keyed behavior, hidden randomness).
 """
 
 from repro.core.api import MigrationSite
-from tests.conftest import drivers_agree
+from tests.conftest import scan_checked
 
 
-def _one_full_migration(engine="fast"):
-    site = MigrationSite(engine=engine)
+def _one_full_migration():
+    site = MigrationSite()
     # record every network event (messages with arrival times, socket
     # creations with their ids): runs must agree on the full trace,
     # not just on the end state
@@ -48,10 +48,9 @@ def test_two_identical_runs_agree_exactly():
 
 
 def test_fast_and_scan_engines_agree_exactly():
-    """The burst driver must be invisible in virtual time: a full
-    migration gives bit-identical results (event trace, socket ids,
-    clocks, consoles, even the step count) on both drivers."""
-    drivers_agree(_one_full_migration)
+    """The burst driver must be invisible in virtual time: through a
+    full migration it steps exactly as the reference scan would."""
+    scan_checked(_one_full_migration)
 
 
 def test_figure_drivers_are_deterministic():

@@ -1,13 +1,13 @@
 """Golden fingerprints: the daemon pipelines replay byte for byte.
 
-The other determinism tests compare the scan engine against the fast
-engine inside one checkout.  This file pins runs against *recorded*
-digests instead, so a refactor of the daemons' shared plumbing (report
+The other determinism tests check the driver against the reference
+scan, and compiled traces against the interpreter, inside one
+checkout.  This file pins runs against *recorded* digests instead, so a refactor of the daemons' shared plumbing (report
 framing, restart-ack polling, counter bookkeeping) that shifts a
 single syscall, wire byte, counter or virtual microsecond fails here.
 
-Each scenario runs on the fast engine with every trace category
-enabled and is reduced to four sha-256 digests:
+Each scenario runs with every trace category enabled and is reduced
+to four sha-256 digests:
 
 * ``trace`` — the tracer's JSONL render;
 * ``perf`` — ``perf.snapshot()`` as sorted-key JSON;
@@ -34,8 +34,6 @@ from repro.programs.guest.libasm import program
 from tests import test_faults, test_migledger_sweep as sweep
 from tests.conftest import start_counter
 from tests.test_recovery import FAST_KNOBS, _job_meta
-
-ENGINE = "fast"
 
 
 @pytest.fixture(autouse=True)
@@ -70,18 +68,16 @@ def fingerprint(site):
 
 
 def _loadd(spec, **kwargs):
-    return lambda: test_faults._loadd_scenario(ENGINE, spec,
-                                               **kwargs)[0]
+    return lambda: test_faults._loadd_scenario(spec, **kwargs)[0]
 
 
 def _statd(spec, **kwargs):
-    return lambda: test_faults._statd_scenario(ENGINE, spec,
-                                               **kwargs)[0]
+    return lambda: test_faults._statd_scenario(spec, **kwargs)[0]
 
 
 def _migrate_daemon_ledger():
     """One ``migrate -d`` with the ledger on, no faults."""
-    site = sweep._site(ENGINE)
+    site = sweep._site()
     victim = sweep._start_victim(site)
     handle = site.migrate(victim.pid, "brick", "schooner",
                           typed_on="tanker", use_daemon=True,
@@ -93,13 +89,13 @@ def _migrate_daemon_ledger():
 
 def _loadd_ledger_move():
     """One loadd move with the ledger on, no faults."""
-    return sweep._loadd_move(ENGINE)[0]
+    return sweep._loadd_move()[0]
 
 
 def _ledger_restage():
     """The orchestrator dies at the DUMPED advance; ``recoveryd -m``
     restages the job from the chunk-store archive."""
-    site = sweep._site(ENGINE)
+    site = sweep._site()
     victim = sweep._start_victim(site)
     site.cluster.inject_faults("ledger.advance crash n=1", seed=77)
     handle = site.migrate(victim.pid, "brick", "schooner",
@@ -116,7 +112,7 @@ def _ledger_restage():
 def _ckptd_recover():
     """ckptd checkpoints a counter on brick, brick crashes, and
     recoveryd on schooner restages the latest round."""
-    site = MigrationSite(costs=CostModel(**FAST_KNOBS), engine=ENGINE)
+    site = MigrationSite(costs=CostModel(**FAST_KNOBS))
     site.cluster.tracer.enable()
     site.run_quiet()
     site.machine("brador").fs.makedirs("/tmp/ckpt", mode=0o777)
@@ -144,8 +140,7 @@ def _hog_storm():
     """The 8-host eager cpuhog storm at smoke size: 32 hogs dumped at
     once mid-loop, each restarted one host to the right over NFS."""
     names = ["w%d" % i for i in range(8)]
-    site = MigrationSite(workstations=names, server=None, daemons=False,
-                         engine=ENGINE)
+    site = MigrationSite(workstations=names, server=None, daemons=False)
     site.cluster.tracer.enable()
     hogs = [(names[k % 8], site.start(names[k % 8], "/bin/cpuhog",
                                       ["cpuhog", "5000"], uid=100))
@@ -168,7 +163,7 @@ def _lazy_hog():
     its chunks stay pending, so it finishes on lazy-variant traces."""
     costs = CostModel().with_overrides(incremental_dumps=True,
                                        lazy_restart=True)
-    site = MigrationSite(costs, engine=ENGINE)
+    site = MigrationSite(costs)
     site.cluster.tracer.enable()
     site.run_quiet()
     aout = program(cpuhog.BODY,

@@ -20,9 +20,9 @@ asserts:
   (both are plain host crashes outside the migration window);
 * the ledger record and every claim/archive file reaped;
 * no dump files left anywhere;
-* the identical run under BOTH simulation drivers (consoles, clocks,
-  counters and trace byte-for-byte), and, for the cheapest cell, with
-  the trace compiler off too.
+* a driver that steps exactly as the reference scan would, and, for
+  the cheapest cell, the identical run (consoles, clocks, counters and
+  trace byte-for-byte) with the trace compiler off.
 
 A second, smaller matrix cuts a ``loadd`` balancing move at the same
 boundaries: loadd moves jobs through migrate's pipeline, so its moves
@@ -35,7 +35,8 @@ from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 from repro.errors import UnixError
 from repro.programs import start_network_daemons
-from tests.conftest import drivers_agree
+from repro.programs.exitcodes import EX_FENCED
+from tests.conftest import scan_checked
 
 #: the ledger on, detection/staleness shrunk so sweeps run promptly,
 #: retry/poll knobs shrunk exactly as in the chaos tests
@@ -54,7 +55,7 @@ WORKSTATIONS = ("brick", "schooner", "tanker")
 ALL_HOSTS = WORKSTATIONS + ("brador",)
 
 #: low-volume categories only (the same set as the chaos matrix): the
-#: JSONL render lands in the cross-engine summary
+#: JSONL render lands in the interpreter comparison's summary
 TRACE_CATEGORIES = ("fault", "hb", "dump", "restart", "migrate",
                     "recovery", "net.sock")
 
@@ -123,10 +124,10 @@ CELLS = [
 ]
 
 
-def _site(engine, **overrides):
+def _site(**overrides):
     knobs = dict(KNOBS, **overrides)
     site = MigrationSite(costs=CostModel(**knobs),
-                         workstations=WORKSTATIONS, engine=engine)
+                         workstations=WORKSTATIONS)
     site.cluster.tracer.enable(*TRACE_CATEGORIES)
     site.run_quiet()
     # the ledger spool is operator-provisioned, like a real /usr/spool
@@ -147,7 +148,7 @@ def _drain(site, seconds=3.0):
 
     ``run_quiet`` would raise with a live cpuhog (the cluster never
     goes idle), so every settling pause is a fixed slice of virtual
-    time — identical under both engines.
+    time.
     """
     site.run(until_us=site.cluster.wall_time_us()
              + int(seconds * 1_000_000),
@@ -241,8 +242,8 @@ def _heal_and_sweep(site, rounds=8, attempts=3):
     _drain(site, 3.0)
 
 
-def _run_cell(engine, spec):
-    site = _site(engine)
+def _run_cell(spec):
+    site = _site()
     victim = _start_victim(site)
     plan = site.cluster.inject_faults(spec, seed=77)
     handle = site.migrate(victim.pid, "brick", "schooner",
@@ -276,26 +277,17 @@ def _summarize(site, victim, plan):
 
 
 def _check_cell(name, run_cell, spec, expected):
-    """Run one cell on both drivers and check the exactly-once
-    contract on each."""
-    def run(engine):
-        summary = run_cell(engine, spec)
-
-        want = () if expected is None else (expected,)
-        assert summary["copies"] == want, \
-            "%s/%s: live copies %r, want %r" \
-            % (name, engine, summary["copies"], want)
-        assert summary["leftovers"] == (), \
-            "%s/%s: unreaped ledger files %r" \
-            % (name, engine, summary["leftovers"])
-        assert summary["orphans"] == (), \
-            "%s/%s: leftover dump files %r" \
-            % (name, engine, summary["orphans"])
-        assert summary["fired"], \
-            "%s/%s: the fault plan never fired" % (name, engine)
-        return summary
-
-    drivers_agree(run)
+    """Run one cell, checked against the reference scan, and check the
+    exactly-once contract."""
+    summary = scan_checked(lambda: run_cell(spec))
+    want = () if expected is None else (expected,)
+    assert summary["copies"] == want, \
+        "%s: live copies %r, want %r" % (name, summary["copies"], want)
+    assert summary["leftovers"] == (), \
+        "%s: unreaped ledger files %r" % (name, summary["leftovers"])
+    assert summary["orphans"] == (), \
+        "%s: leftover dump files %r" % (name, summary["orphans"])
+    assert summary["fired"], "%s: the fault plan never fired" % name
 
 
 @pytest.mark.parametrize("name,spec,expected", CELLS,
@@ -309,7 +301,7 @@ def test_crash_point_cell_on_the_interpreter(interpreter):
     DONE, then the destination dies) is the identical run with the
     trace compiler off."""
     spec = {name: spec for name, spec, __ in CELLS}["done-destination-dies"]
-    assert interpreter(_run_cell, "fast", spec) == _run_cell("fast", spec)
+    assert interpreter(_run_cell, spec) == _run_cell(spec)
 
 
 # -- loadd-orchestrated moves ----------------------------------------------
@@ -343,14 +335,14 @@ LOADD_CELLS = [
 ]
 
 
-def _loadd_move(engine, spec=""):
+def _loadd_move(spec=""):
     """loadd on brick and schooner; brick's loadd moves the victim.
 
     A filler hog makes brick two jobs busier than schooner, so the
     policy moves exactly one job: its busiest candidate, the victim,
     which got a second's head start.  Returns (site, victim, plan).
     """
-    site = _site(engine, **LOADD_KNOBS)
+    site = _site(**LOADD_KNOBS)
     victim = _start_victim(site)
     _drain(site, 1.0)
     site.start("brick", "/bin/cpuhog", ["cpuhog", str(VICTIM_ITERS)],
@@ -366,8 +358,8 @@ def _loadd_move(engine, spec=""):
     return site, victim, plan
 
 
-def _run_loadd_cell(engine, spec):
-    site, victim, plan = _loadd_move(engine, spec)
+def _run_loadd_cell(spec):
+    site, victim, plan = _loadd_move(spec)
     _heal_and_sweep(site)
     return _summarize(site, victim, plan)
 
@@ -387,8 +379,8 @@ def test_loadd_crash_point_cell_on_both_engines(name, spec, expected):
 # byte-for-byte identical crash.
 
 
-def _orchestrator_death_mid_pipeline(engine, ledger_on):
-    site = _site(engine, migration_ledger=ledger_on)
+def _orchestrator_death_mid_pipeline(ledger_on):
+    site = _site(migration_ledger=ledger_on)
     victim = _start_victim(site)
     handle = site.migrate(victim.pid, "brick", "schooner",
                           typed_on="tanker", use_daemon=True,
@@ -408,9 +400,9 @@ def _orchestrator_death_mid_pipeline(engine, ledger_on):
     return site, victim
 
 
-def _orchestrator_death_outcome(engine, ledger_on):
+def _orchestrator_death_outcome(ledger_on):
     """What the orchestrator's death left behind."""
-    site, victim = _orchestrator_death_mid_pipeline(engine, ledger_on)
+    site, victim = _orchestrator_death_mid_pipeline(ledger_on)
     return {"pid": victim.pid,
             "copies": _copies(site, victim.pid),
             "orphans": _orphan_dump_files(site),
@@ -419,9 +411,8 @@ def _orchestrator_death_outcome(engine, ledger_on):
             "tanker_console": site.console("tanker")}
 
 
-@pytest.mark.parametrize("engine", ("scan", "fast"))
-def test_orchestrator_death_loses_the_job_without_the_ledger(engine):
-    outcome = _orchestrator_death_outcome(engine, ledger_on=False)
+def test_orchestrator_death_loses_the_job_without_the_ledger():
+    outcome = _orchestrator_death_outcome(ledger_on=False)
     pid = outcome["pid"]
     # the documented loss: nobody runs the job anywhere...
     assert outcome["copies"] == ()
@@ -432,9 +423,8 @@ def test_orchestrator_death_loses_the_job_without_the_ledger(engine):
     assert outcome["sweeps"] == 0
 
 
-@pytest.mark.parametrize("engine", ("scan", "fast"))
-def test_orchestrator_death_recovers_the_job_with_the_ledger(engine):
-    outcome = _orchestrator_death_outcome(engine, ledger_on=True)
+def test_orchestrator_death_recovers_the_job_with_the_ledger():
+    outcome = _orchestrator_death_outcome(ledger_on=True)
     # the same crash, ledgered: the sweep restages the archived dump
     # on the surviving sweeper host — exactly one live copy, no debris
     assert outcome["copies"] == (("tanker", "aout"),)
@@ -448,8 +438,45 @@ def test_orchestrator_death_recovers_the_job_with_the_ledger(engine):
 @pytest.mark.parametrize("ledger_on", (False, True),
                          ids=("no-ledger", "ledger"))
 def test_orchestrator_death_outcome_is_the_same_on_both_drivers(ledger_on):
-    drivers_agree(lambda engine: _orchestrator_death_outcome(engine,
-                                                             ledger_on))
+    """The crash pair keeps to the reference scan's schedule."""
+    scan_checked(lambda: _orchestrator_death_outcome(ledger_on))
+
+
+# -- a live orchestrator fenced mid-pipeline --------------------------------
+
+
+def test_migrate_stands_down_when_a_sweep_fences_its_record():
+    """Held just after its dump (``migstat -m`` shows the record), a
+    migrate's record goes stale; a recovery sweep claims it and
+    restages the job, and migrate stands down (EX_FENCED) at its next
+    phase advance instead of racing the sweep."""
+    site = _site()
+    assert site.run_command("schooner", ["migstat", "-m"]) == 0
+    assert "migration ledger: empty" in site.console("schooner")
+    victim = _start_victim(site)
+    plan = site.cluster.inject_faults("ledger.advance delay n=1 delay=3",
+                                      seed=77)
+    handle = site.migrate(victim.pid, "brick", "schooner",
+                          typed_on="tanker", use_daemon=True,
+                          wait_resumed=False)
+    sweeper = site.machine("schooner").spawn(
+        "/bin/recoveryd", ["recoveryd", "-m", LEDGER_DIR, "-i", "1",
+                           "-n", "20"], uid=0, cwd="/tmp")
+    site.run_until(plan.fired, max_steps=120_000_000)
+    assert site.run_command("schooner", ["migstat", "-m"]) == 0
+    rows = [line.split() for line in site.console("schooner").splitlines()
+            if line.startswith("brick:")]
+    # mig id, phase, epoch, destination, orchestrator (then its age)
+    assert [row[:5] for row in rows] == [
+        ["brick:%d" % victim.pid, "intent", "0", "schooner", "tanker"]]
+    site.run_until(lambda: handle.exited and sweeper.exited,
+                   max_steps=120_000_000)
+    assert handle.exit_status == EX_FENCED
+    assert "fenced by a recovery sweep during dump; standing down" \
+        in site.console("tanker")
+    assert _copies(site, victim.pid) == (("schooner", "aout"),)
+    assert _ledger_leftovers(site) == ()
+    assert _orphan_dump_files(site) == ()
 
 
 # -- unit drives: fence atomicity and the fenced-restage discipline --------

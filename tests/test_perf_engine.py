@@ -1,24 +1,24 @@
 """The fast path: horizon batching, decode cache, satellites.
 
-Two drivers; the VM is chosen separately.  The heap driver
-(``engine="fast"``) and the compiled-trace VM (``CPU.use_predecode``)
-must each be *invisible* in virtual time: every driver test here pins
-some part of the contract that the reference scan driver defines and
-the heap driver must reproduce, on whichever VM the CPUs run.
+The driver's bursts and the compiled-trace VM (``CPU.use_predecode``)
+must each be *invisible* in virtual time: every driver test here runs
+under ``scan_checked``, which checks each step against the O(M)
+reference scan, and pins some part of that contract.
 """
 
 import pytest
 
 from repro.core.api import MigrationSite
 from repro.machine.cluster import Cluster, SimulationStuck
+from repro.machine.machine import Machine
 from repro.programs.guest.cpuhog import expected_checksum
-from tests.conftest import drivers_agree
+from tests.conftest import scan_checked
 
 
-def _message_scenario(engine):
+def _message_scenario():
     """Machine a bursts through dense events; its first event messages
     idle machine b, which replies.  Returns the observed event log."""
-    cluster = Cluster(engine=engine)
+    cluster = Cluster()
     a = cluster.add_machine("a")
     b = cluster.add_machine("b")
     net = cluster.network
@@ -48,35 +48,70 @@ def test_mid_burst_message_arrives_causally():
     """A cross-machine message posted mid-burst must shrink the event
     horizon: the receiver reacts and its reply interleaves with the
     sender's remaining events exactly as in the reference schedule."""
-    scan_log, __ = _message_scenario("scan")
-    fast_log, fast_cluster = _message_scenario("fast")
-    assert fast_log == scan_log
+    log, cluster = scan_checked(_message_scenario)
     # the reply really did land mid-stream, not after a's events
-    kinds = [kind for kind, __ in fast_log]
+    kinds = [kind for kind, __ in log]
     assert kinds.index("b") < kinds.index("a-reply") < len(kinds) - 1
     assert kinds[-1] == "a"
     # and the horizon machinery was exercised, not bypassed
-    assert fast_cluster.perf.horizon_invalidations >= 1
-    assert fast_cluster.perf.bursts >= 1
+    assert cluster.perf.horizon_invalidations >= 1
+    assert cluster.perf.bursts >= 1
+
+
+def test_scan_checked_catches_a_wrong_pick(monkeypatch):
+    """A horizon that a peer's new event never lowers lets the burst
+    run past b's delivery: the check names the machine the scan would
+    have stepped, and unpatches the classes on the way out."""
+    def forgetful(cluster, machine):
+        cluster._dirty.add(machine)
+    monkeypatch.setattr(Cluster, "note_activity", forgetful)
+    drive, step = Cluster._run, Machine.step
+    with pytest.raises(AssertionError,
+                       match="drivers disagree: stepped a, scan picks b"):
+        scan_checked(_message_scenario)
+    assert (Cluster._run, Machine.step) == (drive, step)
+
+
+def test_scan_checked_catches_a_missed_bound(monkeypatch):
+    """A driver that steps past its predicate or its time bound breaks
+    the scan's bound protocol."""
+    def reckless(cluster, max_steps, until_us=None, predicate=None):
+        for machine in cluster.machines.values():
+            while machine.step():
+                pass
+        return "idle"
+    monkeypatch.setattr(Cluster, "_run", reckless)
+
+    def run(**bounds):
+        cluster = Cluster()
+        a = cluster.add_machine("a")
+        for t in range(3):
+            a.post_event(float(t * 1000), lambda: None)
+        return cluster._run(100, **bounds)
+    with pytest.raises(AssertionError, match="ask the predicate first"):
+        scan_checked(lambda: run(predicate=lambda: False))
+    with pytest.raises(AssertionError, match="scan would return 'until'"):
+        scan_checked(lambda: run(until_us=500.0))
+    assert scan_checked(run) == "idle"
 
 
 def test_run_until_stops_exactly_like_scan():
     """Bursts must not overshoot a predicate: run_until stops after
-    the same number of events on both drivers."""
-    def run(engine):
-        cluster = Cluster(engine=engine)
+    the same number of events as the reference scan."""
+    def run():
+        cluster = Cluster()
         a = cluster.add_machine("a")
         log = []
         for t in range(10):
             a.post_event(float(t * 100), lambda: log.append(len(log)))
         cluster.run_until(lambda: len(log) >= 3, max_steps=100)
         return len(log)
-    assert drivers_agree(run) == 3
+    assert scan_checked(run) == 3
 
 
 def test_run_until_us_bound_matches_scan():
-    def drive(engine):
-        cluster = Cluster(engine=engine)
+    def drive():
+        cluster = Cluster()
         a = cluster.add_machine("a")
         fired = []
         for t in range(10):
@@ -85,15 +120,17 @@ def test_run_until_us_bound_matches_scan():
         cluster.run(until_us=4500, max_steps=100)
         return fired, cluster.wall_time_us()
 
-    drivers_agree(drive)
+    fired, wall_us = scan_checked(drive)
+    assert fired == [t * 1000.0 for t in range(6)]
+    assert wall_us == 5000.0
 
 
 def test_clock_moved_outside_the_driver_rekeys_the_heap():
     """A clock advanced from outside the driver (as sync_clocks does)
-    moves a machine's next action past its heap key: the heap driver
+    moves a machine's next action past its heap key: the driver
     re-keys the entry instead of picking the machine early."""
-    def run(engine):
-        cluster = Cluster(engine=engine)
+    def run():
+        cluster = Cluster()
         a = cluster.add_machine("a")
         b = cluster.add_machine("b")
         log = []
@@ -104,7 +141,7 @@ def test_clock_moved_outside_the_driver_rekeys_the_heap():
         a.clock.advance_to(1000.0)
         cluster.run(max_steps=10)
         return log
-    assert drivers_agree(run) == [("a", 10.0), ("b", 500.0), ("a", 1000.0)]
+    assert scan_checked(run) == [("a", 10.0), ("b", 500.0), ("a", 1000.0)]
 
 
 def test_perf_counters_populated():
@@ -202,11 +239,12 @@ def test_socket_ids_are_per_network():
 
 
 def test_engines_agree_on_idle_and_stuck():
-    """Both drivers answer one status protocol (``Cluster._run``): a
-    time bound, a predicate that turns true on the last allowed step,
-    an exhausted step bound, and idle with the predicate false."""
-    def run(engine):
-        cluster = Cluster(engine=engine)
+    """The driver answers the reference scan's status protocol
+    (``Cluster._run``): a time bound, a predicate that turns true on
+    the last allowed step, an exhausted step bound, and idle with the
+    predicate false."""
+    def run():
+        cluster = Cluster()
         a = cluster.add_machine("a")
         assert cluster.run(max_steps=10) is True  # idle is not an error
         with pytest.raises(SimulationStuck, match="idle"):
@@ -230,7 +268,7 @@ def test_engines_agree_on_idle_and_stuck():
         statuses.append(cluster._run(100, predicate=lambda: False))
         return statuses, fired, cluster.wall_time_us()
 
-    statuses, fired, wall_us = drivers_agree(run)
+    statuses, fired, wall_us = scan_checked(run)
     assert statuses == ["until", "predicate", "steps", "idle"]
     assert fired == [t * 1000.0 for t in range(10)]
     assert wall_us == 9000.0
@@ -252,8 +290,8 @@ def test_storm_burst_median_exceeds_one():
     """Regression for the 1-step-burst pathology: under the overlap
     window, the benchmark storm's typical burst must be longer than a
     single step (the old horizon rule collapsed every burst to 1, so
-    the fast driver paid a full O(M) scan per step)."""
-    __, stats = _bench_module().run_storm("fast", 8, 32, 12000)
+    the driver paid a full O(M) scan per step)."""
+    __, stats = _bench_module().run_storm(8, 32, 12000)
     hist = stats["burst_histogram"]
     single = hist.get("0", 0) + hist.get("1", 0)
     multi = sum(count for label, count in hist.items()
@@ -269,8 +307,9 @@ def test_storm_burst_median_exceeds_one():
 def test_horizon_memo_absorbs_mid_burst_activity():
     """note_activity mid-burst: a late peer event is absorbed O(1)
     (memo hit), an earlier one lowers the horizon in place, and the
-    horizon machine itself moving away forces a recompute."""
-    cluster = Cluster(engine="fast")
+    horizon machine itself moving away forces a recompute, which lets
+    a real burst run on past the dead machine's old key."""
+    cluster = Cluster()
     a = cluster.add_machine("a")
     b = cluster.add_machine("b")
     c = cluster.add_machine("c")
@@ -295,6 +334,10 @@ def test_horizon_memo_absorbs_mid_burst_activity():
     assert cluster._horizon_stale
     assert cluster.perf.horizon_invalidations == 2
     cluster._bursting = None
+    a.post_event(100.0, lambda: cluster.crash_host("b"))
+    a.post_event(60_000.0, lambda: None)
+    scan_checked(lambda: cluster.run(max_steps=10))
+    assert cluster.perf.bursts == 1
 
 
 # -- the process-wide caches behind each cluster ---------------------------
@@ -356,7 +399,7 @@ def test_process_wide_caches_are_invisible(fresh_code_caches):
 def test_storm_counters_survive_an_earlier_storm(fresh_code_caches):
     """The burst-median storm's counter assertions hold in a process
     where another storm already compiled every cpuhog trace."""
-    _bench_module().run_storm("fast", 2, 4, 12000)
+    _bench_module().run_storm(2, 4, 12000)
     test_storm_burst_median_exceeds_one()
 
 
@@ -365,7 +408,7 @@ def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
     """A pc reached with less budget left than its trace's entry block
     does not root the trace yet: in a storm, the cpuhog's entry holds no
     trace whose every call bailed with zero progress.  Virtual time is
-    unaffected (the engine tests pin fast == scan)."""
+    unaffected (the driver tests pin the reference scan's schedule)."""
     from repro.vm import cpu as cpu_module
     from repro.vm.predecode import INTERP, SIG_BAIL
     compile_trace = cpu_module.compile_trace
@@ -386,7 +429,7 @@ def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
         return trace, ndecoded, nlinked
 
     monkeypatch.setattr(cpu_module, "compile_trace", recording)
-    _bench_module().run_storm("fast", 8, 32, 12000)
+    _bench_module().run_storm(8, 32, 12000)
     # a trace the entry holds ran at once when it was rooted; one that
     # was compiled but never called was never rooted
     held = {entry: log for entry, log in calls.items() if log}

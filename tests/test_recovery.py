@@ -3,8 +3,8 @@
 The headline scenario (DESIGN.md section 8): a job checkpointed to
 the file server crashes with its host; a recovery daemon on a
 surviving workstation notices via the failure detector, claims the
-job with an epoch fence, and restarts it from the latest checkpoint —
-identically under both cluster engines.
+job with an epoch fence, and restarts it from the latest checkpoint,
+with the driver checked step by step against the reference scan.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.kernel.signals import SIGKILL
 from repro.programs.base import println
 from repro.programs.ckmeta import parse_meta
 from repro.programs.exitcodes import EX_JOBLOST, EX_TRANSIENT
-from tests.conftest import drivers_agree, run_native, start_counter
+from tests.conftest import run_native, scan_checked, start_counter
 
 #: knobs shrunk so failure paths stay cheap in virtual time
 FAST_KNOBS = dict(migrate_backoff_s=0.5, connect_backoff_s=0.5,
@@ -34,13 +34,11 @@ def _job_meta(site, job="job1"):
         return b"", {}
 
 
-def _run_demo(engine):
+def _run_demo():
     """The scripted demo: checkpoint on brick, crash, recover on
-    schooner.  Returns an engine-comparable summary."""
-    site = MigrationSite(costs=CostModel(**FAST_KNOBS), engine=engine)
-    # low-volume categories only (see tests/test_faults.py); the
-    # JSONL render lands in the cross-engine summary below, making
-    # this demo the trace-determinism anchor for the recovery path
+    schooner."""
+    site = MigrationSite(costs=CostModel(**FAST_KNOBS))
+    # low-volume categories only (see tests/test_faults.py)
     site.cluster.tracer.enable("fault", "hb", "dump", "restart",
                                "migrate", "recovery", "net.sock")
     site.run_quiet()
@@ -86,7 +84,7 @@ def _run_demo(engine):
     site.run_until(lambda: "r=3 s=3 k=3" in site.console("schooner"),
                    max_steps=10_000_000)
 
-    meta_blob, meta = _job_meta(site)
+    __, meta = _job_meta(site)
     assert meta["host"] == "schooner"
     assert meta["epoch"] == 1
     assert meta["status"] == "done"
@@ -97,20 +95,10 @@ def _run_demo(engine):
     assert perf.recoveries == 1
     assert perf.hb_suspects >= 1
     assert "ckptd: checkpoint 1 taken" in site.console("schooner")
-    return {
-        "consoles": (site.console("brick"), site.console("schooner")),
-        "meta": meta_blob,
-        "clocks_us": tuple(site.machine(n).clock.now_us
-                           for n in ("brick", "schooner", "brador")),
-        "recoveries": perf.recoveries,
-        "suspects": perf.hb_suspects,
-        "latency_us": recovered_us - start_us,
-        "trace_jsonl": site.cluster.tracer.to_jsonl(),
-    }
 
 
 def test_crash_recovery_demo_identical_on_both_engines():
-    drivers_agree(_run_demo)
+    scan_checked(_run_demo)
 
 
 def test_ckptd_reports_job_lost_between_rounds(site):
@@ -163,8 +151,8 @@ def test_migrationd_run_fails_fast_on_suspected_host(site):
 def test_detection_latency_is_bounded_by_timeout_plus_interval():
     """The detector suspects a silent host no earlier than the timeout
     and no later than one heartbeat interval past it."""
-    def run(engine):
-        site = MigrationSite(engine=engine)
+    def run():
+        site = MigrationSite()
         site.run_quiet()
 
         def activate(argv, env):
@@ -183,7 +171,6 @@ def test_detection_latency_is_bounded_by_timeout_plus_interval():
         costs = site.costs
         assert costs.hb_timeout_s - 1.0 <= latency_s \
             <= costs.hb_timeout_s + costs.hb_interval_s, \
-            "%s: detection took %.2f s" % (engine, latency_s)
-        return latency_s
+            "detection took %.2f s" % latency_s
 
-    drivers_agree(run)
+    scan_checked(run)

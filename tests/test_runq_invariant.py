@@ -53,8 +53,7 @@ def test_storm_queues_only_runnable_processes(checked_steps):
 def test_crash_and_reboot_leave_no_stale_queue_entry(checked_steps):
     """A chaos cell in which loadd's target host crashes, then a host
     that crashes with runnable and sleeping processes and reboots."""
-    test_faults._loadd_scenario("fast",
-                                "loadd.send crash n=1 target=schooner")
+    test_faults._loadd_scenario("loadd.send crash n=1 target=schooner")
     site = MigrationSite(costs=CostModel(**FAST_KNOBS))
     site.run_quiet()
     brick = site.machine("brick")

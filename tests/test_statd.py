@@ -14,8 +14,8 @@ Three layers:
 * **the analyzer** — ``critpath`` aggregates recorded migration
   timelines into a per-phase report whose durations telescope exactly
   to the end-to-end latencies, raises SLO alerts, and is surfaced by
-  ``migtop`` / ``migstat -s``; everything byte-identical across the
-  scan and fast engines.
+  ``migtop`` / ``migstat -s``; the telemetry run is checked step by
+  step against the reference scan.
 """
 
 import json
@@ -27,9 +27,12 @@ from repro.costmodel import CostModel
 from repro.errors import UnixError
 from repro.net.statd import (SPOOL_DIR, STATD_PORT, StatReport,
                              spool_path)
-from repro.obs.critpath import PHASE_ORDER, percentile
+from repro.machine import Cluster
+from repro.obs.critpath import (PHASE_ORDER, critical_path_report,
+                                percentile)
 from repro.obs.timeseries import Series, SeriesSet
-from tests.conftest import drivers_agree, run_native, start_counter
+from repro.obs.tracer import _TIMELINE_MARKERS
+from tests.conftest import run_native, scan_checked, start_counter
 
 PHASES = ["signal", "dump", "rewrite", "transfer", "restart", "ack"]
 
@@ -118,10 +121,10 @@ STATD_KNOBS = dict(stat_interval_s=1.0, stat_rounds=4,
                    stat_stale_s=30.0, net_read_timeout_s=5.0)
 
 
-def _statd_site(engine="fast", **overrides):
+def _statd_site(**overrides):
     knobs = dict(STATD_KNOBS)
     knobs.update(overrides)
-    site = MigrationSite(costs=CostModel(**knobs), engine=engine)
+    site = MigrationSite(costs=CostModel(**knobs))
     site.run_quiet()
     return site
 
@@ -263,57 +266,36 @@ def test_statd_fault_namespace_is_allowed(brick):
     assert results == [0, b"ok"]
 
 
-# -- engine identity ---------------------------------------------------------
+# -- the reference schedule -------------------------------------------------
 
 
-def _telemetry_run(engine):
-    """One traced telemetry run: hogs + a migration + statd."""
-    site = _statd_site(engine=engine)
+def _telemetry_run():
+    """One traced telemetry run: a migration, statd, then critpath."""
+    site = _statd_site()
     site.cluster.tracer.enable("statd", "alert", "migrate", "dump",
                                "restart")
     handle = start_counter(site)
     mh = site.migrate(handle.pid, "brick", "schooner", uid=100)
     assert mh.exit_status == 0
-    statd_handles = site.start_statd()
-    _await_statd(site, statd_handles)
-    server = site.machine("brador")
-    spool = {}
-    for host in ("brick", "schooner"):
-        try:
-            spool[host] = server.fs.read_file(
-                spool_path(SPOOL_DIR, host))
-        except UnixError:
-            spool[host] = None
-    snapshot = site.cluster.perf.snapshot()
-    counters = {k: v for k, v in snapshot.items()
-                if k.startswith("st_")}
-    reports = []
-
-    def prober(argv, env):
-        reports.append((yield ("critpath",)))
-        return 0
-
-    run_native(site.machine("brick"), prober)
-    return {
-        "spool": spool,
-        "counters": counters,
-        "clock_us": {name: site.machine(name).clock.now_us
-                     for name in ("brick", "schooner", "brador")},
-        "trace": site.cluster.tracer.to_jsonl(),
-        "critpath": json.dumps(reports[0], sort_keys=True),
-    }
+    _await_statd(site, site.start_statd())
+    spool = site.machine("brador").fs.read_file(
+        spool_path(SPOOL_DIR, "brick"))
+    return spool, _critpath(site)
 
 
 def test_telemetry_is_byte_identical_across_engines():
-    assert drivers_agree(_telemetry_run)["spool"]["brick"] is not None
+    """The telemetry run, its spooled reports and the critical-path
+    call after it keep to the reference scan's schedule."""
+    spool, report = scan_checked(_telemetry_run)
+    assert spool
+    assert report["migrations"] == 1
 
 
 # -- the critical-path analyzer ----------------------------------------------
 
 
-def _migrated_site(engine="fast", categories=("migrate", "dump",
-                                              "restart")):
-    site = MigrationSite(engine=engine)
+def _migrated_site(categories=("migrate", "dump", "restart")):
+    site = MigrationSite()
     site.cluster.tracer.enable(*categories)
     site.run_quiet()
     handle = start_counter(site)
@@ -341,11 +323,10 @@ def test_critpath_phases_telescope_to_end_to_end():
     assert report["migrations"] == 1
     assert [row["phase"] for row in report["phases"]] == PHASES
     assert list(PHASE_ORDER) == PHASES
-    total = sum(row["total_us"] for row in report["phases"])
-    assert total == report["end_to_end"]["total_us"]
+    total = sum(row["total_ns"] for row in report["phases"])
+    assert total == report["end_to_end"]["total_ns"]
     timeline = site.cluster.tracer.migration_timeline(mig)
-    assert report["end_to_end"]["max_us"] \
-        == timeline["end_to_end_us"]
+    assert report["end_to_end"]["max_ns"] == timeline["end_to_end_ns"]
     assert abs(sum(row["share"] for row in report["phases"])
                - 1.0) < 1e-5
     assert report["dominant"] in PHASES
@@ -353,6 +334,26 @@ def test_critpath_phases_telescope_to_end_to_end():
     assert report["pairs"] == {
         "brick->schooner": report["end_to_end"]}
     assert report["alerts"] == []   # default SLOs are generous
+
+
+def test_critpath_telescopes_exactly_on_float_stamps():
+    """Stamps accumulated in float microseconds (0.1 + 0.2 style) whose
+    phase totals, summed as floats, miss the end-to-end total in the
+    last bit: the report's integer nanoseconds add up exactly."""
+    cluster = Cluster()
+    for mig, ts, durations in (
+            ("brick:1", 0.1, (0.3, 0.1, 0.1, 0.1, 0.3, 0.3)),
+            ("schooner:2", 0.2, (0.3, 0.1, 0.2, 0.1, 0.1, 0.3))):
+        for (cat, name, span, __), step in zip(_TIMELINE_MARKERS,
+                                               (0.0,) + durations):
+            ts += step
+            cluster.tracer.events.append(
+                {"ts": ts, "cat": cat, "name": name, "span": span,
+                 "ok": True, "host": "brick", "mig": mig})
+    report = critical_path_report(cluster)
+    assert report["migrations"] == 2
+    assert sum(row["total_ns"] for row in report["phases"]) \
+        == report["end_to_end"]["total_ns"] == 2300
 
 
 def test_critpath_with_no_timelines_is_empty():
@@ -374,7 +375,7 @@ def test_critpath_raises_slo_alerts():
     report = _critpath(site)
     assert [a["name"] for a in report["alerts"]] == ["migrate_p95_us"]
     assert report["alerts"][0]["value"] \
-        == report["end_to_end"]["p95_us"]
+        == report["end_to_end"]["p95_ns"] / 1000
     assert site.cluster.perf.st_alerts == 1
     alerts = [e for e in site.cluster.tracer.events
               if e["cat"] == "alert"]
