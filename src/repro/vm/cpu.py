@@ -67,8 +67,9 @@ _ALU_OPS = {Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR,
 STORE_TEXTS = 256
 
 #: the process-wide trace store: CodeCache key -> {pc: trace}, in
-#: insertion order.  A trace is a pure function of the key and its
-#: entry pc, so every cluster in the process can run it; see CodeCache.
+#: insertion order (a tail trace sits under ``(pc, length)``).  A trace
+#: is a pure function of the key and its entry, so every cluster in the
+#: process can run it; see CodeCache.
 _STORE = {}
 
 
@@ -89,8 +90,9 @@ def _clear_store():
 
 
 class _Traces(dict):
-    """One cluster's pc -> trace map for one text (see :class:`CodeCache`),
-    remembering its key and, once resolved, the store entry behind it."""
+    """One cluster's pc -> trace map for one text (see :class:`CodeCache`;
+    tail traces under ``(pc, length)``), remembering its key and, once
+    resolved, the store entry behind it."""
 
     __slots__ = ("key", "shared")
 
@@ -214,32 +216,28 @@ class CPU:
         image._decode_cache = cache
         return cache
 
-    def _first_use(self, blocks, image, pc, lazy, budget):
+    def _first_use(self, blocks, image, pc, lazy, tail=None):
         """The trace at ``pc`` on its first use in this cluster: from the
-        process-wide store, compiled into it on a miss.  The compiler
-        counters charge every first use in the cluster alike, so they
-        never depend on what ran earlier in the process.
-
-        In the quantum tail, where ``budget`` cannot cover the trace's
-        entry block, the call could only bail with zero progress: the
-        pc is interpreted instead, and rooted once a quantum reaches it
-        with budget to spare."""
+        process-wide store, compiled into it on a miss.  ``tail`` asks
+        for the *tail trace* ``(pc, tail)`` instead: the first ``tail``
+        instructions at ``pc`` alone, which finish a quantum whose budget
+        cannot cover the trace's entry block.  The compiler counters
+        charge every first use in the cluster alike, so they never
+        depend on what ran earlier in the process."""
+        key = pc if tail is None else (pc, tail)
         shared = blocks.shared
         if shared is None:
             shared = blocks.shared = _store_entry(blocks.key)
-        block = shared.get(pc)
+        block = shared.get(key)
         if block is None:
-            block = shared[pc] = compile_trace(self.model, image, pc,
-                                               lazy=lazy)[0]
-        if block is not INTERP:
-            if block.entry_len > budget:
-                return INTERP
-            perf = self.perf
-            if perf is not None:
-                perf.blocks_compiled += block.blocks
-                perf.instructions_decoded += block.trace_len
-                perf.traces_linked += block.blocks - 1
-        blocks[pc] = block
+            block = shared[key] = compile_trace(self.model, image, pc,
+                                                lazy=lazy, tail=tail)[0]
+        perf = self.perf
+        if block is not INTERP and perf is not None:
+            perf.blocks_compiled += block.blocks
+            perf.instructions_decoded += block.trace_len
+            perf.traces_linked += block.blocks - 1
+        blocks[key] = block
         return block
 
     # -- operand helpers -------------------------------------------------
@@ -347,12 +345,16 @@ class CPU:
                     if block is None and cold:
                         block = INTERP
                     elif block is None:
-                        block = self._first_use(blocks, image, pc, lazy,
-                                                max_instructions - executed)
+                        block = self._first_use(blocks, image, pc, lazy)
                     if block is not INTERP:
+                        budget = max_instructions - executed
+                        if block.entry_len > budget:
+                            # the quantum's tail: its own exact trace
+                            block = blocks.get((pc, budget)) or \
+                                self._first_use(blocks, image, pc, lazy,
+                                                budget)
                         n, npc, zf, nf, sig = block(
-                            d, a, mem, dp, lp, max_instructions - executed,
-                            regs.zf, regs.nf)
+                            d, a, mem, dp, lp, budget, regs.zf, regs.nf)
                         executed += n
                         regs.pc = npc
                         regs.zf = zf

@@ -26,12 +26,15 @@ Five things make traces fast:
   bail point writes back exactly the committed pre-instruction values.
 * **Budget checks per block, not per instruction.**  Each block is
   guarded once at its head (``if budget - _n < len: return``); the
-  check that used to run before every instruction is gone.  When the
-  remaining budget cannot cover even the entry block, the trace bails
-  with zero progress and the reference interpreter single-steps the
-  quantum tail — at most ``MAX_BLOCK_LEN - 1`` instructions — with
-  exact legacy semantics.  (``CPU._run`` never *roots* a trace on such
-  a call: it checks ``entry_len`` against the budget first.)
+  check that used to run before every instruction is gone.
+  ``CPU._run`` never calls a trace with less budget than its entry
+  block (``entry_len``).  A quantum's last ``r < entry_len``
+  instructions at a pc run in a *tail trace* instead: the first ``r``
+  instructions of that block alone (``compile_trace(..., tail=r)``),
+  compiled once per ``(pc, r)``.  A prefix of a block holds no
+  terminator and nothing uncompilable, so the tail trace retires its
+  ``r`` instructions, leaves at a taken branch, or bails exactly where
+  the interpreter would fault: no quantum ends on the interpreter.
 * **Loop superblocks.**  A loop head whose in-trace cycle is simple
   (H -> B1 -> ... -> Bk -> H, each block with exactly one successor
   on the cycle) runs the whole cycle as one Python ``while`` loop in
@@ -42,9 +45,9 @@ Five things make traces fast:
   instruction offset; the not-taken side of an in-cycle conditional
   branch runs the rest of its block inline.  Once fewer than ``S``
   instructions of budget remain, control drops into the head's
-  unchanged per-block arm (the loop's ``else``), which runs the
-  quantum tail exactly as before, the entry's zero-progress bail
-  included.
+  unchanged per-block arm (the loop's ``else``), which spends what is
+  left block by block; once not even the next block fits, the trace
+  returns and ``CPU._run`` finishes the quantum in a tail trace.
 * **Promoted words.**  When an eager superblock's iteration reaches
   memory only through 4-byte-aligned absolute words (no indirect
   operand, stack traffic, byte access or trap), nothing in the loop
@@ -1109,24 +1112,26 @@ def _emit_cycle(ctx, cycle):
 # -- trace assembly ----------------------------------------------------------
 
 
-def compile_trace(model, image, entry, lazy=False):
+def compile_trace(model, image, entry, lazy=False, tail=None):
     """Compile the trace rooted at ``entry``.
 
     Discovers up to :data:`TRACE_MAX_BLOCKS` blocks breadth-first over
     statically-known branch/call/fall-through targets and emits them
     as one function with an internal dispatch loop, each simple cycle
     through a loop head fused into a superblock (module docstring);
-    ``lazy`` adds the pending-page guards.  Returns
+    ``lazy`` adds the pending-page guards.  ``tail`` compiles the *tail
+    trace* instead: at most the first ``tail`` instructions of the root
+    block, linked to nothing.  Returns
     ``(trace_function, n_instructions, n_linked_blocks)``, or
     ``(INTERP, 0, 0)`` when ``entry`` is outside the text segment or
     its first instruction is uncompilable.
     """
-    root = _decode_block(model, image, entry)
+    root = _decode_block(model, image, entry, tail or MAX_BLOCK_LEN)
     if root is None:
         return INTERP, 0, 0
     order = [root]
     seen = {entry}
-    frontier = [t for __, t in root.links]
+    frontier = [] if tail else [t for __, t in root.links]
     while frontier and len(order) < TRACE_MAX_BLOCKS:
         tpc = frontier.pop(0)
         if tpc in seen:
@@ -1165,11 +1170,10 @@ def compile_trace(model, image, entry, lazy=False):
     for index, ir in enumerate(order):
         body.append("        %s _pc == %d:"
                     % ("if" if index == 0 else "elif", ir.pc))
-        # one budget guard per block; re-reaching the entry head with
-        # zero progress bails so the interpreter runs the quantum tail
-        sig = "(0 if _n else 3)" if ir.pc == entry else "0"
-        arm = ["if budget - _n < %d: %sreturn _n, %d, zf, nf, %s"
-               % (len(ir.insts), spill, ir.pc, sig)]
+        # one budget guard per block (CPU._run never calls a trace with
+        # less budget than its entry block, so it fires after progress)
+        arm = ["if budget - _n < %d: %sreturn _n, %d, zf, nf, 0"
+               % (len(ir.insts), spill, ir.pc)]
         ctx.fsrc = None
         _emit_run(arm, ctx, ir, 0, _flag_liveness(ir.insts, lazy), 0)
         ndecoded += len(ir.insts)
@@ -1178,7 +1182,7 @@ def compile_trace(model, image, entry, lazy=False):
             body.extend("            " + line for line in arm)
             continue
         # the superblock: whole iterations while the budget covers
-        # one, then the block's own arm for the quantum tail
+        # one, then the block's own arm for what is left
         loop, span, enter, leave = _emit_cycle(ctx, cycle)
         limit = "_lim%d" % len(limits)
         limits.append("    %s = budget - %d" % (limit, span))
@@ -1203,7 +1207,7 @@ def compile_trace(model, image, entry, lazy=False):
     exec(compile(source, "<trace@0x%x>" % entry, "exec"), namespace)
     fn = namespace["_trace"]
     fn.blocks = len(order)
-    fn.entry_len = len(root.insts)  # budget below this: zero-progress bail
+    fn.entry_len = len(root.insts)  # budget below this: a tail trace
     fn.trace_len = ndecoded
     fn.spill_regs = len(dwritten) + len(awritten)
     fn.source = source  # kept for debugging/tests

@@ -332,9 +332,9 @@ def test_lazy_restart_runs_compiled_traces(monkeypatch, interpreter,
     compile_trace = cpu_module.compile_trace
     traced = []  # instructions retired inside lazy-variant traces
 
-    def counting(model, image, entry, lazy=False):
+    def counting(model, image, entry, lazy=False, tail=None):
         fn, ndecoded, nlinked = compile_trace(model, image, entry,
-                                              lazy=lazy)
+                                              lazy=lazy, tail=tail)
         if not lazy or fn is INTERP:
             return fn, ndecoded, nlinked
 

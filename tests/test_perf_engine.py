@@ -414,9 +414,9 @@ def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
     compile_trace = cpu_module.compile_trace
     calls = {}  # entry pc -> [(executed, sig)] for each call
 
-    def recording(model, image, entry, lazy=False):
+    def recording(model, image, entry, lazy=False, tail=None):
         fn, ndecoded, nlinked = compile_trace(model, image, entry,
-                                              lazy=lazy)
+                                              lazy=lazy, tail=tail)
         if fn is INTERP:
             return fn, ndecoded, nlinked
         log = calls.setdefault(entry, [])
