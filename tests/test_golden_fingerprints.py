@@ -212,7 +212,7 @@ GOLDEN = {
         "trace":
             "2452d6f664f6d99241dc27ca358464817fd434adb195123af7914a427d4731c1",
         "perf":
-            "cd2b6e8e7bacedfa733bd70e6fa4b2788aff4c0e6a8e32d75f059514a013f0e3",
+            "751b81928a755514af214eda099349ed0d0b11a83d981e0f590c83aef3bc4443",
         "consoles":
             "2da9775f5e317bc90f642d37b705bde6361e911367babb79054d8a5a5984ce35",
         "clocks":
@@ -222,7 +222,7 @@ GOLDEN = {
         "trace":
             "42050334648b514d8b76d134ffe6c81f345b58f55ca179eaad54cee9bcc980d2",
         "perf":
-            "4c348cab5f7f84b1e4a2827dab6d1412f0820dff3b154661865ade02b26e8fea",
+            "01e5429e840e76c10e7f99446e23989434b1598a8f525e36cde37608ba9ca566",
         "consoles":
             "ccd86817d90b9dfd893f9a67982f579ba192f9d5e655a28cfcc62bdd7b191bdd",
         "clocks":
@@ -232,7 +232,7 @@ GOLDEN = {
         "trace":
             "1162199eb12a5896e6c79c51226fb8180f9e751deab5cfdc795d4f22837ead52",
         "perf":
-            "31a89bded8c4e7216e15ae14177bd0be59cec6fb0e41254d4531fa8c608d8417",
+            "d6c97c7930f2980129516e3e75a68343bb4d3117fe2cc6eafc3476cb486ac71a",
         "consoles":
             "de13f19eba2329d247f76309043321c428c917a63529b9c91b4304ca8eb8773b",
         "clocks":
@@ -242,7 +242,7 @@ GOLDEN = {
         "trace":
             "17a288f019b3126a7e4688959d93a57ad96f9305d49a38bffb2aa1c850507925",
         "perf":
-            "69ad6c03a3a5966cc052b8f271fde2b059f1439da379e7bc45d9c397130425a9",
+            "9f8674b8be809e3aee15a520f3ab3f466b1398fa47838c40c901533dcac627a1",
         "consoles":
             "2cf33d1c206efa4eb0cab4052a3ae2a922b6f36ef135eb377bda0b79ec1f307a",
         "clocks":
@@ -252,7 +252,7 @@ GOLDEN = {
         "trace":
             "06cc56d3830ce648343e3c280b7c2941631946c9e1f0272a5d9a6dbd9d9ef40b",
         "perf":
-            "2ac8affff03f36e55cd7c4e2c289e49cc621ade1acb5a94f0e392fa461b10004",
+            "d1116c81e235709c33d7e1c36cc94db2aea53d80d940c07b034def057ff047ff",
         "consoles":
             "39623ca591e0c65aedf53f332da7505aec1330ee8d66b88be88fcd96b3d6ca57",
         "clocks":
@@ -262,7 +262,7 @@ GOLDEN = {
         "trace":
             "8a162964b8a9be19c89b49d56add7c3caa9f30073c76fa6b5fce9ed334108308",
         "perf":
-            "e1462aee959c554897a58806b0b8ba83f558ca828e43c0491552fc93a8032db1",
+            "15be4c4ade87322f1508358f4ca84a5b4e9630108ac8ef130bd1389861f0a742",
         "consoles":
             "f47f16327e2c8312b96adfd1fed4c2c70648cd6d3c30d42005fc2eea28de1a28",
         "clocks":
@@ -272,7 +272,7 @@ GOLDEN = {
         "trace":
             "beebc12698977eae57d31c85ca51a9f4b14b55066cb8f2732fc641b3fffa0d07",
         "perf":
-            "bb4c23125527db97a56ec7b87accdde5538102aa4c09289edc1a73d919a9039d",
+            "3cb4b69cf2c82ecc6d834a1a39e56449c70a66e62d536ae01fe8183460ba2d54",
         "consoles":
             "326b86ebd17a56eb4394cb14bc504086e1fbdc719f3a3249cbc80bdaf0ae2c66",
         "clocks":
@@ -282,7 +282,7 @@ GOLDEN = {
         "trace":
             "ba6d86a2b8a099260768fdb377d2730cbf4a6df6977b752503db3ebee9188fe5",
         "perf":
-            "83600df548e3fa6529362cab8d9cfc964318cee462bd028d4cf6027755969037",
+            "16b1c048711c541c593950a4d0321acfb38ea35412374690d8ff6b13c8665c09",
         "consoles":
             "39623ca591e0c65aedf53f332da7505aec1330ee8d66b88be88fcd96b3d6ca57",
         "clocks":
@@ -292,7 +292,7 @@ GOLDEN = {
         "trace":
             "431d58f88739405abe9feae8ca3c341392e293c37e9ee0a4ca115a8f58b35eb9",
         "perf":
-            "a3a80a8af0a61e8ad4491070cf4cec8d3ba74f320a178b280d5da79d7fc34df4",
+            "1bceb1a0f9f3d186f613d4add334b7be390d67346b56c5d59893584ad503841e",
         "consoles":
             "f868adc9e5ba8fb94bd557e7efb0469742eed7164a25c95319e14ef9748dea01",
         "clocks":
@@ -335,3 +335,17 @@ GOLDEN = {
 def test_scenario_matches_recorded_fingerprint(name):
     assert fingerprint(SCENARIOS[name]()) == GOLDEN[name]
 
+
+
+def test_hog_storm_vm_counters():
+    """The VM counters behind hog-storm's ``perf`` digest, spelled out.
+    Every quantum ends in compiled code: a budget below a trace's entry
+    block runs a tail trace, charged on its first use like any other."""
+    perf = _hog_storm().cluster.perf
+    assert {name: getattr(perf, name) for name in (
+        "vm_instructions", "blocks_compiled", "traces_linked",
+        "instructions_decoded", "reg_spills")} == {
+        "vm_instructions": 1926240, "blocks_compiled": 63,
+        "traces_linked": 48, "instructions_decoded": 334,
+        "reg_spills": 5056}
+    assert round(perf.decode_hit_rate(), 6) == 0.999827
