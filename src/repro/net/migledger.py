@@ -42,7 +42,7 @@ raises :class:`~repro.errors.UnixError` (``EINVAL``) instead of
 misparsing — the sweep skips what it cannot parse.
 """
 
-from repro.errors import iserr, UnixError, EINVAL
+from repro.errors import iserr, UnixError, EINVAL, ENOENT
 from repro.kernel.constants import (MIGLEDGER_MAGIC, O_CREAT, O_EXCL,
                                     O_WRONLY)
 from repro.core.formats import (_Reader, _Writer, LEDGER_ARCHIVE_KINDS,
@@ -214,9 +214,11 @@ def ledger_advance(directory, record, phase, fence_epoch=None):
 
     Returns 0 on success, :data:`LEDGER_FENCED` when a claim above
     ``fence_epoch`` (default: the record's epoch) exists — the caller
-    has been superseded by a recovery sweep and must stand down — or
-    -errno when the ledger directory is unreachable.  The write also
-    refreshes the record's timestamp, restarting its staleness clock.
+    has been superseded by a recovery sweep and must stand down —
+    -ENOENT when the record is gone (a sweep settled and reaped it;
+    the advance never resurrects it), or -errno when the ledger
+    directory is unreachable.  The write also refreshes the record's
+    timestamp, restarting its staleness clock.
 
     The fence is checked on *both* sides of the write: the
     readdir/rename pair is not atomic, so a claim created in between
@@ -234,6 +236,8 @@ def ledger_advance(directory, record, phase, fence_epoch=None):
         return names
     if highest_claim(names) > fence:
         return LEDGER_FENCED
+    if REC_NAME not in names:
+        return -ENOENT
     record.phase = phase
     record.time_s = yield ("time",)
     result = yield from _write_rec(directory, record, tag=fence)
@@ -278,12 +282,14 @@ def ledger_reap(directory):
     Unlinks the record, the archive manifests, the commit marker and
     every claim file.  (There is no rmdir in this kernel, so the
     empty directory itself remains — the sweep skips directories
-    without a ``rec``.)
+    without a ``rec``.)  The record goes first: from then on a
+    concurrent :func:`ledger_advance` sees it gone (-ENOENT) instead
+    of a record whose claims have vanished, which it would rewrite.
     """
     names = yield ("readdir", directory)
     if iserr(names):
         return names
-    for name in sorted(names):
+    for name in sorted(names, key=lambda name: (name != REC_NAME, name)):
         if (name == REC_NAME or name == OK_NAME
                 or name in ARCHIVE_NAMES or name.startswith("claim.")
                 or name.endswith(".tmp")):

@@ -33,7 +33,7 @@ import pytest
 
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
-from repro.errors import UnixError
+from repro.errors import ENOENT, UnixError
 from repro.programs import start_network_daemons
 from repro.programs.exitcodes import EX_FENCED
 from tests.conftest import scan_checked
@@ -445,21 +445,28 @@ def test_orchestrator_death_outcome_is_the_same_on_both_drivers(ledger_on):
 # -- a live orchestrator fenced mid-pipeline --------------------------------
 
 
-def test_migrate_stands_down_when_a_sweep_fences_its_record():
+@pytest.mark.parametrize("sweeper_host, delay", [
+    ("schooner", 3), ("schooner", 6), ("brick", 7), ("brick", 10),
+    ("schooner", 10)])
+def test_migrate_stands_down_when_a_sweep_fences_its_record(sweeper_host,
+                                                            delay):
     """Held just after its dump (``migstat -m`` shows the record), a
     migrate's record goes stale; a recovery sweep claims it and
     restages the job, and migrate stands down (EX_FENCED) at its next
-    phase advance instead of racing the sweep."""
+    phase advance instead of racing the sweep.  Held longer, the
+    advance lands while the sweep reaps the record (6–7 s) or after it
+    (10 s): a vanished record supersedes the pipeline just as a claim
+    does, and the advance never resurrects it."""
     site = _site()
     assert site.run_command("schooner", ["migstat", "-m"]) == 0
     assert "migration ledger: empty" in site.console("schooner")
     victim = _start_victim(site)
-    plan = site.cluster.inject_faults("ledger.advance delay n=1 delay=3",
-                                      seed=77)
+    plan = site.cluster.inject_faults(
+        "ledger.advance delay n=1 delay=%d" % delay, seed=77)
     handle = site.migrate(victim.pid, "brick", "schooner",
                           typed_on="tanker", use_daemon=True,
                           wait_resumed=False)
-    sweeper = site.machine("schooner").spawn(
+    sweeper = site.machine(sweeper_host).spawn(
         "/bin/recoveryd", ["recoveryd", "-m", LEDGER_DIR, "-i", "1",
                            "-n", "20"], uid=0, cwd="/tmp")
     site.run_until(plan.fired, max_steps=120_000_000)
@@ -474,7 +481,7 @@ def test_migrate_stands_down_when_a_sweep_fences_its_record():
     assert handle.exit_status == EX_FENCED
     assert "fenced by a recovery sweep during dump; standing down" \
         in site.console("tanker")
-    assert _copies(site, victim.pid) == (("schooner", "aout"),)
+    assert len(_copies(site, victim.pid)) == 1
     assert _ledger_leftovers(site) == ()
     assert _orphan_dump_files(site) == ()
 
@@ -492,7 +499,7 @@ from repro.kernel.constants import O_RDONLY  # noqa: E402
 from repro.kernel.signals import SIGKILL  # noqa: E402
 from repro.net.migledger import (LEDGER_FENCED, MigRecord,  # noqa: E402
                                  PH_DONE, PH_DUMPED, PH_RESTARTING,
-                                 ledger_advance)
+                                 ledger_advance, ledger_reap)
 from repro.programs.recoveryd import _sweep_one  # noqa: E402
 from repro.store import DIGEST_BYTES  # noqa: E402
 
@@ -563,6 +570,25 @@ def test_advance_stands_down_when_claimed_mid_write():
     assert not readdirs, "the post-write fence re-check never ran"
     # the (unavoidable) write happened but was never advertised
     assert not any(c[0] == "perf_note" for c in calls)
+
+
+def test_advance_never_resurrects_a_reaped_record():
+    """A record a sweep has reaped (or is reaping: the record goes
+    first) comes back -ENOENT, with nothing written; the pipeline
+    takes that for a stand-down, as it does a claim."""
+    record = MigRecord("brick", 7, "schooner", "tanker")
+    for names in ((), ("dump.ok", "dump.stack")):
+        result, calls = _drive(
+            ledger_advance("L", record, PH_DUMPED),
+            lambda request, names=names: names
+            if request[0] == "readdir" else 0)
+        assert result == -ENOENT
+        assert [c[0] for c in calls] == ["fault_point", "readdir"]
+    names = ("claim.1", "dump.aout", "dump.ok", "rec")
+    __, calls = _drive(ledger_reap("L"), lambda request: names
+                       if request[0] == "readdir" else 0)
+    assert [c[1] for c in calls if c[0] == "unlink"] == [
+        "L/rec", "L/claim.1", "L/dump.aout", "L/dump.ok"]
 
 
 class _SweepScript:
