@@ -406,9 +406,12 @@ def test_storm_counters_survive_an_earlier_storm(fresh_code_caches):
 def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
                                                   fresh_code_caches):
     """A pc reached with less budget left than its trace's entry block
-    does not root the trace yet: in a storm, the cpuhog's entry holds no
-    trace whose every call bailed with zero progress.  Virtual time is
-    unaffected (the driver tests pin the reference scan's schedule)."""
+    runs a tail trace of exactly that budget: in a storm, the cpuhog's
+    entry holds no trace whose every call bailed with zero progress, no
+    call makes zero progress at all, and the interpreter retires no
+    instruction.  A root has at most ``entry_len - 1`` tail traces, each
+    shorter than its entry block.  Virtual time is unaffected (the
+    driver tests pin the reference scan's schedule)."""
     from repro.vm import cpu as cpu_module
     from repro.vm.predecode import INTERP, SIG_BAIL
     compile_trace = cpu_module.compile_trace
@@ -429,7 +432,7 @@ def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
         return trace, ndecoded, nlinked
 
     monkeypatch.setattr(cpu_module, "compile_trace", recording)
-    _bench_module().run_storm(8, 32, 12000)
+    __, stats = _bench_module().run_storm(8, 32, 12000)
     # a trace the entry holds ran at once when it was rooted; one that
     # was compiled but never called was never rooted
     held = {entry: log for entry, log in calls.items() if log}
@@ -438,6 +441,16 @@ def test_storm_roots_no_trace_in_the_quantum_tail(monkeypatch,
                        if all(n == 0 and sig == SIG_BAIL
                               for n, sig in log))
     assert not tail_only
+    ran = [n for log in calls.values() for n, __ in log]
+    assert min(ran) > 0
+    assert sum(ran) == stats["vm_instructions"]
+    (traces,) = cpu_module._STORE.values()
+    tails = [key for key in traces if isinstance(key, tuple)]
+    assert tails
+    for pc, length in tails:
+        entry_len = traces[pc].entry_len
+        assert length < entry_len
+        assert sum(key[0] == pc for key in tails) <= entry_len - 1
 
 
 def _loop_image(k):

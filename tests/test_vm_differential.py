@@ -3,8 +3,9 @@
 Randomized instruction sequences are encoded straight to machine code
 and run twice — once with ``use_predecode=False`` (the reference
 interpreter, the executable spec) and once through the trace compiler
-— in small odd budget chunks, so quantum boundaries and entry-guard
-bails land mid-trace.  After every chunk each architecturally visible
+— in budget chunks of every length from 1 to ``MAX_BLOCK_LEN``, so
+quantum boundaries, and the tail traces that finish them, land
+mid-trace.  After every chunk each architecturally visible
 outcome must be identical: registers, flags, pc, memory contents,
 dirty pages, executed counts, and the stop itself (type, fault kind,
 faulting address).
@@ -39,7 +40,7 @@ from repro.vm import isa
 from repro.vm.cpu import CPU, FaultStop, QuantumStop, TrapStop
 from repro.vm.image import PAGE_BYTES as PAGE, ProcessImage, TEXT_BASE
 from repro.vm.isa import Op, Mode, MC68010, MC68020
-from repro.vm.predecode import compile_trace
+from repro.vm.predecode import MAX_BLOCK_LEN, compile_trace
 
 MEM_SIZE = 64 * 1024
 ISIZE = isa.INSTRUCTION_SIZE
@@ -54,6 +55,9 @@ DATA_BASE = CODE_END + 64
 WORDS = (DATA_BASE + 3) & ~3
 
 REG = st.integers(0, 7)
+
+#: quantum budgets: every length a tail trace can have, and beyond
+BUDGET = st.integers(1, MAX_BLOCK_LEN)
 
 #: addresses whose 4-byte access straddles a page boundary
 STRADDLE = st.integers(DATA_BASE // PAGE + 1,
@@ -243,8 +247,7 @@ def _run_differential(text, dregs, aregs, model, budgets, cap=400,
 
 
 @given(text=_program(), dregs=DREGS, aregs=AREGS,
-       budgets=st.lists(st.integers(3, 17).map(lambda v: v | 1),
-                        min_size=1, max_size=4),
+       budgets=st.lists(BUDGET, min_size=1, max_size=4),
        model=st.sampled_from([MC68010, MC68020]))
 @settings(max_examples=120, deadline=None)
 def test_compiled_traces_match_interpreter(text, dregs, aregs,
@@ -401,8 +404,7 @@ def _loop_program(draw, words_only=False):
 
 
 #: budgets below, around and well above a loop's length
-LOOP_BUDGETS = st.lists(st.one_of(st.integers(3, 17).map(lambda v: v | 1),
-                                  st.integers(18, 60),
+LOOP_BUDGETS = st.lists(st.one_of(BUDGET, st.integers(18, 60),
                                   st.integers(40, 400)),
                         min_size=1, max_size=4)
 
@@ -830,8 +832,7 @@ def test_division_and_ill_parity_under_traces():
 
 
 @given(text=_program(), dregs=DREGS, aregs=AREGS,
-       budgets=st.lists(st.integers(3, 17).map(lambda v: v | 1),
-                        min_size=1, max_size=4),
+       budgets=st.lists(BUDGET, min_size=1, max_size=4),
        model=st.sampled_from([MC68010, MC68020]), lazy=_pending_chunks())
 @settings(max_examples=120, deadline=None)
 def test_lazy_traces_match_interpreter(text, dregs, aregs, budgets, model,
@@ -931,3 +932,88 @@ def test_eager_traces_carry_no_pending_guard():
     lazy, __, __ = compile_trace(MC68010, image, TEXT_BASE, lazy=True)
     assert "lp[" not in eager.source
     assert lazy.source.count("lp[") >= 7
+
+
+# -- tail traces ----------------------------------------------------------
+
+
+def _tail_keys(text, budget, dregs=(0,) * 8, aregs=(DATA_BASE + 512,) * 8,
+               chunks=()):
+    """The tail traces, as ``(pc, length)``, that one compiled quantum of
+    ``budget`` instructions calls from a fresh image."""
+    image = _fresh_image(text, list(dregs), list(aregs))
+    _make_lazy(image, chunks)
+    CPU(MC68010).run(image, budget)
+    return {key for key in image._decode_cache[2] if isinstance(key, tuple)}
+
+
+def _adds(n):
+    return [isa.encode(Op.ADD, Mode.IMM, k + 1, Mode.DREG, k % 4 + 1)
+            for k in range(n)]
+
+
+def test_guarded_instruction_bails_inside_a_tail():
+    """A tail trace's guards bail before mutating, as the full trace's
+    do: the interpreter replays a segv through an address register and
+    a divide by a zero register at the same instruction."""
+    zeros = [0] * 8
+    for guarded, aregs, kind in (
+            (isa.encode(Op.MOVE, Mode.IND, 0, Mode.DREG, 5),
+             [MEM_SIZE - 2] * 8, "segv"),
+            (isa.encode(Op.DIV, Mode.DREG, 6, Mode.DREG, 5),
+             [DATA_BASE + 512] * 8, "fpe")):
+        text = b"".join(_adds(2) + [guarded] + _adds(4)
+                        + [isa.encode(Op.TRAP)])
+        assert (TEXT_BASE, 5) in _tail_keys(text, 5, aregs=aregs)
+        stop = _run_differential(text, zeros, aregs, MC68010, [5])
+        assert isinstance(stop, FaultStop) and stop.kind == kind
+        assert stop.executed == 3  # the adds, then the faulting one
+
+
+def test_trap_just_past_the_tail():
+    """A tail trace stops one instruction short of the block's trap:
+    the quantum ends there, and the trap runs first thing next quantum."""
+    text = b"".join(_adds(4) + [isa.encode(Op.TRAP)])
+    assert (TEXT_BASE, 4) in _tail_keys(text, 4)
+    image = _fresh_image(text, [0] * 8, [DATA_BASE + 512] * 8)
+    cpu = CPU(MC68010)
+    first = cpu.run(image, 4)
+    assert isinstance(first, QuantumStop) and first.executed == 4
+    assert image.regs.pc == TEXT_BASE + 4 * ISIZE
+    assert _run_differential(text, [0] * 8, [DATA_BASE + 512] * 8,
+                             MC68010, [4]).executed == 1
+
+
+def test_lazy_pending_page_faults_inside_a_tail():
+    """A lazy tail trace bails at an absolute load from a pending page;
+    the interpreter faults the chunk in at that instruction, or stops
+    with a segv when its fetch fails."""
+    pending = 9 * PAGE
+    chunks = [(pending, PAGE), (MEM_SIZE - PAGE, PAGE)]
+    text = b"".join(_adds(2)
+                    + [isa.encode(Op.MOVE, Mode.ABS, pending + 8,
+                                  Mode.DREG, 5)]
+                    + _adds(4) + [isa.encode(Op.TRAP)])
+    assert (TEXT_BASE, 5) in _tail_keys(text, 5, chunks=chunks)
+    zeros = [0] * 8
+    aregs = [DATA_BASE + 512] * 8
+    done = _run_differential(text, zeros, aregs, MC68010, [5],
+                             chunks=chunks)
+    assert isinstance(done, TrapStop)
+    lost = _run_differential(text, zeros, aregs, MC68010, [5],
+                             chunks=chunks, fail={pending})
+    assert isinstance(lost, FaultStop) and lost.kind == "segv"
+
+
+def test_tail_at_a_loop_head_after_its_superblock():
+    """The superblock runs whole iterations while the budget covers
+    one, drops into its ``else``, and returns at the head once not even
+    the head block fits: the quantum ends in a tail trace rooted there."""
+    text, length = _loop(*_adds(3))
+    assert length == 5  # three adds, the count, the back edge
+    assert "while _n <= _lim0" in _source(text)
+    # 23 = four iterations (20), then a head block of 6 that cannot fit
+    assert (TEXT_BASE, 3) in _tail_keys(text, 23, dregs=[40] + [0] * 7)
+    done = _run_differential(text, [40] + [0] * 7, [DATA_BASE + 512] * 8,
+                             MC68010, [23], cap=5000)
+    assert isinstance(done, TrapStop)
