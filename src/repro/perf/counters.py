@@ -48,13 +48,16 @@ COUNTERS = (
                 "machine re-insertions into the driver's lazy heap"),
     FlatCounter("vm_instructions", "instructions retired by all CPUs"),
     FlatCounter("instructions_decoded",
-                "instructions decoded: by the interpreter, or in traces on "
-                "their first use in this cluster"),
+                "instructions decoded: by the interpreter, or in traces "
+                "(quantum-tail traces included) on their first use in this "
+                "cluster"),
     FlatCounter("blocks_compiled",
                 "straight-line blocks in traces first used in this cluster"),
     FlatCounter("traces_linked",
                 "block-to-block links in traces first used in this cluster"),
-    FlatCounter("reg_spills", "cached registers spilled back at trace exits"),
+    FlatCounter("reg_spills",
+                "cached registers spilled back at trace exits: each call "
+                "spills every register its trace writes"),
     FlatCounter("shared_cache_hits",
                 "exec/restart arrivals whose text this cluster had already "
                 "seen"),
