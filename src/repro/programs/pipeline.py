@@ -51,7 +51,7 @@ from repro.programs.exitcodes import (EX_FAIL, EX_FENCED, EX_OK,
 
 #: ``ledger_advance`` results that mean a recovery sweep superseded this
 #: pipeline: a claim fences the record, or the sweep that claimed it has
-#: already settled and reaped it (the record directory is gone)
+#: settled it and is reaping or has reaped it (the record file is gone)
 _SUPERSEDED = (LEDGER_FENCED, -ENOENT)
 
 
