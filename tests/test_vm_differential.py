@@ -56,7 +56,7 @@ WORDS = (DATA_BASE + 3) & ~3
 
 REG = st.integers(0, 7)
 
-#: quantum budgets: every length a tail trace can have, and beyond
+#: quantum budgets: every tail trace length, and a whole block
 BUDGET = st.integers(1, MAX_BLOCK_LEN)
 
 #: addresses whose 4-byte access straddles a page boundary
