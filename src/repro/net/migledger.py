@@ -42,7 +42,7 @@ raises :class:`~repro.errors.UnixError` (``EINVAL``) instead of
 misparsing — the sweep skips what it cannot parse.
 """
 
-from repro.errors import iserr, UnixError, EINVAL, ENOENT
+from repro.errors import iserr, UnixError, EINVAL
 from repro.kernel.constants import (MIGLEDGER_MAGIC, O_CREAT, O_EXCL,
                                     O_WRONLY)
 from repro.core.formats import (_Reader, _Writer, LEDGER_ARCHIVE_KINDS,
@@ -212,13 +212,13 @@ def ledger_read(directory):
 def ledger_advance(directory, record, phase, fence_epoch=None):
     """yield-from: advance the record to ``phase``.
 
-    Returns 0 on success, :data:`LEDGER_FENCED` when a claim above
-    ``fence_epoch`` (default: the record's epoch) exists — the caller
-    has been superseded by a recovery sweep and must stand down —
-    -ENOENT when the record is gone (a sweep settled and reaped it;
-    the advance never resurrects it), or -errno when the ledger
-    directory is unreachable.  The write also refreshes the record's
-    timestamp, restarting its staleness clock.
+    Returns 0 on success, :data:`LEDGER_FENCED` when the caller has
+    been superseded and must stand down, or -errno when the ledger
+    directory is unreachable.  Superseded means a claim above
+    ``fence_epoch`` (default: the record's epoch) exists, or the
+    record is settled: reaped or being reaped (see :func:`_settled`),
+    which the advance never undoes by rewriting it.  The write also
+    refreshes the record's timestamp, restarting its staleness clock.
 
     The fence is checked on *both* sides of the write: the
     readdir/rename pair is not atomic, so a claim created in between
@@ -234,10 +234,8 @@ def ledger_advance(directory, record, phase, fence_epoch=None):
     names = yield ("readdir", directory)
     if iserr(names):
         return names
-    if highest_claim(names) > fence:
+    if highest_claim(names) > fence or _settled(names, phase):
         return LEDGER_FENCED
-    if REC_NAME not in names:
-        return -ENOENT
     record.phase = phase
     record.time_s = yield ("time",)
     result = yield from _write_rec(directory, record, tag=fence)
@@ -246,12 +244,28 @@ def ledger_advance(directory, record, phase, fence_epoch=None):
     names = yield ("readdir", directory)
     if iserr(names):
         return names  # written but unverifiable: report unreachable
-    if highest_claim(names) > fence:
+    if highest_claim(names) > fence or _settled(names, phase):
         return LEDGER_FENCED
     yield ("perf_note", "ml_advances")
     yield ("trace_mark", "migrate", "ledger-" + PHASE_NAMES[phase],
            record.mig_id())
     return 0
+
+
+def _settled(names, phase):
+    """Whether the record directory listing ``names`` shows a record
+    that has been reaped, or is being reaped.
+
+    Either the record is gone, or an advance past the capture
+    (DUMPED, RESTARTING, DONE) finds no ``dump.ok``: a ledgered dump
+    that succeeded always committed one, and only :func:`ledger_reap`
+    removes it.  The reap unlinks the marker first and the claims
+    before the record, so at every point of a reap such an advance
+    sees a claim, a missing marker or a missing record.
+    """
+    return REC_NAME not in names or (
+        phase in (PH_DUMPED, PH_RESTARTING, PH_DONE)
+        and OK_NAME not in names)
 
 
 def ledger_claim(directory, record):
@@ -282,14 +296,17 @@ def ledger_reap(directory):
     Unlinks the record, the archive manifests, the commit marker and
     every claim file.  (There is no rmdir in this kernel, so the
     empty directory itself remains — the sweep skips directories
-    without a ``rec``.)  The record goes first: from then on a
-    concurrent :func:`ledger_advance` sees it gone (-ENOENT) instead
-    of a record whose claims have vanished, which it would rewrite.
+    without a ``rec``.)  The commit marker goes first, so a concurrent
+    :func:`ledger_advance` that no longer sees a claim sees the record
+    settled instead (:func:`_settled`).  The record goes last: a reap
+    cut short leaves it DONE or ABORTED, and the next sweep's
+    straggler cleanup reaps the rest.
     """
     names = yield ("readdir", directory)
     if iserr(names):
         return names
-    for name in sorted(names, key=lambda name: (name != REC_NAME, name)):
+    for name in sorted(names, key=lambda name: (
+            name == REC_NAME, name != OK_NAME, name)):
         if (name == REC_NAME or name == OK_NAME
                 or name in ARCHIVE_NAMES or name.startswith("claim.")
                 or name.endswith(".tmp")):

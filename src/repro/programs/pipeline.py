@@ -38,7 +38,7 @@ the record first, the pipeline stands down (``EX_FENCED``) rather than
 race it.
 """
 
-from repro.errors import iserr, ECHILD, ENOENT
+from repro.errors import iserr, ECHILD
 from repro.core.formats import dump_file_names
 from repro.net.migledger import (LEDGER_FENCED, MigRecord, PH_ABORTED,
                                  PH_DONE, PH_DUMPED, PH_RESTARTING,
@@ -48,11 +48,6 @@ from repro.programs.base import (await_restart, print_err, remove_files,
                                  wait_for)
 from repro.programs.exitcodes import (EX_FAIL, EX_FENCED, EX_OK,
                                       EX_TRANSIENT)
-
-#: ``ledger_advance`` results that mean a recovery sweep superseded this
-#: pipeline: a claim fences the record, or the sweep that claimed it has
-#: settled it and is reaping or has reaped it (the record file is gone)
-_SUPERSEDED = (LEDGER_FENCED, -ENOENT)
 
 
 def move(pid, source, destination, local, runner):
@@ -119,7 +114,7 @@ def move(pid, source, destination, local, runner):
         return EX_FAIL
     if record:
         result = yield from ledger_advance(recdir, record, PH_DUMPED)
-        if result in _SUPERSEDED:
+        if result == LEDGER_FENCED:
             return (yield from _fenced(mig, "dump"))
         # an unreachable ledger is not fatal here: the dump exists
         # and the sweep resolves stale records by probing reality
@@ -130,7 +125,7 @@ def move(pid, source, destination, local, runner):
     if record:
         result = yield from ledger_advance(recdir, record,
                                            PH_RESTARTING)
-        if result in _SUPERSEDED:
+        if result == LEDGER_FENCED:
             return (yield from _fenced(mig, "restart"))
     restart_args = ["restart", "-k", "-p", str(pid), "-h", source]
     for attempt in range(max(1, attempts)):

@@ -452,11 +452,12 @@ def test_migrate_stands_down_when_a_sweep_fences_its_record(sweeper_host,
                                                             delay):
     """Held just after its dump (``migstat -m`` shows the record), a
     migrate's record goes stale; a recovery sweep claims it and
-    restages the job, and migrate stands down (EX_FENCED) at its next
-    phase advance instead of racing the sweep.  Held longer, the
-    advance lands while the sweep reaps the record (6–7 s) or after it
-    (10 s): a vanished record supersedes the pipeline just as a claim
-    does, and the advance never resurrects it."""
+    restages the job on its own host, and migrate stands down
+    (EX_FENCED) at its next phase advance instead of racing the sweep.
+    Held longer, the advance lands while the sweep reaps the record
+    (6–7 s) or after it (10 s): a settled record supersedes the
+    pipeline just as a claim does, and the advance never resurrects
+    it."""
     site = _site()
     assert site.run_command("schooner", ["migstat", "-m"]) == 0
     assert "migration ledger: empty" in site.console("schooner")
@@ -481,7 +482,7 @@ def test_migrate_stands_down_when_a_sweep_fences_its_record(sweeper_host,
     assert handle.exit_status == EX_FENCED
     assert "fenced by a recovery sweep during dump; standing down" \
         in site.console("tanker")
-    assert len(_copies(site, victim.pid)) == 1
+    assert _copies(site, victim.pid) == ((sweeper_host, "aout"),)
     assert _ledger_leftovers(site) == ()
     assert _orphan_dump_files(site) == ()
 
@@ -498,8 +499,9 @@ from repro.core.formats import (ChunkManifest, FilesInfo,  # noqa: E402
 from repro.kernel.constants import O_RDONLY  # noqa: E402
 from repro.kernel.signals import SIGKILL  # noqa: E402
 from repro.net.migledger import (LEDGER_FENCED, MigRecord,  # noqa: E402
-                                 PH_DONE, PH_DUMPED, PH_RESTARTING,
-                                 ledger_advance, ledger_reap)
+                                 PH_ABORTED, PH_DONE, PH_DUMPED,
+                                 PH_RESTARTING, ledger_advance,
+                                 ledger_reap)
 from repro.programs.recoveryd import _sweep_one  # noqa: E402
 from repro.store import DIGEST_BYTES  # noqa: E402
 
@@ -526,7 +528,7 @@ def test_advance_tags_scratch_file_with_the_fence_epoch():
 
     def handler(request):
         if request[0] == "readdir":
-            return ("rec",)
+            return ("dump.ok", "rec")
         if request[0] == "time":
             return 42
         if request[0] == "open":
@@ -551,7 +553,7 @@ def test_advance_stands_down_when_claimed_mid_write():
     fenced writer keep driving the pipeline."""
     record = MigRecord("brick", 7, "schooner", "tanker",
                        phase=PH_DUMPED)
-    readdirs = [("rec",), ("rec", "claim.1")]
+    readdirs = [("dump.ok", "rec"), ("dump.ok", "rec", "claim.1")]
 
     def handler(request):
         if request[0] == "readdir":
@@ -572,23 +574,94 @@ def test_advance_stands_down_when_claimed_mid_write():
     assert not any(c[0] == "perf_note" for c in calls)
 
 
-def test_advance_never_resurrects_a_reaped_record():
-    """A record a sweep has reaped (or is reaping: the record goes
-    first) comes back -ENOENT, with nothing written; the pipeline
-    takes that for a stand-down, as it does a claim."""
+def test_advance_never_resurrects_a_settled_record():
+    """A record a sweep has reaped (no ``rec``) or is reaping (past
+    the capture, no ``dump.ok``) fences the advance, with nothing
+    written; an unlistable record directory is reported unreachable,
+    not superseded."""
     record = MigRecord("brick", 7, "schooner", "tanker")
-    for names in ((), ("dump.ok", "dump.stack")):
-        result, calls = _drive(
-            ledger_advance("L", record, PH_DUMPED),
-            lambda request, names=names: names
-            if request[0] == "readdir" else 0)
-        assert result == -ENOENT
+    for phase, names in ((PH_DUMPED, ()),
+                         (PH_ABORTED, ("dump.ok",)),
+                         (PH_DUMPED, ("rec", "dump.stack")),
+                         (PH_RESTARTING, ("rec",)),
+                         (PH_DONE, ("rec", "dump.aout")),
+                         (PH_DUMPED, -ENOENT)):
+
+        def handler(request, names=names):
+            if request[0] == "readdir":
+                return names
+            if request[0] == "write":
+                return len(request[2])
+            return 3 if request[0] == "open" else 0
+
+        result, calls = _drive(ledger_advance("L", record, phase),
+                               handler)
+        assert result == (-ENOENT if names == -ENOENT
+                          else LEDGER_FENCED), (phase, names)
         assert [c[0] for c in calls] == ["fault_point", "readdir"]
-    names = ("claim.1", "dump.aout", "dump.ok", "rec")
-    __, calls = _drive(ledger_reap("L"), lambda request: names
-                       if request[0] == "readdir" else 0)
+
+
+class _LedgerDir:
+    """A scripted kernel over one in-memory record directory."""
+
+    def __init__(self, files):
+        self.files = dict(files)
+        self.fds = {}
+
+    def __call__(self, request):
+        name = request[0]
+        if name == "readdir":
+            return tuple(sorted(self.files))
+        if name == "unlink":
+            return 0 if self.files.pop(request[1][2:], None) is not None \
+                else -ENOENT
+        if name == "open":
+            blob = self.files.get(request[1][2:])
+            if blob is None:
+                return -ENOENT
+            fd = 3 + len(self.fds)
+            self.fds[fd] = blob
+            return fd
+        if name == "read":
+            data, self.fds[request[1]] = self.fds[request[1]], b""
+            return data
+        if name == "write":
+            return len(request[2])
+        return 0
+
+
+def test_reap_cut_short_is_finished_by_the_next_sweep():
+    """The reap unlinks ``dump.ok`` first and ``rec`` last.  Cut short
+    after its first unlink (the reaping host crashed), it leaves a
+    DONE record that fences a late advance and that the next sweep's
+    straggler cleanup reaps, claims and archive included."""
+    done = MigRecord("brick", 7, "tanker", "tanker", phase=PH_DONE,
+                     epoch=1)
+    ledger = _LedgerDir({"rec": done.pack(), "claim.1": b"",
+                         "dump.aout": b"m", "dump.files": b"m",
+                         "dump.stack": b"m", "dump.ok": b"ok\n",
+                         "rec.1.tmp": b""})
+    __, calls = _drive(ledger_reap("L"), ledger)
     assert [c[1] for c in calls if c[0] == "unlink"] == [
-        "L/rec", "L/claim.1", "L/dump.aout", "L/dump.ok"]
+        "L/dump.ok", "L/claim.1", "L/dump.aout", "L/dump.files",
+        "L/dump.stack", "L/rec.1.tmp", "L/rec"]
+
+    ledger = _LedgerDir({"rec": done.pack(), "claim.1": b"",
+                         "dump.aout": b"m", "dump.ok": b"ok\n"})
+    reap = ledger_reap("L")
+    request = next(reap)
+    while request[0] != "unlink":
+        request = reap.send(ledger(request))
+    ledger(request)  # the first unlink lands; the host dies here
+    reap.close()
+    assert sorted(ledger.files) == ["claim.1", "dump.aout", "rec"]
+    late = MigRecord("brick", 7, "schooner", "tanker")
+    result, __ = _drive(ledger_advance("L", late, PH_RESTARTING), ledger)
+    assert result == LEDGER_FENCED
+    assert ledger.files["rec"] == done.pack()
+    __, calls = _drive(_sweep_one("L", "brick"), ledger)
+    assert ledger.files == {}
+    assert ("perf_note", "ml_reaps") in calls
 
 
 class _SweepScript:
