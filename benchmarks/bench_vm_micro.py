@@ -1,10 +1,13 @@
 """VM microbenchmarks: the trace compiler against the interpreter.
 
-Four guest workloads stress what the trace compiler optimizes, at
+Five guest workloads stress what the trace compiler optimizes, at
 the CPU level with no kernel in the way:
 
 * ``tight_loop``   — branchy integer arithmetic in registers (block
-  linking and in-trace register caching);
+  linking, in-trace register caching, a range-proven loop);
+* ``wrap_accum``   — ``tight_loop`` with an accumulator that wraps every
+  few hundred iterations, so the loop's range guard fails and its
+  fallback copy runs;
 * ``abs_accum``    — ``tight_loop`` with its accumulator in a data word,
   cpuhog's shape (a loop superblock keeping the word in a local);
 * ``call_heavy``   — a jsr/rts leaf call per iteration (static call
@@ -55,6 +58,24 @@ loop:   add   #1, d7
         mul   #13, d5
         add   #7, d5
         mod   #97, d5
+        add   d5, d6
+        cmp   #%(iters)d, d7
+        blt   loop
+        trap
+"""
+
+#: ``tight_loop`` with a term 170000 times larger: the accumulator
+#: wraps every ~500 iterations, so its loop's range guard fails and the
+#: fallback copy, with every wrap test, runs
+WRAP_ACCUM = """
+start:  move  #0, d7
+        move  #0, d6
+loop:   add   #1, d7
+        move  d7, d5
+        mul   #13, d5
+        add   #7, d5
+        mod   #97, d5
+        mul   #170000, d5
         add   d5, d6
         cmp   #%(iters)d, d7
         blt   loop
@@ -121,6 +142,7 @@ buf:    .space 256
 
 WORKLOADS = [
     ("tight_loop", TIGHT_LOOP, 30_000),
+    ("wrap_accum", WRAP_ACCUM, 30_000),
     ("abs_accum", ABS_ACCUM, 30_000),
     ("call_heavy", CALL_HEAVY, 20_000),
     ("mem_stream", MEM_STREAM, 500),

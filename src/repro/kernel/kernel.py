@@ -120,10 +120,6 @@ class Kernel(FileSyscalls, ProcSyscalls, MiscSyscalls, ExecSupport,
         """
         self.clock.advance(us)
 
-    def charge_idle(self, us):
-        """Time passing without a process (device settle etc.)."""
-        self.clock.advance(us)
-
     # -- fault injection ----------------------------------------------------
 
     def fault_check(self, site, detail=""):

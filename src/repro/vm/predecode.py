@@ -10,7 +10,7 @@ Python function.  A trace function has the signature::
     trace(d, a, mem, dp, lp, budget, zf, nf)
         -> (executed, next_pc, zf, nf, sig)
 
-Five things make traces fast:
+Six things make traces fast:
 
 * **Block linking.**  A block that ends in a branch, ``jsr`` or
   fall-through whose target is another member block transfers control
@@ -58,6 +58,21 @@ Five things make traces fast:
   stores and marks their pages as the interpreter would: dirty once
   this iteration has stored the word, else only if an earlier one has
   (``dp[p] |= _n != _m``, ``_m`` being ``_n`` at loop entry).
+* **Range-proven loops.**  A superblock whose wrap or sign tests could
+  be proven dead gets a second copy, run first behind one guard at
+  loop entry.  Each local an iteration reads is invariant, an
+  induction (every write adds a value of known span to it, as
+  ``add #1, d7`` or cpuhog's ``add d5, checksum``) or unknown.  With
+  ``_k`` the most iterations the budget allows, an induction moved by
+  a step in ``[lo, hi]`` stays within ``[x0 + _k * min(lo, 0), x0 + _k
+  * max(hi, 0)]``, so one conjunction of linear tests puts every
+  iteration's start inside a compile-time *seed* span per local.  The
+  same emitter then compiles the copy from those seeds instead of the
+  full 32-bit range, which deletes the wraps the spans prove dead and
+  turns ``a % c if a >= 0 else -(-a % c)`` into ``a % c`` where the
+  dividend's sign is known.  When the guard fails, or the copy's
+  iterations are spent, the unchanged loop and its ``else`` run.
+  Exits, bails and spills are the same code in both copies.
 
 Flags and wraps are emitted only where they can matter.  A flag write
 leaves ``zf``/``nf`` *pending* on the value it came from (``ctx.fsrc``):
@@ -65,13 +80,14 @@ conditional branches test the value (``if v2 < 0:``), and the flags are
 stored only at exits, linked jumps, bails, before an instruction that
 may bail, and at a loop's budget exit.  Results are wrapped to 32 bits
 according to their span, given that every register and memory word
-holds a signed 32-bit value: no test inside the range, one test when
-the result can only leave it on one side (``add #k``), the two-sided
-mask otherwise.  A run of add/sub/mul/and/or/xor on one data register
-whose intermediate values nobody observes is emitted as one expression
-and wrapped once (wrapping is a ring homomorphism mod 2**32); it is
-never deferred past a div/mod/shift/cmp, a guard, an exit or a live
-flag write.  ``move dX, dY`` followed by such an op (or a constant
+holds a signed 32-bit value (in a range-proven copy, that each carried
+local starts the iteration in its seed span): no test inside the range,
+one test when the result can only leave it on one side (``add #k``),
+the two-sided mask otherwise.  A run of add/sub/mul/and/or/xor on one
+data register whose intermediate values nobody observes is emitted as
+one expression and wrapped once (wrapping is a ring homomorphism mod
+2**32); it is never deferred past a div/mod/shift/cmp, a guard, an exit
+or a live flag write.  ``move dX, dY`` followed by such an op (or a constant
 div/mod, a shift, ``not``/``neg``) on ``dY`` folds into one expression.
 
 ``dp`` is the image's per-page dirty bitmap: every memory store marks
@@ -167,6 +183,9 @@ _U32 = 4294967296
 _FULL = (_I32_MIN, _I32_MAX)
 #: longest deferred-wrap chain (bounds its nesting and operand growth)
 _CHAIN_MAX = 16
+#: a loop's seed spans leave room for at least this many steps of each
+#: carried local (:func:`_prove_ranges`)
+_REACH = 1 << 8
 
 _WRAP = ("if %(v)s > 2147483647 or %(v)s < -2147483648: "
          "%(v)s = ((%(v)s & 4294967295) ^ 2147483648) - 2147483648")
@@ -220,10 +239,10 @@ class _Ctx:
         #: the value zf/nf are pending on, or None when they are stored
         #: (or overwritten before anyone can look)
         self.fsrc = None
-        #: ``[reg, expr, span, length]``: ring ops on ``d<reg>`` whose
-        #: single wrap is deferred to the flush (see :func:`_fold`)
+        #: ``[reg, expr, span, length, step]``: ring ops on ``d<reg>``
+        #: whose single wrap is deferred to the flush (see :func:`_fold`)
         self.chain = None
-        #: ``(reg, expr)``: reads of ``d<reg>`` see ``expr`` instead
+        #: ``(reg, expr, span)``: reads of ``d<reg>`` see ``expr``
         self.alias = None
         #: in a promoting loop superblock (:func:`_promotable`): the
         #: aligned absolute words kept in locals ``m<k>``, those the
@@ -232,6 +251,20 @@ class _Ctx:
         self.words = frozenset()
         self.wb = ()
         self.stored = set()
+        #: in a loop's range-proven copy (:func:`_prove_ranges`): the
+        #: span each carried local starts an iteration in; None
+        #: elsewhere, where every register and word may hold any signed
+        #: 32-bit value
+        self.seeds = None
+        #: the spans of the locals written so far this iteration, each
+        #: one's offset from its value at the iteration's start (None
+        #: once anything but an add/sub has written it), the locals
+        #: read at a span before any write, and the wrap and sign tests
+        #: emitted
+        self.spans = {}
+        self.steps = {}
+        self.exposed = set()
+        self.tests = 0
         self.dused = set()
         self.aused = set()
         self.dwritten = set()
@@ -262,6 +295,43 @@ class _Ctx:
         self.aused.add(i)
         self.awritten.add(i)
         return self.amap[i] if self.amap is not None else "a[%d]" % i
+
+    # -- value spans ----------------------------------------------------------
+
+    def span(self, mode, operand):
+        """The span of an operand's value."""
+        if mode == Mode.IMM:
+            return operand, operand
+        if self.seeds is None:
+            return _FULL
+        if mode == Mode.DREG:
+            i = operand & 7
+            if self.alias is not None and self.alias[0] == i:
+                return self.alias[2]
+            return self._local_span(self.dmap[i])
+        if mode == Mode.AREG:
+            return self._local_span(self.amap[operand & 7])
+        if mode == Mode.ABS and not operand % 4 and operand >> 2 in self.words:
+            return self._local_span("m%d" % (operand >> 2))
+        return _FULL
+
+    def _local_span(self, name):
+        span = self.spans.get(name)
+        if span is None:
+            self.exposed.add(name)
+            span = self.seeds.get(name, _FULL)
+        return span
+
+    def put(self, name, span, step=None):
+        """Record a write of a value in ``span`` to local ``name``;
+        ``step``: the value is the local's old one plus a value in
+        that span (mod 2**32), else None."""
+        if self.seeds is None:
+            return
+        old = self.steps.get(name, (0, 0))
+        self.steps[name] = None if old is None or step is None else (
+            old[0] + step[0], old[1] + step[1])
+        self.spans[name] = span
 
     # -- flags ----------------------------------------------------------------
 
@@ -377,17 +447,20 @@ def _emit_value(lines, ctx, mode, operand, var, byte=False):
     return var
 
 
-def _emit_store(lines, ctx, mode, operand, var, byte=False):
+def _emit_store(lines, ctx, mode, operand, var, byte=False, span=_FULL,
+                step=None):
     """Emit a store of ``var`` (already signed-32 unless byte) to the
-    operand.  Memory stores are guarded against the text segment so a
-    block can never invalidate itself mid-run."""
-    if mode == Mode.DREG:
-        lines.append("%s = %s%s" % (ctx.dl(operand), var,
-                                    " & 255" if byte else ""))
-        return
-    if mode == Mode.AREG:
-        lines.append("%s = %s%s" % (ctx.al(operand), var,
-                                    " & 255" if byte else ""))
+    operand; ``span`` and ``step`` are as for :meth:`_Ctx.put`.  Memory
+    stores are guarded against the text segment so a block can never
+    invalidate itself mid-run."""
+    if mode in (Mode.DREG, Mode.AREG):
+        name = ctx.dl(operand) if mode == Mode.DREG else ctx.al(operand)
+        if byte:
+            lines.append("%s = %s & 255" % (name, var))
+            ctx.put(name, (0, 255))
+        else:
+            lines.append("%s = %s" % (name, var))
+            ctx.put(name, span, step)
         return
     size = 1 if byte else 4
     if mode == Mode.ABS:
@@ -402,6 +475,7 @@ def _emit_store(lines, ctx, mode, operand, var, byte=False):
             k = operand >> 2
             if k in ctx.words:  # dirtied at the loop's exits
                 lines.append("m%d = %s" % (k, var))
+                ctx.put("m%d" % k, span, step)
                 ctx.stored.add(k)
                 return
             lines.append("mv4[%d] = %s" % (k, var))
@@ -494,24 +568,39 @@ def _alu_out(ctx, dm, dv):
     return "v2", False
 
 
-def _wrap(lines, var, span):
+def _emit_result(lines, ctx, dm, dv, out, direct, span, step=None):
+    """Finish an op whose result ``out`` (in ``span``) went straight
+    to its destination register (``direct``) or must now be stored,
+    and leave the flags on it."""
+    if direct:
+        ctx.put(out, span, step)
+    else:
+        _emit_store(lines, ctx, dm, dv, out, span=span, step=step)
+    _emit_flags(lines, ctx, out)
+
+
+def _wrap(lines, ctx, var, span):
     """Emit the 32-bit wrap of ``var``, whose value lies in ``span``
-    (``None``: unknown).  Spans assume what every register and memory
-    word holds: a signed 32-bit value.  A span inside the range needs no
-    test, one that can leave it on one side needs one test (adding or
-    subtracting an immediate: ``if v > 2147483647: v -= 4294967296``),
-    anything else gets the two-sided mask."""
+    (``None``: unknown), and return the span it has after.  Spans
+    assume what every register and memory word holds: a signed 32-bit
+    value.  A span inside the range needs no test, one that can leave
+    it on one side needs one test (adding or subtracting an immediate:
+    ``if v > 2147483647: v -= 4294967296``), anything else gets the
+    two-sided mask."""
     if span is not None:
         lo, hi = span
         if lo >= _I32_MIN and hi <= _I32_MAX:
-            return
+            return span
+        ctx.tests += 1
         if lo >= _I32_MIN and hi <= _I32_MAX + _U32:
             lines.append(_WRAP_HI % {"v": var})
-            return
+            return _FULL
         if hi <= _I32_MAX and lo >= _I32_MIN - _U32:
             lines.append(_WRAP_LO % {"v": var})
-            return
+            return _FULL
+    ctx.tests += 1
     lines.append(_WRAP % {"v": var})
+    return _FULL
 
 
 def _span(opcode, x, y):
@@ -533,8 +622,22 @@ def _span(opcode, x, y):
     return None
 
 
-def _operand_span(mode, operand):
-    return (operand, operand) if mode == Mode.IMM else _FULL
+def _step(opcode, span, step=(0, 0)):
+    """``x + step`` becomes ``x + step'`` after ``x <opcode>= v`` with
+    ``v`` in ``span``: return ``step'``, or None when that op is not
+    an add or subtract (or ``step`` is None)."""
+    if step is None:
+        return None
+    if opcode == Op.ADD:
+        return step[0] + span[0], step[1] + span[1]
+    if opcode == Op.SUB:
+        return step[0] - span[1], step[1] - span[0]
+    return None
+
+
+def _tdiv(x, m):
+    """``x / m`` truncated toward zero, for ``m > 0``."""
+    return x // m if x >= 0 else -(-x // m)
 
 
 def _emit_flags(lines, ctx, var):
@@ -571,7 +674,11 @@ def _emit_instruction(lines, ctx, inst):
 
     if opcode == Op.MOVE:
         val = _emit_value(lines, ctx, sm, s, "v")
-        _emit_store(lines, ctx, dm, dv, val)
+        if val.startswith("mv4[") and dm not in (Mode.DREG, Mode.AREG):
+            # the store may overlap the word: flags are the value moved
+            lines.append("v = %s" % val)
+            val = "v"
+        _emit_store(lines, ctx, dm, dv, val, span=ctx.span(sm, s))
         _emit_flags(lines, ctx, val)
         return False
     if opcode == Op.MOVB:
@@ -584,25 +691,28 @@ def _emit_instruction(lines, ctx, inst):
         if dm != Mode.AREG:
             raise _Uncompilable  # "ill" fault with executed - 1
         if sm in (Mode.IMM, Mode.ABS):
-            lines.append("%s = %d" % (ctx.al(dv), s))
+            name = ctx.al(dv)
+            lines.append("%s = %d" % (name, s))
+            ctx.put(name, (s, s))
             return False
         lines.append("v = %s" % _target_expr(ctx, sm, s))
+        span = _FULL
         if sm == Mode.IND_DISP:  # the only mode that can overflow
-            disp = isa.unpack_ind_disp(s)[0]
-            _wrap(lines, "v", (_I32_MIN + disp, _I32_MAX + disp))
-        lines.append("%s = v" % ctx.al(dv))
+            disp, reg = isa.unpack_ind_disp(s)
+            lo, hi = ctx.span(Mode.AREG, reg)
+            span = _wrap(lines, ctx, "v", (lo + disp, hi + disp))
+        _emit_store(lines, ctx, Mode.AREG, dv, "v", span=span)
         return False
 
     if opcode in _ALU:
         src = _emit_value(lines, ctx, sm, s, "v1")
         dst = _emit_value(lines, ctx, dm, dv, "v2")
+        by = ctx.span(sm, s)
         out, direct = _alu_out(ctx, dm, dv)
         lines.append("%s = %s %s %s" % (out, dst, _ALU[opcode], src))
-        _wrap(lines, out, _span(opcode, _operand_span(dm, dv),
-                                _operand_span(sm, s)))
-        if not direct:
-            _emit_store(lines, ctx, dm, dv, out)
-        _emit_flags(lines, ctx, out)
+        span = _wrap(lines, ctx, out, _span(opcode, ctx.span(dm, dv), by))
+        _emit_result(lines, ctx, dm, dv, out, direct, span,
+                     _step(opcode, by))
         return False
     if opcode in (Op.DIV, Op.DIVL, Op.MOD):
         if sm == Mode.IMM and s == 0:
@@ -610,27 +720,34 @@ def _emit_instruction(lines, ctx, inst):
         src = _emit_value(lines, ctx, sm, s, "v1")
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         out, direct = _alu_out(ctx, dm, dv)
+        span = _FULL
         if sm == Mode.IMM:
             # truncated division by a compile-time constant depends
             # only on |divisor|: the sign rides on the dividend (and
-            # flips with a negative divisor for the quotient)
+            # flips with a negative divisor for the quotient), so a
+            # dividend of known sign needs no test
             mag = abs(s)
-            if opcode == Op.MOD:
-                # |result| < |divisor|, so this can never wrap
-                lines.append("%s = %s %% %d if %s >= 0 else"
-                             " -(-%s %% %d)"
-                             % (out, dst, mag, dst, dst, mag))
+            lo, hi = ctx.span(dm, dv)
+            if opcode == Op.MOD:  # |result| < |divisor|: never wraps
+                forms = ("%(d)s %% %(m)d", "-(-%(d)s %% %(m)d)")
+                span = (max(lo, 1 - mag) if lo < 0 else 0,
+                        min(hi, mag - 1) if hi > 0 else 0)
+            elif s > 0:
+                forms = ("%(d)s // %(m)d", "-(-%(d)s // %(m)d)")
+                span = _tdiv(lo, mag), _tdiv(hi, mag)
             else:
-                if s > 0:
-                    lines.append("%s = %s // %d if %s >= 0 else"
-                                 " -(-%s // %d)"
-                                 % (out, dst, mag, dst, dst, mag))
-                else:
-                    lines.append("%s = -(%s // %d) if %s >= 0 else"
-                                 " -%s // %d"
-                                 % (out, dst, mag, dst, dst, mag))
-                if s == -1:  # -2**31 / -1 is the one overflow
-                    _wrap(lines, out, (-_I32_MAX, -_I32_MIN))
+                forms = ("-(%(d)s // %(m)d)", "-%(d)s // %(m)d")
+                span = -_tdiv(hi, mag), -_tdiv(lo, mag)
+            if lo >= 0:
+                form = forms[0]
+            elif hi <= 0:
+                form = forms[1]
+            else:
+                ctx.tests += 1
+                form = "%s if %%(d)s >= 0 else %s" % forms
+            lines.append("%s = %s" % (out, form % {"d": dst, "m": mag}))
+            if s == -1:  # -2**31 / -1 is the one overflow
+                span = _wrap(lines, ctx, out, span)
         else:
             lines.append("if %s == 0: %s" % (src, ctx.bail()))  # fpe
             # floored-to-truncated correction: one %% plus a branch,
@@ -645,41 +762,39 @@ def _emit_instruction(lines, ctx, inst):
                 lines.append("if q < 0 and %s %% %s: q += 1"
                              % (dst, src))
                 lines.append("%s = q" % out)
-                _wrap(lines, out, (_I32_MIN, -_I32_MIN))  # -2**31 / -1
-        if not direct:
-            _emit_store(lines, ctx, dm, dv, out)
-        _emit_flags(lines, ctx, out)
+                _wrap(lines, ctx, out, (_I32_MIN, -_I32_MIN))  # -2**31/-1
+        _emit_result(lines, ctx, dm, dv, out, direct, span)
         return False
     if opcode in (Op.SHL, Op.SHR, Op.BFEXT):
         src = _emit_value(lines, ctx, sm, s, "v1")
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         out, direct = _alu_out(ctx, dm, dv)
+        span = _FULL
         if opcode == Op.SHL:
             lines.append("%s = (%s & 4294967295) << (%s & 31)"
                          % (out, dst, src))
-            _wrap(lines, out, None)
+            _wrap(lines, ctx, out, None)
         elif opcode == Op.SHR:
             lines.append("%s = (%s & 4294967295) >> (%s & 31)"
                          % (out, dst, src))
-            _wrap(lines, out, (0, _U32 - 1))
+            _wrap(lines, ctx, out, (0, _U32 - 1))
         else:  # a byte: never wraps
             lines.append("%s = ((%s & 4294967295) >> (%s & 31)) & 255"
                          % (out, dst, src))
-        if not direct:
-            _emit_store(lines, ctx, dm, dv, out)
-        _emit_flags(lines, ctx, out)
+            span = 0, 255
+        _emit_result(lines, ctx, dm, dv, out, direct, span)
         return False
     if opcode in (Op.NOT, Op.NEG):
         dst = _emit_value(lines, ctx, dm, dv, "v2")
+        lo, hi = ctx.span(dm, dv)
         out, direct = _alu_out(ctx, dm, dv)
         if opcode == Op.NOT:  # ~v never leaves the range
             lines.append("%s = ~(%s)" % (out, dst))
+            span = -hi - 1, -lo - 1
         else:
             lines.append("%s = -(%s)" % (out, dst))
-            _wrap(lines, out, (-_I32_MAX, -_I32_MIN))
-        if not direct:
-            _emit_store(lines, ctx, dm, dv, out)
-        _emit_flags(lines, ctx, out)
+            span = _wrap(lines, ctx, out, (-hi, -lo))
+        _emit_result(lines, ctx, dm, dv, out, direct, span)
         return False
 
     if opcode == Op.CMP:
@@ -687,8 +802,8 @@ def _emit_instruction(lines, ctx, inst):
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         if ctx.flags_live:  # dead flags leave only the operand guards
             lines.append("v2 = %s - %s" % (dst, src))
-            _wrap(lines, "v2", _span(Op.SUB, _operand_span(dm, dv),
-                                     _operand_span(sm, s)))
+            _wrap(lines, ctx, "v2", _span(Op.SUB, ctx.span(dm, dv),
+                                          ctx.span(sm, s)))
             _emit_flags(lines, ctx, "v2")
         return False
     if opcode == Op.TST:
@@ -719,7 +834,7 @@ def _emit_instruction(lines, ctx, inst):
                     % (ctx.text_end, ctx.mem_size), "t", 4)
         lines.append("mem[t:t + 4] = %r" % ret)
         _emit_dirty(lines, "t", 4)
-        lines.append("%s = t" % ctx.al(7))
+        _emit_store(lines, ctx, Mode.AREG, 7, "t")
         lines.append(ctx.transfer(n + 1, static, target))
         return True
     if opcode == Op.RTS:
@@ -727,7 +842,7 @@ def _emit_instruction(lines, ctx, inst):
         _emit_guard(lines, ctx, "t < 0 or t + 4 > %d" % ctx.mem_size,
                     "t", 4)
         lines.append("v = _fb(mem[t:t + 4], 'little')")
-        lines.append("%s = t + 4" % ctx.al(7))
+        _emit_store(lines, ctx, Mode.AREG, 7, "t + 4")
         lines.append(ctx.exit(n + 1, "v"))
         return True
     if opcode == Op.PUSH:
@@ -742,7 +857,7 @@ def _emit_instruction(lines, ctx, inst):
             lines.append("mem[t:t + 4] = (%s & 4294967295)"
                          ".to_bytes(4, 'little')" % val)
         _emit_dirty(lines, "t", 4)
-        lines.append("%s = t" % ctx.al(7))
+        _emit_store(lines, ctx, Mode.AREG, 7, "t")
         return False
     if opcode == Op.POP:
         if dm not in (Mode.DREG, Mode.AREG):
@@ -752,7 +867,7 @@ def _emit_instruction(lines, ctx, inst):
                     "t", 4)
         lines.append("v = _fb(mem[t:t + 4], 'little')")
         lines.append("if v & 2147483648: v -= 4294967296")
-        lines.append("%s = t + 4" % ctx.al(7))
+        _emit_store(lines, ctx, Mode.AREG, 7, "t + 4")
         _emit_store(lines, ctx, dm, dv, "v")
         return False
 
@@ -778,14 +893,13 @@ def _fold(lines, ctx, inst):
     if opcode != Op.MOVE and opcode not in _ALU:
         return False
     reg = dv & 7
-    src, span = ("%d" % s, (s, s)) if sm == Mode.IMM else (ctx.d(s),
-                                                          _FULL)
     if opcode == Op.MOVE:
         if ctx.flags_live:
             return False
         _flush(lines, ctx)
         ctx.dl(dv)
-        ctx.chain = [reg, src, span, 0]
+        ctx.chain = [reg, "%d" % s if sm == Mode.IMM else ctx.d(s),
+                     ctx.span(sm, s), 0, None]
         return True
     chain = ctx.chain
     if chain is not None and (chain[0] != reg or chain[3] >= _CHAIN_MAX
@@ -793,10 +907,13 @@ def _fold(lines, ctx, inst):
         _flush(lines, ctx)
         chain = None
     if chain is None:
-        chain = ctx.chain = [reg, ctx.dl(dv), _FULL, 0]
-    chain[1] = "(%s %s %s)" % (chain[1], _ALU[opcode], src)
+        chain = ctx.chain = [reg, ctx.dl(dv), ctx.span(dm, dv), 0, (0, 0)]
+    span = ctx.span(sm, s)
+    chain[1] = "(%s %s %s)" % (chain[1], _ALU[opcode],
+                               "%d" % s if sm == Mode.IMM else ctx.d(s))
     chain[2] = _span(opcode, chain[2], span)
     chain[3] += 1
+    chain[4] = _step(opcode, span, chain[4])
     if ctx.flags_live:
         _flush(lines, ctx)
         _emit_flags(lines, ctx, ctx.dl(dv))
@@ -812,7 +929,7 @@ def _flush(lines, ctx):
     name = ctx.dl(chain[0])
     if chain[1] != name:
         lines.append("%s = %s" % (name, chain[1]))
-        _wrap(lines, name, chain[2])
+        ctx.put(name, _wrap(lines, ctx, name, chain[2]), chain[4])
 
 
 def _emit_step(lines, ctx, inst):
@@ -833,7 +950,7 @@ def _emit_step(lines, ctx, inst):
     if _fold(lines, ctx, inst):
         return
     if _takes_move(ctx, inst):
-        ctx.alias = (ctx.chain[0], ctx.chain[1])
+        ctx.alias = tuple(ctx.chain[:3])
         ctx.chain = None
     else:
         _flush(lines, ctx)
@@ -1046,9 +1163,11 @@ def _promotable(ctx, path):
     return frozenset(words), tuple(sorted(stored))
 
 
-def _emit_cycle(ctx, cycle):
+def _emit_cycle(ctx, cycle, seeds=None):
     """Emit one iteration of ``cycle`` as straight-line code for the
-    body of its superblock's ``while`` loop.
+    body of its superblock's ``while`` loop; with ``seeds``, the body
+    of its range-proven copy, given that each local named there starts
+    the iteration in its span (:func:`_prove_ranges`).
 
     Returns ``(lines, span, enter, leave)``: ``span`` is the budget an
     iteration needs, the cycle's length widened to cover every block's
@@ -1060,6 +1179,8 @@ def _emit_cycle(ctx, cycle):
     """
     ctx.jump = "break"  # out of the while, back into the dispatcher
     ctx.fsrc = None
+    ctx.seeds = seeds
+    ctx.spans, ctx.steps, ctx.exposed, ctx.tests = {}, {}, set(), 0
     path = [pair for ir, e in cycle for pair in ir.insts[:e + 1]]
     live = _flag_liveness(path, ctx.lazy)
     ctx.words, ctx.wb = promoted = _promotable(ctx, path)
@@ -1079,6 +1200,7 @@ def _emit_cycle(ctx, cycle):
                 _flush(lines, ctx)
                 lines.append("if %s:" % ctx.cond(_NEGATE[inst[0]]))
                 pending = ctx.fsrc
+                known = dict(ctx.spans), dict(ctx.steps)
                 # the tail leaves the loop: it runs on memory, not locals
                 tail = [ctx.writeback()[:-2]] if ctx.wb else []
                 ctx.words, ctx.wb = frozenset(), ()
@@ -1086,6 +1208,7 @@ def _emit_cycle(ctx, cycle):
                           _flag_liveness(ir.insts, ctx.lazy), offset)
                 lines.extend("    " + line for line in tail)
                 ctx.fsrc = pending
+                ctx.spans, ctx.steps = known
                 ctx.words, ctx.wb = promoted
             else:
                 ctx.link = succ if i == e else None
@@ -1105,8 +1228,117 @@ def _emit_cycle(ctx, cycle):
     enter += ["m%d = mv4[%d]" % (k, k) for k in sorted(ctx.words)]
     ctx.jump = "continue"
     ctx.words, ctx.wb = frozenset(), ()
+    ctx.seeds = None
     return (lines, max(span, offset), enter,
             ["if _n != _m: " + leave[:-2]] if leave else [])
+
+
+def _prove_ranges(ctx, cycle, limit):
+    """The range-proven copy of ``cycle``'s superblock, or None when
+    no seed spans would remove a test.
+
+    A local the iteration reads is *carried*: *invariant* when nothing
+    in the iteration writes it, an *induction* when every write adds
+    to it (``x = x + v``, ``v`` of a known span), so an iteration moves
+    it by a step in a known ``[lo, hi]``.  Within ``_k``, the most
+    iterations the budget allows, such a local stays within ``[x0 + _k
+    * min(lo, 0), x0 + _k * max(hi, 0)]``; the guard checks once, at
+    loop entry, that this keeps every iteration's start inside its
+    seed span, and the copy is emitted given that, without the wrap
+    and sign tests the spans prove dead.  Seeds are chosen greedily,
+    one local at a time, among the span its own updates cannot wrap
+    out of and that span's non-negative and non-positive halves, then
+    narrowed as far as keeps the fewest tests; none is narrower than
+    :data:`_REACH` steps.
+
+    Returns ``(guard, lines)``: the lines before the copy's ``while``
+    (``_g``, its limit: ``limit`` when the guard holds, else -1) and
+    its body.
+    """
+    memo = {}
+
+    def probe(seeds):
+        key = tuple(sorted(seeds.items()))
+        if key not in memo:
+            lines = _emit_cycle(ctx, cycle, seeds)[0]
+            memo[key] = ctx.tests, {name: ctx.steps.get(name, (0, 0))
+                                    for name in ctx.exposed}, lines
+        return memo[key]
+
+    seeds = {}
+    base, steps, __ = probe(seeds)
+    cost = base
+    # inductions before invariants, those with the narrowest steps
+    # first: a counter's seed narrows the steps of what it feeds, and
+    # an invariant compared with it needs the counter's span first
+    order = sorted((name for name in steps if steps[name] is not None),
+                   key=lambda name: (steps[name] == (0, 0),
+                                     steps[name][1] - steps[name][0], name))
+    for name in order:
+        cost, seeds = _seed(probe, seeds, name, steps[name])
+        steps = probe(seeds)[1]
+    if cost >= base:
+        return None
+    __, steps, lines = probe(seeds)
+    terms = []
+    for name in sorted(seeds):
+        (lo, hi), (down, up) = seeds[name], steps[name]
+        down, up = min(down, 0), max(up, 0)
+        if down:
+            terms.append("%s - _k%s >= %d" % (
+                name, " * %d" % -down if down != -1 else "", lo + down))
+        elif lo > _I32_MIN:
+            terms.append("%d <= %s" % (lo, name))
+        if up:
+            terms.append("%s + _k%s <= %d" % (
+                name, " * %d" % up if up != 1 else "", hi + up))
+        elif hi < _I32_MAX:
+            terms.append("%s <= %d" % (name, hi))
+    length = sum(min(e + 1, len(ir.insts)) for ir, e in cycle)
+    return (["_k = (%s - _n) // %d + 1" % (limit, length),
+             "_g = %s if %s else -1" % (limit, " and ".join(terms))],
+            lines)
+
+
+def _seed(probe, seeds, name, step):
+    """``(tests, seeds)``: ``seeds`` plus the widest seed for ``name``
+    (moved by ``step`` per iteration) that removes the most tests —
+    none, the span its own update cannot wrap out of, or that span's
+    non-negative or non-positive half, narrowed as far as helps but to
+    no fewer than :data:`_REACH` steps."""
+    lo = _I32_MIN - min(step[0], 0)
+    hi = _I32_MAX - max(step[1], 0)
+    reach = _REACH * max(1, max(step[1], 0) - min(step[0], 0))
+
+    def tests(span):
+        return probe(dict(seeds, **{name: span}))[0]
+
+    least = cost = probe(seeds)[0]
+    halves = []
+    for side in ((max(lo, 0), hi), (lo, min(hi, 0))):
+        # the narrowest seed on each side bounds what any seed removes
+        narrow = max(side[0], -reach), min(side[1], reach)
+        if narrow[1] - narrow[0] >= reach and tests(narrow) < least:
+            least = tests(narrow)
+            halves.append(side)
+    if least == cost:  # no half helps, or none is wide enough
+        if hi - lo >= reach and (lo, hi) != _FULL and tests((lo, hi)) < cost:
+            return tests((lo, hi)), dict(seeds, **{name: (lo, hi)})
+        return cost, seeds
+    for span in (lo, hi), (max(lo, 0), hi), (lo, min(hi, 0)):
+        if span != _FULL and tests(span) == least:
+            return least, dict(seeds, **{name: span})
+    # the widest bound on the best side that keeps its tests removed
+    side = halves[-1]
+    good, bad = reach, max(-side[0], side[1])
+    while bad - good > good >> 4:
+        mid = (good + bad) // 2
+        if tests((max(side[0], -mid), min(side[1], mid))) == least:
+            good = mid
+        else:
+            bad = mid
+    return least, dict(seeds, **{name: (max(side[0], -good),
+                                         min(side[1], good))})
 
 
 # -- trace assembly ----------------------------------------------------------
@@ -1187,10 +1419,22 @@ def compile_trace(model, image, entry, lazy=False, tail=None):
         limit = "_lim%d" % len(limits)
         limits.append("    %s = budget - %d" % (limit, span))
         body.extend("            " + line for line in enter)
-        body.append("            while _n <= %s:" % limit)
-        body.extend("                " + line for line in loop)
-        body.append("            else:")
-        body.extend("                " + line for line in leave + arm)
+        indent = "            "
+        proven = _prove_ranges(ctx, cycle, limit)
+        if proven is not None:
+            # the range-proven copy first (no iteration when its guard
+            # fails); its else is the unchanged loop, which runs what
+            # the copy left (nothing once the copy spent the budget)
+            guard, fast = proven
+            body.extend(indent + line for line in guard)
+            body.append(indent + "while _n <= _g:")
+            body.extend(indent + "    " + line for line in fast)
+            body.append(indent + "else:")
+            indent += "    "
+        body.append(indent + "while _n <= %s:" % limit)
+        body.extend(indent + "    " + line for line in loop)
+        body.append(indent + "else:")
+        body.extend(indent + "    " + line for line in leave + arm)
     body.append("        else:")
     body.append("            %sreturn _n, _pc, zf, nf, 0" % spill)
 

@@ -144,6 +144,68 @@ def test_emfile_at_nofile_descriptors(brick, cluster):
     assert count == NOFILE - 3  # three slots hold stdio
 
 
+def test_vm_fstat_packs_what_stat_packs(brick, cluster):
+    """The VM ``fstat`` trap on an open descriptor writes the same
+    packed stat as ``stat`` on the file's path; on a closed one it
+    fails with EBADF (d0 = -1, d1 = the errno)."""
+    import struct
+    from repro.errors import EBADF
+    from repro.programs.guest.libasm import program
+    brick.fs.install_file("/tmp/f", b"twelve bytes", mode=0o640, uid=100)
+    src = program("""
+start:  move  #SYS_open, d0
+        move  #path, d1
+        move  #O_RDONLY, d2
+        trap
+        move  d0, fd
+        move  #SYS_fstat, d0
+        move  fd, d1
+        move  #results + 16, d2
+        trap
+        move  d0, results
+        move  #SYS_stat, d0
+        move  #path, d1
+        move  #results + 48, d2
+        trap
+        move  d0, results + 4
+        move  #SYS_close, d0
+        move  fd, d1
+        trap
+        move  #SYS_fstat, d0
+        move  fd, d1
+        move  #results + 80, d2
+        trap
+        move  d0, results + 8
+        move  d1, results + 12
+        move  #SYS_creat, d0
+        move  #out, d1
+        move  #420, d2
+        trap
+        move  d0, d1
+        move  #SYS_write, d0
+        move  #results, d2
+        move  #80, d3
+        trap
+        move  #0, d2
+        jsr   exit
+""", """
+path:    .asciz "/tmp/f"
+out:     .asciz "/tmp/fstat.out"
+fd:      .word 0
+results: .space 112
+""")
+    brick.install_aout("fstatter", src.aout)
+    handle = brick.spawn("/bin/fstatter", uid=100, cwd="/tmp")
+    cluster.run_until(lambda: handle.exited, max_steps=1_000_000)
+    assert handle.exit_status == 0
+    raw = brick.fs.read_file("/tmp/fstat.out")
+    fres, sres, closed, errno = struct.unpack("<4i", raw[:16])
+    assert (fres, sres) == (0, 0)
+    assert raw[16:48] == raw[48:80]
+    assert struct.unpack("<8i", raw[16:48])[2:5] == (0o640, 100, 12)
+    assert (closed, errno) == (-1, EBADF)
+
+
 def test_deep_recursion_crashes_with_a_core(brick, cluster):
     """Unbounded jsr recursion smashes down through memory.  The
     stack eventually overwrites the program's own text (SIGILL when

@@ -25,6 +25,13 @@ and above the loop's length, so the trace compiler's loop superblocks
 (fused iterations, pending flags, deferred and one-sided wraps) are
 checked against the interpreter on both trace variants.
 
+Range-proven loop copies get a generator of cpuhog's shape: a counter
+stepped up by a constant, a ``mod`` of it added to an accumulator, and
+``cmp``/``blt`` back, both started near the top of the 32-bit range
+(or the mirror image, near the bottom) so the copy's entry guard
+holds, fails, or fails only on the last iteration the budget allows,
+on both trace variants and CPU models.
+
 The lazy variant is fuzzed the same way: random copy-on-reference
 chunks pending over the data window and the stack, each fetched by a
 logging hook, must fault in at the same instruction on both engines —
@@ -435,6 +442,82 @@ def test_lazy_loop_superblocks_match_interpreter(text, dregs, aregs,
                       chunks=chunks, fail=fail)
 
 
+#: constant divisors: small, cpuhog's, and ones that never bound much
+MODS = st.sampled_from([2, 7, 123, 20000, -9, 2 ** 30, -(2 ** 31)])
+
+#: a pending chunk the loop never touches (so the lazy variant keeps
+#: running), alone or with one over the accumulator word's page
+EDGE_CHUNKS = st.sampled_from([(), ((MEM_SIZE - PAGE, PAGE),),
+                             ((MEM_SIZE - PAGE, PAGE),
+                              (WORDS // PAGE * PAGE, PAGE))])
+
+
+def _near_top(draw, step):
+    """A start from which adding ``step`` leaves the 32-bit range after
+    a few dozen iterations (exactly at one of them, or a little before
+    or after it), a small value or an edge one."""
+    exact = max(2 ** 31 - 1 - step * draw(st.integers(0, 48)),
+                step - 2 ** 31)
+    return draw(st.one_of(st.just(exact), st.integers(exact - step, exact),
+                          st.integers(-100, 100), EDGE_IMM))
+
+
+@st.composite
+def _edge_loop(draw):
+    """cpuhog's loop shape: a counter stepped up by a constant, a term
+    made from it by a constant ``mod``, added to an accumulator (a
+    register or an aligned word), and ``cmp dM, dN; blt`` back.  The
+    counter and accumulator start near the top of the range, so the
+    range-proven copy's guard holds, fails, or fails only on the last
+    iteration the budget allows.  Half the loops are the mirror image:
+    counting down near the bottom (``bgt`` back), so the guard's lower
+    bounds are tried too."""
+    counter, bound, term, acc = draw(st.permutations(range(1, 8)))[:4]
+    step = draw(st.one_of(st.integers(1, 9), st.sampled_from([2 ** 20])))
+    divisor = draw(MODS)
+    acc_operand = ((Mode.ABS, draw(ALIGNED)) if draw(st.booleans())
+                   else (Mode.DREG, acc))
+    top = [_near_top(draw, step),
+           _near_top(draw, min(abs(divisor) - 1, 2 ** 31 - 1)),
+           draw(st.one_of(st.just(2 ** 31 - 1), EDGE_IMM))
+           if draw(st.booleans()) else 2 ** 31 - 1]
+    back = Op.BLT
+    if draw(st.booleans()):  # x -> -x - 1 maps the top onto the bottom
+        top = [-value - 1 for value in top]
+        step, back = -step, Op.BGT
+    items = [isa.encode(Op.MOVE, Mode.IMM, top[0], Mode.DREG, counter),
+             isa.encode(Op.MOVE, Mode.IMM, top[1], *acc_operand),
+             isa.encode(Op.MOVE, Mode.IMM, top[2], Mode.DREG, bound)]
+    head = len(items)
+    items += [isa.encode(Op.ADD, Mode.IMM, step, Mode.DREG, counter),
+              isa.encode(Op.MOVE, Mode.DREG, counter, Mode.DREG, term)]
+    if draw(st.booleans()):
+        items.append(isa.encode(Op.MUL, Mode.IMM, draw(EDGE_IMM),
+                                Mode.DREG, term))
+    if draw(st.booleans()):
+        items.append(isa.encode(Op.ADD, Mode.IMM, draw(EDGE_IMM),
+                                Mode.DREG, term))
+    items += [isa.encode(Op.MOD, Mode.IMM, divisor, Mode.DREG, term),
+              isa.encode(Op.ADD, Mode.DREG, term, *acc_operand),
+              isa.encode(Op.CMP, Mode.DREG, bound, Mode.DREG, counter),
+              isa.encode(back, Mode.IMM, TEXT_BASE + ISIZE * head),
+              isa.encode(Op.TRAP)]
+    return b"".join(items)
+
+
+@given(text=_edge_loop(), dregs=EDGE_DREGS, aregs=AREGS,
+       budgets=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+       model=st.sampled_from([MC68010, MC68020]), chunks=EDGE_CHUNKS)
+@settings(max_examples=60, deadline=None)
+def test_range_proven_loops_match_interpreter(text, dregs, aregs, budgets,
+                                              model, chunks):
+    """Counted loops whose counter and accumulator start near the
+    32-bit edges, eager and lazy: the guarded copy runs only where no
+    test it dropped could fire, and the fallback everywhere else."""
+    _run_differential(text, dregs, aregs, model, budgets, cap=3000,
+                      chunks=chunks)
+
+
 def _loop(*body, back=Op.BGT):
     """``body`` as a loop on ``d0`` counted down from its initial
     value, then a trap; returns ``(text, length)``."""
@@ -467,6 +550,111 @@ def test_one_sided_wrap_at_the_top_of_the_range():
     done = _run_differential(text, dregs, [DATA_BASE + 512] * 8, MC68010,
                              [3 * length + 1, 41], cap=5000)
     assert isinstance(done, TrapStop)
+
+
+def _guard(text, dregs, budget):
+    """``(_k, holds)`` for a quantum of ``budget`` entering the loop at
+    its head with ``dregs``: the most iterations the budget allows, and
+    whether the range-proven copy runs them (its guard holds)."""
+    env = {"budget": budget, "_n": 0}
+    env.update(("rd%d" % i, value) for i, value in enumerate(dregs))
+    for line in _source(text).splitlines():
+        if line.strip().startswith(("_lim0 = ", "_k = ", "_g = ")):
+            exec(line.strip(), env)
+    return env["_k"], env["_g"] != -1
+
+
+def _accumulate(over):
+    """The loop ``add #3, d1`` counted down by ``d0``, with ``d1``
+    starting where iteration _k of a 60-instruction quantum brings it
+    ``over`` past 2147483647; returns the text and the registers."""
+    text, __ = _loop(isa.encode(Op.ADD, Mode.IMM, 3, Mode.DREG, 1))
+    assert "rd1 + _k * 3 <= 2147483647" in _source(text)
+    k = _guard(text, [100] + [0] * 7, 60)[0]
+    return text, [100, 2 ** 31 - 1 - 3 * k + over] + [0] * 6
+
+
+def test_accumulator_reaching_the_top_on_the_last_iteration():
+    """An accumulator that reaches 2147483647 exactly on iteration _k
+    never wraps: the guard holds, and the range-proven copy runs
+    every iteration of the quantum."""
+    text, dregs = _accumulate(0)
+    assert _guard(text, dregs, 60)[1]
+    done = _run_differential(text, dregs, [DATA_BASE + 512] * 8, MC68010,
+                             [60], cap=5000)
+    assert isinstance(done, TrapStop)
+
+
+def test_accumulator_passing_the_top_on_the_last_iteration():
+    """One step higher it passes 2147483647 on iteration _k: the guard
+    fails and the loop's fallback, whose wrap test fires on that last
+    iteration, runs the quantum."""
+    text, dregs = _accumulate(1)
+    k, holds = _guard(text, dregs, 60)
+    assert not holds
+    image = _fresh_image(text, dregs, [DATA_BASE + 512] * 8)
+    CPU(MC68010).run(image, 3 * k)
+    assert image.regs.d[1] == -(2 ** 31)
+    done = _run_differential(text, dregs, [DATA_BASE + 512] * 8, MC68010,
+                             [60], cap=5000)
+    assert isinstance(done, TrapStop)
+
+
+def test_mod_of_a_dividend_going_negative_mid_loop():
+    """The range-proven copy drops ``mod``'s sign test for a counter it
+    proves non-negative; one that goes negative within the quantum
+    fails the guard, and the fallback keeps the sign branch."""
+    text, length = _loop(isa.encode(Op.MOVE, Mode.DREG, 1, Mode.DREG, 2),
+                         isa.encode(Op.MOD, Mode.IMM, 7, Mode.DREG, 2),
+                         isa.encode(Op.ADD, Mode.DREG, 2, Mode.DREG, 3),
+                         isa.encode(Op.SUB, Mode.IMM, 5, Mode.DREG, 1))
+    source = _source(text)
+    assert "rd2 = rd1 % 7 if rd1 >= 0 else -(-rd1 % 7)" in source
+    assert "rd2 = rd1 % 7\n" in source
+    dregs = [60, 5 * 10 + 3, 0, 0, 0, 0, 0, 0]
+    assert _guard(text, dregs, 5 * length)[1]
+    assert not _guard(text, dregs, 20 * length)[1]
+    for budgets in ([20 * length], [5 * length, 7, 41]):
+        done = _run_differential(text, dregs, [DATA_BASE + 512] * 8,
+                                 MC68010, budgets, cap=5000)
+        assert isinstance(done, TrapStop)
+
+
+def test_not_taken_tail_leaves_the_spans_it_proves_in_the_tail():
+    """The not-taken side of an in-cycle branch leaves the loop, so
+    what it writes (here ``d2 = 5``) proves nothing about the rest of
+    the iteration: the next block's ``d2 * 1000000`` keeps its wrap."""
+    nxt = TEXT_BASE + 4 * ISIZE
+    text = b"".join([
+        isa.encode(Op.SUB, Mode.IMM, 1, Mode.DREG, 0),
+        isa.encode(Op.BGT, Mode.IMM, nxt),        # the in-cycle edge
+        isa.encode(Op.MOVE, Mode.IMM, 5, Mode.DREG, 2),      # the tail
+        isa.encode(Op.TRAP),
+        isa.encode(Op.MOVE, Mode.DREG, 2, Mode.DREG, 4),     # nxt
+        isa.encode(Op.MUL, Mode.IMM, 1000000, Mode.DREG, 4),
+        isa.encode(Op.ADD, Mode.DREG, 4, Mode.DREG, 5),
+        isa.encode(Op.BRA, Mode.IMM, TEXT_BASE),
+    ])
+    assert "while _n <= _g:" in _source(text)
+    stop = _run_differential(text, [30, 0, 3000, 0, 0, 0, 0, 0],
+                             [DATA_BASE + 512] * 8, MC68010, [200],
+                             cap=5000)
+    assert isinstance(stop, TrapStop)
+
+
+def test_move_between_overlapping_words_leaves_the_moved_flags():
+    """``move`` from an aligned word to a word straddling it sets the
+    flags from the value moved, not from the word the store rewrote."""
+    word = WORDS + 4
+    text = b"".join([
+        isa.encode(Op.MOVE, Mode.IMM, -(2 ** 31) + 1, Mode.ABS, word),
+        isa.encode(Op.MOVE, Mode.ABS, word, Mode.ABS, word + 2),
+        isa.encode(Op.TRAP),
+    ])
+    for budgets in ([1], [5]):
+        done = _run_differential(text, [0] * 8, [DATA_BASE + 512] * 8,
+                                 MC68010, budgets)
+        assert isinstance(done, TrapStop)
 
 
 def test_deferred_chain_crosses_the_edge_mid_chain():
@@ -790,7 +978,10 @@ def test_slots_an_opcode_ignores_are_not_promoted():
 
 def test_cpuhog_loop_keeps_its_checksum_in_a_local():
     """cpuhog's ``add d5, checksum`` runs on a local: the iteration's
-    own lines touch neither ``mv4`` nor ``dp``; only its exits do."""
+    own lines touch neither ``mv4`` nor ``dp``; only its exits do.  In
+    the loop's range-proven copy no wrap or sign test is left: the
+    guard at loop entry keeps the counter and the checksum in spans
+    where none can fire."""
     assembled = program(cpuhog.BODY, cpuhog.DATA)
     image = ProcessImage()
     image.text_size = len(assembled.text)
@@ -800,7 +991,7 @@ def test_cpuhog_loop_keeps_its_checksum_in_a_local():
         0].source
     local, word, __ = _promoted(assembled.symbols["checksum"])
     lines = source.splitlines()
-    top = lines.index(" " * 12 + "while _n <= _lim0:")
+    top = lines.index(" " * 12 + "while _n <= _g:")
     body = lines[top + 1:lines.index(" " * 12 + "else:", top)]
     # the iteration's own statements: not nested, not an exit
     own = [line.strip() for line in body
@@ -808,7 +999,16 @@ def test_cpuhog_loop_keeps_its_checksum_in_a_local():
            and not line.lstrip().startswith("if ")]
     assert "v2 = %s + rd5" % local in own and "%s = v2" % local in own
     assert not [line for line in own if "mv4[" in line or "dp[" in line]
-    assert lines[top - 1].strip() == "%s = %s" % (local, word)
+    # the word is loaded before the guard: _k, then _g
+    assert lines[top - 2].lstrip().startswith("_k = ")
+    assert lines[top - 3].strip() == "%s = %s" % (local, word)
+    assert not [line for line in body if "2147483647" in line]
+    assert not [line for line in body if ">= 0 else -(-" in line]
+    # the fallback copy keeps its tests, and the checksum in a local
+    fallback = lines.index(" " * 16 + "while _n <= _lim0:", top)
+    rest = lines[fallback + 1:lines.index(" " * 16 + "else:", fallback)]
+    assert "v2 = %s + rd5" % local in [line.strip() for line in rest]
+    assert [line for line in rest if "2147483647" in line]
 
 
 def test_division_and_ill_parity_under_traces():
