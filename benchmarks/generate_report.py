@@ -115,7 +115,7 @@ def main():
     ]))
 
     print("\n## A4 — load balancing makespan\n")
-    result = app_load_balancing(iterations=400_000, hogs=2)
+    result = app_load_balancing(hogs=2)
     print(table(result["rows"], [
         ("configuration", lambda r: r["case"]),
         ("makespan", us("makespan_us")),

@@ -2,7 +2,8 @@
 """Checkpointing a long-running job (section 8, first application).
 
 A long computation appends results to a file.  The checkpoint manager
-snapshots it periodically (dump + archive + copy open files + resume).
+snapshots it periodically, one ``ckptd`` round per snapshot (dump +
+archive + copy open files + resume).
 Then the machine "crashes" the live process — and we restore the
 latest checkpoint, rolling the output file back so the program sees a
 consistent world, and let it run to completion.
@@ -34,7 +35,7 @@ def main():
         pid, proc = resumed.pid, resumed.proc
         print("checkpoint #%d taken (pid is now %d, %d open files "
               "snapshotted)" % (record.index, pid,
-                                len(record.file_copies)))
+                                len(manager.file_copies(record))))
 
     print("\noutput so far: %r"
           % brick.fs.read_file("/tmp/counter.out"))

@@ -8,7 +8,8 @@ evenly throughout the system."
 Three big batch jobs live on the file server by day; at nightfall the
 scheduler spreads them over the workstations, and at daybreak it
 corrals them back — each job simply keeps computing through both
-moves.
+moves.  Every move is a ``migrate -d`` run through the migration
+daemons.
 """
 
 from repro.apps import NightBatchScheduler
@@ -24,7 +25,8 @@ def show(site, sched, label):
 
 
 def main():
-    site = MigrationSite(daemons=False)
+    site = MigrationSite()
+    site.run_quiet()
     sched = NightBatchScheduler(site, day_host="brador",
                                 night_hosts=["brick", "schooner"],
                                 uid=100)

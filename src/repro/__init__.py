@@ -33,8 +33,7 @@ Quick start::
 from repro.costmodel import CostModel
 from repro.core.api import MigrationSite, MigrationManager
 from repro.machine import Cluster, Machine
-from repro.apps import (CheckpointManager, LoadBalancer,
-                        LoadBalancerPolicy, NightBatchScheduler)
+from repro.apps import CheckpointManager, NightBatchScheduler
 
 __version__ = "1.0.0"
 
@@ -45,8 +44,6 @@ __all__ = [
     "Cluster",
     "Machine",
     "CheckpointManager",
-    "LoadBalancer",
-    "LoadBalancerPolicy",
     "NightBatchScheduler",
     "__version__",
 ]

@@ -2,28 +2,24 @@
 
 * :mod:`repro.apps.checkpoint` — periodic process checkpointing with
   open-file snapshots and restore-to-the-n-th-checkpoint;
-* :mod:`repro.apps.loadbalance` — a load balancer moving CPU-bound
-  jobs from busy machines to idle ones;
-* :mod:`repro.apps.policy` — the pure selection policies shared by
-  the balancer and the in-simulation ``loadd`` daemon;
+* :mod:`repro.apps.policy` — the pure selection policies of the
+  in-simulation load balancer, the ``loadd`` daemon;
 * :mod:`repro.apps.nightbatch` — the day/night CPU-hog scheduler:
   corral the hogs onto one machine during the day, spread them across
   the idle network at night.
 
-All three drive the system exactly the way a user-level application
-would have: by running the ``dumpproc``/``restart`` commands and
-inspecting the process table via syscalls, never by reaching into
-kernel structures.
+None of them moves a process itself.  Checkpoints are ``ckptd``
+rounds, night-batch moves are ``migrate -d`` runs and load balancing
+is ``loadd`` (``MigrationSite.start_loadd``), so every move goes
+through the one migration pipeline, with its retries and rollback.
 """
 
 from repro.apps.checkpoint import CheckpointManager
-from repro.apps.loadbalance import LoadBalancer, LoadBalancerPolicy
 from repro.apps.nightbatch import NightBatchScheduler
 from repro.apps.policy import (HostLoad, Move, ThresholdPolicy,
                                WatermarkPolicy, WorkStealingPolicy,
                                make_policy)
 
-__all__ = ["CheckpointManager", "LoadBalancer", "LoadBalancerPolicy",
-           "NightBatchScheduler", "HostLoad", "Move",
-           "ThresholdPolicy", "WatermarkPolicy",
+__all__ = ["CheckpointManager", "NightBatchScheduler", "HostLoad",
+           "Move", "ThresholdPolicy", "WatermarkPolicy",
            "WorkStealingPolicy", "make_policy"]

@@ -11,14 +11,19 @@ copies of all files that were open when the process was checkpointed,
 so that if the actual files were modified after the checkpoint, the
 copies can be used instead."
 
-Because ``SIGDUMP`` terminates the process, one checkpoint is a
-dump-then-restart-in-place: the job pauses, its state lands on disk,
-and a fresh process continues from exactly that point (with a new
-pid, so checkpointed jobs must be pid-agnostic — section 7 applies).
+Every checkpoint is one round of the ``ckptd`` daemon
+(:mod:`repro.programs.ckptd`): it dumps the job, archives
+``ck<n>.{aout,files,stack}`` plus a ``ck<n>.fd<slot>`` copy of each
+open regular file, and resumes the job.  Because ``SIGDUMP``
+terminates the process, the job continues with a new pid, so
+checkpointed jobs must be pid-agnostic — section 7 applies.
 """
 
-from repro.errors import UnixError
+from repro.core.api import CommandFailed
 from repro.core.formats import FilesInfo, dump_file_names
+from repro.errors import UnixError
+from repro.machine.machine import SpawnHandle
+from repro.programs.ckmeta import parse_meta
 
 
 class Checkpoint:
@@ -29,27 +34,23 @@ class Checkpoint:
         self.pid = pid  #: pid at dump time (names the dump files)
         self.host = host
         self.directory = directory
-        #: original path -> saved copy path, for open data files
-        self.file_copies = {}
 
-    def saved_dump_names(self):
-        """Where the three dump files were moved to."""
-        return ("%s/ckpt%d.aout" % (self.directory, self.index),
-                "%s/ckpt%d.files" % (self.directory, self.index),
-                "%s/ckpt%d.stack" % (self.directory, self.index))
+    def archive(self, kind):
+        """The archived ``ck<n>.<kind>`` file (``aout``, ``fd3``...)."""
+        return "%s/ck%d.%s" % (self.directory, self.index, kind)
 
     def __repr__(self):
-        return ("Checkpoint(#%d of pid %d on %s, %d file copies)"
-                % (self.index, self.pid, self.host,
-                   len(self.file_copies)))
+        return "Checkpoint(#%d of pid %d on %s)" % (self.index, self.pid,
+                                                    self.host)
 
 
 class CheckpointManager:
     """Periodic snapshots of one process, with restore-to-n-th.
 
     The manager plays the role of the user-level application the
-    paper sketches: it drives ``dumpproc``/``restart`` and moves files
-    around; the kernel mechanism is untouched.
+    paper sketches: ``ckptd`` takes each snapshot, and a restore
+    stages the archive back for ``restart``; the kernel mechanism is
+    untouched.
     """
 
     def __init__(self, site, host, uid=100, directory="/ckpt"):
@@ -87,42 +88,47 @@ class CheckpointManager:
     # -- checkpointing -----------------------------------------------------------
 
     def checkpoint(self, pid):
-        """Snapshot ``pid``: dump, archive, copy files, resume.
+        """Snapshot ``pid`` with one ``ckptd`` round.
 
         Returns ``(checkpoint, resumed_handle)`` — the process
         continues under a new pid (``resumed_handle.pid``).
         """
-        site = self.site
-        site.dumpproc(self.host, pid, uid=self.uid)
-        record = Checkpoint(len(self.checkpoints), pid, self.host,
-                            self.directory)
-
-        aout, files, stack = dump_file_names(pid)
-        saved = record.saved_dump_names()
+        index = len(self.checkpoints)
+        argv = ["ckptd", "-s", str(index), str(pid), "0", "1",
+                self.directory]
+        daemon = self.site.start(self.host, "/bin/ckptd", argv,
+                                 uid=self.uid)
+        self.site.run_until(lambda: daemon.exited)
+        if daemon.exit_status != 0:
+            raise CommandFailed(" ".join(argv), daemon.exit_status)
         machine = self._machine()
-        for source, target in zip((aout, files, stack), saved):
-            self._write(target, machine.fs.read_file(source))
+        meta = parse_meta(self._read("%s/meta" % self.directory))
+        resumed = SpawnHandle(machine,
+                              machine.kernel.procs.lookup(meta["pid"]))
+        self.site.run_until(
+            lambda: resumed.exited or resumed.proc.is_vm())
+        record = Checkpoint(index, pid, self.host, self.directory)
+        self.checkpoints.append(record)
+        return record, resumed
 
-        # snapshot every open regular file recorded in the dump
-        info = FilesInfo.unpack(machine.fs.read_file(files))
+    def file_copies(self, checkpoint):
+        """Original path -> archived copy of each open file, rebuilt
+        from the checkpoint's ``ck<n>.files`` the way ckptd wrote it."""
+        info = FilesInfo.unpack(self._read(checkpoint.archive("files")))
+        copies = {}
         seen = set()
         for slot, entry in enumerate(info.entries):
-            if not entry.is_file() or entry.path in seen:
+            if not entry.is_file() or entry.path in seen \
+                    or entry.path.startswith("/dev/"):
                 continue
             seen.add(entry.path)
-            if entry.path.startswith("/dev/"):
-                continue
-            copy_path = "%s/ckpt%d.fd%d" % (self.directory,
-                                            record.index, slot)
+            copy_path = checkpoint.archive("fd%d" % slot)
             try:
-                self._write(copy_path, self._read(entry.path))
+                self._read(copy_path)
             except UnixError:
-                continue  # vanished or unreadable: nothing to save
-            record.file_copies[entry.path] = copy_path
-
-        self.checkpoints.append(record)
-        resumed = site.restart(self.host, pid, uid=self.uid)
-        return record, resumed
+                continue  # not snapshotted (a terminal, or unreadable)
+            copies[entry.path] = copy_path
+        return copies
 
     # -- restoring --------------------------------------------------------------
 
@@ -136,18 +142,18 @@ class CheckpointManager:
         if isinstance(checkpoint, int):
             checkpoint = self.checkpoints[checkpoint]
         host = host or self.host
-        machine = self._machine()
 
         if restore_files:
-            for original, copy_path in checkpoint.file_copies.items():
+            for original, copy_path in \
+                    self.file_copies(checkpoint).items():
                 self._write(original, self._read(copy_path))
 
         # stage the dump files back under the names restart expects
         # (the a.out must stay executable, the rest stays private)
         targets = dump_file_names(checkpoint.pid)
-        for index, (source, target) in enumerate(
-                zip(checkpoint.saved_dump_names(), targets)):
-            data = self._read(source)
+        for index, (kind, target) in enumerate(
+                zip(("aout", "files", "stack"), targets)):
+            data = self._read(checkpoint.archive(kind))
             inode = self._write(target, data, uid=self.uid)
             inode.mode = 0o700 if index == 0 else 0o600
             inode.uid = self.uid

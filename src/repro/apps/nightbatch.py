@@ -8,9 +8,10 @@ efficient use of the network resources."
 
 The scheduler owns a set of long-running batch jobs.  ``nightfall()``
 spreads them round-robin over every workstation; ``daybreak()``
-corrals them back onto the designated day machine.  Each move is a
-dump/restart, so a job's identity changes pid at every transition —
-the scheduler tracks jobs by handle, not pid.
+corrals them back onto the designated day machine.  Each move is one
+``migrate -d`` run (the shared migration pipeline, with its retries
+and rollback), so a job's identity changes pid at every transition —
+the scheduler tracks jobs by process, not pid.
 """
 
 
@@ -54,22 +55,28 @@ class NightBatchScheduler:
         return job
 
     def _move(self, job, destination):
+        """Move ``job`` with ``migrate -d``; True once it runs there.
+
+        A failed move leaves the job wherever the pipeline left it:
+        still running on its host (the dump failed), restarted there
+        from its own dump (the rollback), or lost.
+        """
         if job.host == destination or job.proc.zombie():
             return False
         site = self.site
-        from repro.core.api import CommandFailed
-        try:
-            site.dumpproc(job.host, job.proc.pid, uid=self.uid)
-        except CommandFailed:
-            return False
-        handle = site.restart(destination, job.proc.pid,
-                              from_host=job.host, uid=self.uid)
-        if handle.exited:
-            return False
-        job.proc = handle.proc
-        job.host = destination
-        job.moves += 1
-        return True
+        handle = site.migrate(job.proc.pid, job.host, destination,
+                              uid=self.uid, use_daemon=True)
+        if handle.exit_status == 0:
+            job.proc = site.find_restarted(destination)
+            job.host = destination
+            job.moves += 1
+            return True
+        if job.proc.zombie():
+            rolled_back = site.find_restarted(job.host)
+            if rolled_back is not None and all(
+                    other.proc is not rolled_back for other in self.jobs):
+                job.proc = rolled_back
+        return False
 
     def live_jobs(self):
         return [job for job in self.jobs if not job.proc.zombie()]

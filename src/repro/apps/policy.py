@@ -3,10 +3,8 @@
 A policy is a *pure function* from a load view to a list of moves:
 
 * the **view** is a mapping ``host -> HostLoad`` (runnable VM jobs
-  plus migration candidates with their CPU seconds) — however it was
-  obtained: :class:`~repro.apps.loadbalance.LoadBalancer` inspects
-  kernels directly, the ``loadd`` daemon assembles it from spooled
-  ``LOADREPORT`` datagrams;
+  plus migration candidates with their CPU seconds), which the
+  ``loadd`` daemon assembles from spooled ``LOADREPORT`` datagrams;
 * ``select(view)`` returns :class:`Move` decisions.  It never
   mutates the view, never consults a clock or an RNG, and calling it
   twice on the same view returns the same decisions — the property
@@ -114,19 +112,9 @@ class BalancePolicy:
                 best = host
         return best
 
-    @staticmethod
-    def _idlest(runnable, exclude=()):
-        best = None
-        for host in runnable:
-            if host in exclude:
-                continue
-            if best is None or runnable[host] < runnable[best]:
-                best = host
-        return best
-
 
 class ThresholdPolicy(BalancePolicy):
-    """The classic busiest-vs-idlest rule (the original balancer).
+    """The classic busiest-vs-idlest rule (``loadd``'s default).
 
     Move from the busiest host to the idlest only while their spread
     is at least ``imbalance_threshold`` runnable jobs (and at least

@@ -6,11 +6,12 @@ application (perhaps renaming them appropriately) ... The application
 should also make copies of all files that were open when the process
 was checkpointed."
 
-Unlike the host-side :class:`repro.apps.CheckpointManager` (a Python
-orchestration API), ``ckptd`` is a *native user program*: everything
-it does — killing the job, archiving the dump, copying the open
-files, resuming the job — happens through system calls, exactly as
-the paper's application would have.
+``ckptd`` is a *native user program*: everything it does — killing
+the job, archiving the dump, copying the open files, resuming the
+job — happens through system calls, exactly as the paper's
+application would have.  The host-side
+:class:`repro.apps.CheckpointManager` takes each of its snapshots
+with one ``ckptd`` round.
 
 Usage: ``ckptd [-e epoch] [-s round] <pid> <interval-seconds>
 <rounds> [<directory>]``.  After each snapshot the job continues

@@ -1,6 +1,13 @@
-"""Shared fixtures: single machines, clusters, and the full site."""
+"""Shared fixtures: single machines, clusters, and the full site.
+
+Hypothesis runs derandomized by default (the ``tier1`` profile): every
+run draws the same examples, so a pass or a failure reproduces.  The
+``explore`` profile draws fresh random examples each run; pass
+``--hypothesis-profile explore`` to keep searching for new failures.
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.bench import scan_checked  # noqa: F401
 from repro.core.api import MigrationSite
@@ -8,6 +15,10 @@ from repro.machine import Cluster
 from repro.programs import install_standard_programs
 from repro.programs.guest import libasm
 from repro.vm import cpu as cpu_module
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

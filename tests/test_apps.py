@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import (CheckpointManager, HostLoad, LoadBalancer,
-                        LoadBalancerPolicy, Move,
-                        NightBatchScheduler)
+from repro.apps import (CheckpointManager, HostLoad, Move,
+                        NightBatchScheduler, ThresholdPolicy)
+from repro.bench import app_load_balancing
 from repro.core.api import MigrationSite
 from repro.programs.guest.cpuhog import expected_checksum
 from tests.conftest import start_counter
+from tests.test_loadd import _await_loadd, _loadd_site, _start_hogs
 
 
 # -- checkpointing ---------------------------------------------------------
@@ -34,12 +35,12 @@ def test_checkpoint_archives_dump_and_files(site):
     manager = CheckpointManager(site, "brick", uid=100)
     record, __ = manager.checkpoint(handle.pid)
     brick = site.machine("brick")
-    for path in record.saved_dump_names():
-        assert brick.fs.read_file(path)
+    for kind in ("aout", "files", "stack"):
+        assert brick.fs.read_file(record.archive(kind))
     # the open output file was snapshotted
     copies = {orig.split("/")[-1]: saved
-              for orig, saved in record.file_copies.items()}
-    assert "counter.out" in copies
+              for orig, saved in manager.file_copies(record).items()}
+    assert copies == {"counter.out": record.archive("fd3")}
     assert brick.fs.read_file(copies["counter.out"]) == b"one\n"
 
 
@@ -103,52 +104,19 @@ def test_multiple_checkpoints_accumulate(site):
 # -- load balancing ----------------------------------------------------------------
 
 
-def hog(site, host, iters, uid=100):
-    handle = site.start(host, "/bin/cpuhog",
-                        ["cpuhog", str(iters)], uid=uid)
-    return handle
-
-
-def test_balancer_measures_load(site):
-    balancer = LoadBalancer(site, ["brick", "schooner"], uid=100)
-    assert balancer.loads() == {"brick": 0, "schooner": 0}
-    hog(site, "brick", 400_000)
-    hog(site, "brick", 400_000)
-    assert balancer.load_of("brick") == 2
-    assert balancer.load_of("schooner") == 0
-
-
-def test_balancer_moves_old_enough_jobs(site):
-    balancer = LoadBalancer(
-        site, ["brick", "schooner"], uid=100,
-        policy=LoadBalancerPolicy(min_cpu_seconds=0.2,
-                                  imbalance_threshold=2))
-    h1 = hog(site, "brick", 3_000_000)
-    h2 = hog(site, "brick", 3_000_000)
-    # too young: nothing moves
-    assert balancer.step() == []
-    # let them accumulate CPU
-    site.run(until_us=site.cluster.wall_time_us() + 1_000_000)
-    moves = balancer.step()
-    assert len(moves) == 1
-    assert moves[0].source == "brick"
-    assert moves[0].destination == "schooner"
-    assert balancer.loads() == {"brick": 1, "schooner": 1}
-
-
 def test_balancing_preserves_results(site):
-    """A migrated hog computes the same checksum it would have."""
+    """A hog that nightfall spread to another machine computes the
+    same checksum it would have."""
     iters = 600_000
-    h1 = hog(site, "brick", iters)
-    h2 = hog(site, "brick", iters)
-    site.run(until_us=site.cluster.wall_time_us() + 1_500_000)
-    balancer = LoadBalancer(
-        site, ["brick", "schooner"], uid=100,
-        policy=LoadBalancerPolicy(min_cpu_seconds=0.2))
-    moves = balancer.step()
-    assert moves
-    moved = moves[0].new_proc
-    site.run_until(lambda: moved.zombie(), max_steps=10_000_000)
+    sched = NightBatchScheduler(site, "brick", ["brick", "schooner"],
+                                uid=100)
+    for __ in range(2):
+        sched.submit("/bin/cpuhog", ["cpuhog", str(iters)])
+    site.run(until_us=site.cluster.wall_time_us() + 500_000)
+    assert sched.nightfall() == 1
+    moved = sched.jobs[1]
+    assert moved.host == "schooner"
+    site.run_until(lambda: moved.proc.zombie(), max_steps=10_000_000)
     expected = "checksum=%d" % expected_checksum(iters)
     assert expected in site.console("schooner")
 
@@ -185,30 +153,10 @@ def test_expected_checksum_is_closed_form():
 
 
 def test_balancing_improves_makespan():
-    """Two hogs on one machine finish sooner if one is moved —
+    """Two hogs on one machine finish sooner if loadd moves one —
     the paper's future-work 'systemwide application' measurement."""
-    iters = 800_000
-
-    def run_one(balance):
-        site = MigrationSite(daemons=False)
-        h1 = hog(site, "brick", iters)
-        h2 = hog(site, "brick", iters)
-        site.run(until_us=500_000)
-        if balance:
-            balancer = LoadBalancer(
-                site, ["brick", "schooner"], uid=100,
-                policy=LoadBalancerPolicy(min_cpu_seconds=0.1))
-            assert balancer.step()
-        site.run_until(lambda: h1.exited and all(
-            p.zombie() or not p.is_vm()
-            for m in site.cluster.machines.values()
-            for p in m.kernel.procs.all_procs()),
-            max_steps=30_000_000)
-        return site.wall_seconds()
-
-    unbalanced = run_one(False)
-    balanced = run_one(True)
-    assert balanced < unbalanced * 0.75
+    unbalanced, balanced = app_load_balancing(iterations=800_000)["rows"]
+    assert balanced["makespan_us"] < unbalanced["makespan_us"] * 0.75
 
 
 # -- policy edge cases (pure, no site) ---------------------------------------
@@ -224,7 +172,7 @@ def test_policy_tie_breaking_prefers_the_first_listed_host():
     """Equally-busy hosts: the one listed first in the view sheds;
     flipping the view order flips the decision — deterministic, no
     RNG, no clock."""
-    policy = LoadBalancerPolicy(min_cpu_seconds=0.0)
+    policy = ThresholdPolicy(min_cpu_seconds=0.0)
     brick = ("brick", 3, [(1, 1.0), (2, 2.0), (3, 3.0)])
     schooner = ("schooner", 3, [(4, 1.0)])
     idle = ("brador", 0, [])
@@ -240,7 +188,7 @@ def test_policy_tie_breaking_prefers_the_first_listed_host():
 
 def test_policy_min_cpu_seconds_boundary():
     """Exactly at the floor is eligible; a hair below is not."""
-    policy = LoadBalancerPolicy(min_cpu_seconds=0.5)
+    policy = ThresholdPolicy(min_cpu_seconds=0.5)
     at_floor = _view(("brick", 2, [(1, 0.5), (2, 0.499)]),
                      ("schooner", 0, []))
     assert policy.select(at_floor) == [Move(1, "brick", "schooner")]
@@ -253,9 +201,9 @@ def test_policy_zero_threshold_never_churns():
     """imbalance_threshold=0 must not ping-pong jobs between equally
     (or nearly equally) busy hosts: a move still has to strictly
     improve the spread."""
-    policy = LoadBalancerPolicy(min_cpu_seconds=0.0,
-                                imbalance_threshold=0,
-                                max_moves_per_round=8)
+    policy = ThresholdPolicy(min_cpu_seconds=0.0,
+                             imbalance_threshold=0,
+                             max_moves_per_round=8)
     equal = _view(("brick", 2, [(1, 1.0), (2, 1.0)]),
                   ("schooner", 2, [(3, 1.0), (4, 1.0)]))
     assert policy.select(equal) == []
@@ -273,31 +221,32 @@ def test_policy_max_moves_per_round_saturation():
     at the allowance."""
     jobs = [(pid, float(pid)) for pid in range(1, 7)]
     lopsided = _view(("brick", 6, jobs), ("schooner", 0, []))
-    greedy = LoadBalancerPolicy(min_cpu_seconds=0.0,
-                                max_moves_per_round=10)
+    greedy = ThresholdPolicy(min_cpu_seconds=0.0,
+                             max_moves_per_round=10)
     moves = greedy.select(lopsided)
     # 6/0 -> 5/1 -> 4/2 -> 3/3: the fourth move would not improve
     assert len(moves) == 3
     assert [m.pid for m in moves] == [6, 5, 4]  # busiest first
-    capped = LoadBalancerPolicy(min_cpu_seconds=0.0,
-                                max_moves_per_round=2)
+    capped = ThresholdPolicy(min_cpu_seconds=0.0,
+                             max_moves_per_round=2)
     assert len(capped.select(lopsided)) == 2
-    none = LoadBalancerPolicy(min_cpu_seconds=0.0,
-                              max_moves_per_round=0)
+    none = ThresholdPolicy(min_cpu_seconds=0.0,
+                           max_moves_per_round=0)
     assert none.select(lopsided) == []
 
 
-def test_balancer_zero_threshold_leaves_equal_site_alone(site):
-    """Integration flavor of the no-churn rule: a live balanced site
-    with threshold 0 produces no moves."""
-    start_counter(site, host="brick")
-    start_counter(site, host="schooner")
-    balancer = LoadBalancer(
-        site, ["brick", "schooner"], uid=100,
-        policy=LoadBalancerPolicy(min_cpu_seconds=0.0,
-                                  imbalance_threshold=0))
-    assert balancer.step() == []
-    assert balancer.loads() == {"brick": 1, "schooner": 1}
+def test_balancer_zero_threshold_leaves_equal_site_alone():
+    """Integration flavor of the no-churn rule: loadd with threshold
+    0 on a balanced live site makes no moves."""
+    site = _loadd_site(loadd_min_cpu_s=0.0, loadd_imbalance=0)
+    _start_hogs(site, 1, host="brick")
+    _start_hogs(site, 1, host="schooner")
+    handles = site.start_loadd()
+    _await_loadd(site, handles)
+    assert [h.exit_status for h in handles] == [0, 0]
+    assert site.cluster.perf.ld_moves == 0
+    assert site.find_restarted("schooner") is None
+    assert site.find_restarted("brick") is None
 
 
 # -- night batch ------------------------------------------------------------------------
@@ -329,3 +278,41 @@ def test_finished_jobs_are_not_moved(site):
     job = sched.submit("/bin/cpuhog", ["cpuhog", "1000"])
     site.run_until(lambda: job.proc.zombie())
     assert sched.nightfall() == 0
+
+
+def test_failed_night_move_rolls_back_to_the_day_host():
+    """A night host that never lands the restart: the pipeline rolls
+    the job back to the day host, and the scheduler still tracks it
+    there — exactly one live copy, counted by ``placement()``."""
+    site = MigrationSite(faults="restproc.overlay fail n=* host=brick")
+    site.run_quiet()
+    sched = NightBatchScheduler(site, "brador", ["brick"], uid=100)
+    job = sched.submit("/bin/cpuhog", ["cpuhog", "5000000"])
+    site.run(until_us=site.cluster.wall_time_us() + 500_000)
+
+    assert sched.nightfall() == 0
+    live = [(name, p) for name, m in site.cluster.machines.items()
+            for p in m.kernel.procs.all_procs()
+            if p.is_vm() and not p.zombie()]
+    assert live == [("brador", job.proc)]
+    assert job.host == "brador" and job.moves == 0
+    assert sched.placement() == {"brador": 1}
+
+
+def test_lost_night_job_is_not_bound_to_another_jobs_copy():
+    """The first job's rollback lands, the second's does not: the
+    second job is lost, and it must not claim the first job's
+    restarted copy as its own."""
+    site = MigrationSite(faults="restproc.overlay fail n=* host=brick; "
+                                "restproc.overlay fail n=* skip=1 "
+                                "host=brador")
+    site.run_quiet()
+    sched = NightBatchScheduler(site, "brador", ["brick"], uid=100)
+    first, second = [sched.submit("/bin/cpuhog", ["cpuhog", "5000000"])
+                     for __ in range(2)]
+    site.run(until_us=site.cluster.wall_time_us() + 500_000)
+
+    assert sched.nightfall() == 0
+    assert sched.live_jobs() == [first]
+    assert second.proc.zombie()
+    assert sched.placement() == {"brador": 1}

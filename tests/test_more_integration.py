@@ -3,10 +3,11 @@ relays, mixed scheduling, balancer policy limits."""
 
 import pytest
 
-from repro.apps import LoadBalancer, LoadBalancerPolicy
 from repro.kernel.constants import O_APPEND
 from repro.core.formats import FilesInfo, dump_file_names
 from tests.conftest import start_counter
+from tests.test_loadd import (_await_loadd, _live_jobs, _loadd_site,
+                              _start_hogs)
 
 
 def test_append_flag_survives_migration(site):
@@ -52,43 +53,16 @@ def test_mixed_native_and_vm_scheduling(site):
     assert "checksum=" in site.console("brick")
 
 
-def test_balancer_respects_max_moves(site):
-    for __ in range(6):
-        site.start("brick", "/bin/cpuhog", ["cpuhog", "4000000"],
-                   uid=100)
-    site.run(until_us=site.cluster.wall_time_us() + 1_500_000)
-    balancer = LoadBalancer(
-        site, ["brick", "schooner"], uid=100,
-        policy=LoadBalancerPolicy(min_cpu_seconds=0.1,
-                                  imbalance_threshold=2,
-                                  max_moves_per_round=2))
-    moves = balancer.step()
-    assert len(moves) == 2
-
-
-def test_balancer_threshold_blocks_churn(site):
-    h1 = site.start("brick", "/bin/cpuhog", ["cpuhog", "4000000"],
-                    uid=100)
-    h2 = site.start("schooner", "/bin/cpuhog", ["cpuhog", "4000000"],
-                    uid=100)
-    site.run(until_us=site.cluster.wall_time_us() + 1_000_000)
-    balancer = LoadBalancer(
-        site, ["brick", "schooner"], uid=100,
-        policy=LoadBalancerPolicy(min_cpu_seconds=0.1,
-                                  imbalance_threshold=2))
-    # 1 vs 1 is balanced: nothing moves
-    assert balancer.step() == []
-
-
-def test_migrated_job_counts_in_destination_load(site):
-    h = site.start("brick", "/bin/cpuhog", ["cpuhog", "4000000"],
-                   uid=100)
-    site.run(until_us=site.cluster.wall_time_us() + 1_000_000)
-    balancer = LoadBalancer(site, ["brick", "schooner"], uid=100)
-    assert balancer.loads() == {"brick": 1, "schooner": 0}
-    move = balancer.migrate(h.pid, "brick", "schooner")
-    assert move is not None
-    assert balancer.loads() == {"brick": 0, "schooner": 1}
+def test_balancer_respects_max_moves():
+    """Six hogs against an idle host: the policy would move three, but
+    one loadd round with a two-move allowance moves exactly two."""
+    site = _loadd_site(loadd_max_moves=2, loadd_rounds=1)
+    _start_hogs(site, 6)
+    handles = site.start_loadd()
+    _await_loadd(site, handles)
+    assert site.cluster.perf.ld_moves == 2
+    assert len(_live_jobs(site, "brick")) == 4
+    assert len(_live_jobs(site, "schooner")) == 2
 
 
 def test_dump_while_multiple_jobs_share_a_machine(site):
