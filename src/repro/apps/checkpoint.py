@@ -14,16 +14,25 @@ copies can be used instead."
 Every checkpoint is one round of the ``ckptd`` daemon
 (:mod:`repro.programs.ckptd`): it dumps the job, archives
 ``ck<n>.{aout,files,stack}`` plus a ``ck<n>.fd<slot>`` copy of each
-open regular file, and resumes the job.  Because ``SIGDUMP``
+open regular file, and resumes the job.  A restore is one run of a
+native program the manager installs: it reads the archived round,
+writes the open-file copies back and restages the dump through the
+migration pipeline (:func:`repro.programs.pipeline.restage`), the
+way ``recoveryd`` brings back a crashed host's job.  The archive
+layout is :mod:`repro.programs.ckmeta`'s.  Because ``SIGDUMP``
 terminates the process, the job continues with a new pid, so
 checkpointed jobs must be pid-agnostic — section 7 applies.
 """
 
 from repro.core.api import CommandFailed
-from repro.core.formats import FilesInfo, dump_file_names
-from repro.errors import UnixError
+from repro.core.formats import FilesInfo
+from repro.errors import iserr, UnixError
 from repro.machine.machine import SpawnHandle
-from repro.programs.ckmeta import parse_meta
+from repro.programs.ckmeta import (archive_path, parse_meta,
+                                   read_round, restore_copies,
+                                   snapshot_slots)
+from repro.programs.exitcodes import EX_FAIL, EX_OK
+from repro.programs.pipeline import restage
 
 
 class Checkpoint:
@@ -37,7 +46,7 @@ class Checkpoint:
 
     def archive(self, kind):
         """The archived ``ck<n>.<kind>`` file (``aout``, ``fd3``...)."""
-        return "%s/ck%d.%s" % (self.directory, self.index, kind)
+        return archive_path(self.directory, self.index, kind)
 
     def __repr__(self):
         return "Checkpoint(#%d of pid %d on %s)" % (self.index, self.pid,
@@ -63,27 +72,8 @@ class CheckpointManager:
         root = machine.fs.makedirs(directory)
         root.mode = 0o777
 
-    # -- path plumbing ------------------------------------------------------
-
-    def _machine(self):
-        return self.site.machine(self.host)
-
     def _read(self, path):
-        """Read a file through the manager machine's namespace."""
-        resolved = self._machine().namespace.resolve(path)
-        return bytes(resolved.inode.data)
-
-    def _write(self, path, data, uid=None):
-        machine = self._machine()
-        resolved = machine.namespace.resolve(path, want_parent=True)
-        if resolved.inode is None:
-            inode = resolved.parent_fs.create(
-                resolved.parent, resolved.name, mode=0o644,
-                uid=uid if uid is not None else self.uid)
-        else:
-            inode = resolved.inode
-        inode.data[:] = data
-        return inode
+        return self.site.machine(self.host).fs.read_file(path)
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -101,12 +91,10 @@ class CheckpointManager:
         self.site.run_until(lambda: daemon.exited)
         if daemon.exit_status != 0:
             raise CommandFailed(" ".join(argv), daemon.exit_status)
-        machine = self._machine()
+        machine = self.site.machine(self.host)
         meta = parse_meta(self._read("%s/meta" % self.directory))
         resumed = SpawnHandle(machine,
                               machine.kernel.procs.lookup(meta["pid"]))
-        self.site.run_until(
-            lambda: resumed.exited or resumed.proc.is_vm())
         record = Checkpoint(index, pid, self.host, self.directory)
         self.checkpoints.append(record)
         return record, resumed
@@ -116,46 +104,52 @@ class CheckpointManager:
         from the checkpoint's ``ck<n>.files`` the way ckptd wrote it."""
         info = FilesInfo.unpack(self._read(checkpoint.archive("files")))
         copies = {}
-        seen = set()
-        for slot, entry in enumerate(info.entries):
-            if not entry.is_file() or entry.path in seen \
-                    or entry.path.startswith("/dev/"):
-                continue
-            seen.add(entry.path)
+        for slot, path in snapshot_slots(info):
             copy_path = checkpoint.archive("fd%d" % slot)
             try:
                 self._read(copy_path)
             except UnixError:
                 continue  # not snapshotted (a terminal, or unreadable)
-            copies[entry.path] = copy_path
+            copies[path] = copy_path
         return copies
 
     # -- restoring --------------------------------------------------------------
 
-    def restore(self, checkpoint, host=None, restore_files=True):
+    def restore(self, checkpoint, host=None):
         """Bring a checkpoint back to life (default: where it ran).
 
-        With ``restore_files`` the saved copies of the open files are
-        written back first, so the program sees a consistent world
-        even if the real files changed after the snapshot.
+        The saved copies of the open files are written back first, so
+        the program sees a consistent world even if the real files
+        changed after the snapshot.  Returns the restored job's
+        handle.
         """
         if isinstance(checkpoint, int):
             checkpoint = self.checkpoints[checkpoint]
         host = host or self.host
+        directory = checkpoint.directory if host == self.host \
+            else "/n/%s%s" % (self.host, checkpoint.directory)
+        revived = []
 
-        if restore_files:
-            for original, copy_path in \
-                    self.file_copies(checkpoint).items():
-                self._write(original, self._read(copy_path))
+        def ckrestore_main(argv, env):
+            local = yield ("gethostname",)
+            archived = yield from read_round(directory, checkpoint.index)
+            if iserr(archived):
+                return EX_FAIL
+            aout_blob, info, stack_blob = archived
+            yield from restore_copies(directory, checkpoint.index, info)
+            pid = yield from restage(checkpoint.pid,
+                                     (aout_blob, info.pack(), stack_blob),
+                                     local)
+            if pid is None:
+                return EX_FAIL
+            revived.append(pid)
+            return EX_OK
 
-        # stage the dump files back under the names restart expects
-        # (the a.out must stay executable, the rest stays private)
-        targets = dump_file_names(checkpoint.pid)
-        for index, (kind, target) in enumerate(
-                zip(("aout", "files", "stack"), targets)):
-            data = self._read(checkpoint.archive(kind))
-            inode = self._write(target, data, uid=self.uid)
-            inode.mode = 0o700 if index == 0 else 0o600
-            inode.uid = self.uid
-        return self.site.restart(host, checkpoint.pid,
-                                 from_host=self.host, uid=self.uid)
+        machine = self.site.machine(host)
+        machine.install_native_program("ckrestore", ckrestore_main)
+        program = self.site.start(host, "/bin/ckrestore", uid=self.uid)
+        self.site.run_until(lambda: program.exited)
+        if not revived:
+            raise CommandFailed("ckrestore", program.exit_status)
+        return SpawnHandle(machine,
+                           machine.kernel.procs.lookup(revived[0]))

@@ -10,7 +10,7 @@ Error convention: kernel errors arrive as negative ints (``-errno``);
 :func:`repro.errors.iserr` tests for them.
 """
 
-from repro.errors import iserr, ECHILD, EIO, ENOENT
+from repro.errors import iserr, ECHILD, EIO
 from repro.kernel.constants import (O_CREAT, O_RDONLY, O_TRUNC,
                                     O_WRONLY)
 from repro.programs.exitcodes import EX_FAIL
@@ -105,29 +105,6 @@ def wait_for(child):
         reaped, raw = result
         if reaped == child:
             return (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL
-
-
-def await_restart(child, aout_path, tries, sleep_s):
-    """Poll for a spawned restart's ack; True once it took.
-
-    A successful restart never exits — it *becomes* the restored
-    process — so the ack is the kernel consuming the staged a.out at
-    the end of ``rest_proc()``: ``aout_path`` disappears.  The child
-    dying first means the restart (or its remote relay) failed, and
-    a child that does neither within ``tries`` polls, ``sleep_s``
-    apart, counts as failed too.
-    """
-    for __ in range(max(1, tries)):
-        fd = yield ("open", aout_path, O_RDONLY, 0)
-        if fd == -ENOENT:
-            return True  # rest_proc consumed the dump: it took
-        if not iserr(fd):
-            yield ("close", fd)
-        reaped = yield ("reap",)
-        if isinstance(reaped, tuple) and reaped[0] == child:
-            return False  # the restart (or its relay) died
-        yield ("sleep", sleep_s)
-    return False
 
 
 class LineReader:

@@ -9,7 +9,11 @@ was checkpointed."
 ``ckptd`` is a *native user program*: everything it does — killing
 the job, archiving the dump, copying the open files, resuming the
 job — happens through system calls, exactly as the paper's
-application would have.  The host-side
+application would have.  The dump and the resume are the migration
+pipeline's (:mod:`repro.programs.pipeline`): ``dumpproc`` is retried
+on transient failures, and the job is resumed by ``restart -k``,
+retried until the kernel acks it by consuming the dump.  The
+archive layout is :mod:`repro.programs.ckmeta`'s.  The host-side
 :class:`repro.apps.CheckpointManager` takes each of its snapshots
 with one ``ckptd`` round.
 
@@ -29,13 +33,12 @@ claimed a higher epoch (or the checkpoint directory became
 unreachable, so it *may* have), and the local copy killed itself.
 """
 
-from repro.errors import iserr, EEXIST, UnixError
-from repro.core.formats import FilesInfo, dump_file_names
+from repro.errors import iserr, EEXIST
 from repro.kernel.signals import SIGKILL
-from repro.programs.base import (parse_options, print_err, println,
-                                 read_file, wait_for, write_file)
-from repro.programs.ckmeta import highest_claim, write_meta
-from repro.programs.exitcodes import EX_FENCED, EX_JOBLOST
+from repro.programs.base import parse_options, print_err, println
+from repro.programs.ckmeta import archive_round, highest_claim, write_meta
+from repro.programs.exitcodes import EX_FENCED, EX_JOBLOST, EX_OK
+from repro.programs.pipeline import dump, restart
 
 DEFAULT_DIRECTORY = "/tmp/ckpt"
 
@@ -100,7 +103,7 @@ def ckptd_main(argv, env):
             yield from write_meta(directory, meta(pid, "lost", left))
             return EX_JOBLOST
 
-        new_pid = yield from _snapshot(pid, round_no, directory)
+        new_pid = yield from _snapshot(pid, round_no, directory, host)
         if new_pid is None:
             yield from print_err("ckptd: checkpoint %d of pid %d "
                                  "failed" % (round_no, pid))
@@ -125,59 +128,19 @@ def _check_fence(directory, epoch):
     return highest_claim(names) > epoch
 
 
-def _snapshot(pid, round_no, directory):
-    """One checkpoint: dump, archive, copy files, resume.
+def _snapshot(pid, round_no, directory, host):
+    """One checkpoint: dump, archive, resume.
 
     Returns the resumed job's pid, or None.
     """
-    # 1. dump the job (dumpproc kills it and rewrites the files file)
-    dumper = yield ("spawn", "/bin/dumpproc",
-                    ["dumpproc", "-p", str(pid)])
-    if iserr(dumper):
+    attempts = yield ("sysctl", "migrate_attempts")
+    backoff = yield ("sysctl", "migrate_backoff_s")
+    status = yield from dump(pid, host, host, None, attempts, backoff)
+    if status != EX_OK:
         return None
-    status = yield from wait_for(dumper)
-    if status != 0:
+    result = yield from archive_round(directory, round_no, pid)
+    if iserr(result):
         return None
-
-    # 2. archive the three dump files (copying, so restart can still
-    #    find them under the names it expects)
-    sources = dump_file_names(pid)
-    for index, (kind, source) in enumerate(
-            zip(("aout", "files", "stack"), sources)):
-        data = yield from read_file(source)
-        if iserr(data):
-            return None
-        target = "%s/ck%d.%s" % (directory, round_no, kind)
-        result = yield from write_file(target, data)
-        if iserr(result):
-            return None
-        if kind == "aout":
-            yield ("chmod", target, 0o700)
-
-    # 3. snapshot every open regular file recorded in the dump
-    files_blob = yield from read_file(sources[1])
-    try:
-        info = FilesInfo.unpack(files_blob)
-    except UnixError:
-        return None
-    seen = set()
-    for slot, entry in enumerate(info.entries):
-        if not entry.is_file() or entry.path in seen \
-                or entry.path.startswith("/dev/"):
-            continue
-        seen.add(entry.path)
-        stat = yield ("stat", entry.path)
-        if iserr(stat) or stat.is_terminal():
-            continue
-        data = yield from read_file(entry.path)
-        if iserr(data):
-            continue
-        yield from write_file("%s/ck%d.fd%d" % (directory, round_no,
-                                                slot), data)
-
-    # 4. resume the job: the restart child *becomes* the job
-    runner = yield ("spawn", "/bin/restart",
-                    ["restart", "-p", str(pid)])
-    if iserr(runner):
-        return None
-    return runner
+    # the restart child *becomes* the job
+    return (yield from restart(pid, host, host, attempts=attempts,
+                               backoff=backoff))

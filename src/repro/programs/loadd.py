@@ -22,9 +22,10 @@ line.  Each round it:
 4. asks its policy (:mod:`repro.apps.policy`) for moves and executes
    only the ones whose *source is this host* — only the owner of a
    job may dump it, which is what keeps two balancers from ever
-   duplicating a process.  Destinations it just fed are assumed one
-   job busier for ``SETTLE_ROUNDS`` rounds, damping the herd effect
-   of re-balancing against a peer's not-yet-updated report;
+   duplicating a process.  A destination it just fed is assumed one
+   job busier per job landed there, for ``SETTLE_ROUNDS`` rounds,
+   damping the herd effect of re-balancing against a peer's
+   not-yet-updated report;
 5. moves a job through the shared migration pipeline
    (:func:`repro.programs.pipeline.move`, the one ``migrate`` runs),
    with this host as both source and orchestrator and
@@ -93,7 +94,7 @@ def loadd_main(argv, env):
     # receiver is already bound it exits quietly.
     yield ("spawn", "/bin/loadd-recv", ["loadd-recv"], None, True)
 
-    settling = {}  # destination -> rounds an in-flight move covers
+    settling = []  # (destination, rounds left) per landed job
     for round_no in range(rounds):
         yield ("sleep", interval)
         yield from _drain_children()  # e.g. timed-out move relays
@@ -103,24 +104,22 @@ def loadd_main(argv, env):
         for peer in peers:
             yield from send_report(LOADD, report, peer)
         view = yield from _build_view(local, peers)
-        _apply_settling(view, settling)
+        settling = _apply_settling(view, settling)
         landed = yield from _balance(policy, view, local, round_no)
-        for host in landed:
-            settling[host] = SETTLE_ROUNDS
+        settling += [(host, SETTLE_ROUNDS) for host in landed]
         yield ("perf_note", "ld_rounds")
     return EX_OK
 
 
 def _apply_settling(view, settling):
-    """Account for this host's own in-flight moves in a fresh view."""
-    for host in list(settling):
+    """Account for this host's own in-flight moves in a fresh view,
+    one job per landing; the landings still to cover next round."""
+    for host, __ in settling:
         if host in view:
             entry = view[host]
             view[host] = HostLoad(host, entry.runnable + 1,
                                   entry.candidates)
-        settling[host] -= 1
-        if settling[host] <= 0:
-            del settling[host]
+    return [(host, left - 1) for host, left in settling if left > 1]
 
 
 def _build_policy(name):

@@ -5,10 +5,14 @@ combination of the two previous commands ... Migrate calls dumpproc
 and restart internally, by using the remote shell command rsh ... if
 necessary."
 
-:func:`move` is that combination, owned end to end, and the only code
-that moves a live process: ``migrate`` calls it after parsing its
-options and ``loadd`` calls it for every balancing decision.  Where
-to move a job is policy (:mod:`repro.apps.policy`); how is here.
+:func:`move` is that combination, owned end to end: ``migrate``
+calls it after parsing its options and ``loadd`` calls it for every
+balancing decision.  Where to move a job is policy
+(:mod:`repro.apps.policy`); how is here.  Its phases are the only
+code that spawns ``dumpproc`` or ``restart``: ``ckptd`` snapshots a
+job with :func:`dump` and resumes it with :func:`restart`, and
+``recoveryd`` and :class:`repro.apps.CheckpointManager` bring an
+archived dump back with :func:`restage`.
 
 Hardening (DESIGN.md section 7).  The paper's migrate assumed both
 phases succeed; this pipeline does not:
@@ -38,14 +42,15 @@ the record first, the pipeline stands down (``EX_FENCED``) rather than
 race it.
 """
 
-from repro.errors import iserr, ECHILD
-from repro.core.formats import dump_file_names
+from repro.errors import iserr, ECHILD, ENOENT, UnixError
+from repro.core.formats import StackInfo, dump_file_names
+from repro.kernel.constants import O_RDONLY
 from repro.net.migledger import (LEDGER_FENCED, MigRecord, PH_ABORTED,
                                  PH_DONE, PH_DUMPED, PH_RESTARTING,
                                  ledger_advance, ledger_put,
                                  ledger_reap, mkdir_p, record_dir)
-from repro.programs.base import (await_restart, print_err, remove_files,
-                                 wait_for)
+from repro.programs.base import (print_err, remove_files, wait_for,
+                                 write_file)
 from repro.programs.exitcodes import (EX_FAIL, EX_FENCED, EX_OK,
                                       EX_TRANSIENT)
 
@@ -67,10 +72,8 @@ def move(pid, source, destination, local, runner):
 
     attempts = yield ("sysctl", "migrate_attempts")
     backoff = yield ("sysctl", "migrate_backoff_s")
-    # the dump files as seen from *this* machine (the ack we poll)
-    directory = "/usr/tmp" if source == local \
-        else "/n/%s/usr/tmp" % source
-    dump_paths = dump_file_names(pid, directory)
+    # the dump files as seen from *this* machine
+    dump_paths = dump_names(pid, source, local)
 
     # -- phase 0: durable intent (opt-in, DESIGN.md section 12) -------------
     # ("sysctl0" keeps the ledger-off path byte-identical: the read is
@@ -90,21 +93,8 @@ def move(pid, source, destination, local, runner):
             return EX_FAIL
 
     # -- phase 1: dump on the source host (waited for) ----------------------
-    dump_args = ["dumpproc", "-p", str(pid)]
-    if record:
-        dump_args += ["-L", recdir]
-    status = None
-    for attempt in range(max(1, attempts)):
-        if attempt:
-            yield ("perf_note", "retries")
-            yield from print_err("migrate: retrying dump on %s"
-                                 % source)
-            yield ("sleep", backoff * attempt)
-        status = yield from _run(source, local, dump_args, runner)
-        if status == EX_OK:
-            break
-        if status == EX_FAIL:
-            break  # permanent (no such process, permission): no retry
+    status = yield from dump(pid, source, local, runner, attempts,
+                             backoff, recdir)
     if status != EX_OK:
         yield from remove_files(dump_paths)
         if record:
@@ -120,35 +110,24 @@ def move(pid, source, destination, local, runner):
         # and the sweep resolves stale records by probing reality
 
     # -- phase 2: restart on the destination host ---------------------------
-    # -k: a failed restart must keep the dump files, both for the next
-    # attempt and so the files' disappearance can only mean success
     if record:
         result = yield from ledger_advance(recdir, record,
                                            PH_RESTARTING)
         if result == LEDGER_FENCED:
             return (yield from _fenced(mig, "restart"))
-    restart_args = ["restart", "-k", "-p", str(pid), "-h", source]
-    for attempt in range(max(1, attempts)):
-        if attempt:
-            yield ("perf_note", "retries")
-            yield from print_err("migrate: retrying restart on %s"
-                                 % destination)
-            yield ("sleep", backoff * attempt)
-        done = yield from _restart_once(destination, local,
-                                        restart_args, runner,
-                                        dump_paths[0])
-        if done:
-            if record:
-                result = yield from ledger_advance(recdir, record,
-                                                   PH_DONE)
-                if result == 0:
-                    yield ("perf_note", "ml_completions")
-                    yield from ledger_reap(recdir)
-                # fenced: a sweeper claimed the record, but the copy
-                # is live — its probe finds it and settles the record;
-                # the migration itself still succeeded
-            yield ("trace_span", "migrate", "E", mig, 1)
-            return EX_OK
+    child = yield from restart(pid, destination, local, runner, source,
+                               attempts, backoff)
+    if child is not None:
+        if record:
+            result = yield from ledger_advance(recdir, record, PH_DONE)
+            if result == 0:
+                yield ("perf_note", "ml_completions")
+                yield from ledger_reap(recdir)
+            # fenced: a sweeper claimed the record, but the copy is
+            # live — its probe finds it and settles the record; the
+            # migration itself still succeeded
+        yield ("trace_span", "migrate", "E", mig, 1)
+        return EX_OK
 
     # -- phase 3: roll the job back home ------------------------------------
     # the source restarts it from its own dump (the /n/<self> loopback
@@ -156,9 +135,8 @@ def move(pid, source, destination, local, runner):
     # never strands the victim
     yield from print_err("migrate: restart on %s failed, rolling "
                          "back to %s" % (destination, source))
-    done = yield from _restart_once(source, local, restart_args,
-                                    runner, dump_paths[0])
-    if done:
+    child = yield from restart(pid, source, local, runner, source)
+    if child is not None:
         if record:
             yield from _ledger_abort(recdir, record)
         yield from print_err("migrate: %s rolled back to %s"
@@ -172,6 +150,101 @@ def move(pid, source, destination, local, runner):
         yield from print_err("migrate: %s lost" % mig)
     yield ("trace_span", "migrate", "E", mig, 0)
     return EX_FAIL
+
+
+def dump_names(pid, host, local):
+    """The dump files of ``pid`` on ``host``, as named from ``local``."""
+    directory = "/usr/tmp" if host == local \
+        else "/n/%s/usr/tmp" % host
+    return dump_file_names(pid, directory)
+
+
+def dump(pid, host, local, runner, attempts, backoff, recdir=None):
+    """yield-from: ``dumpproc -p pid`` on ``host``, up to ``attempts``
+    runs unless it fails for good (``EX_FAIL``); its exit status.
+    ``recdir`` also archives the dump for the intent ledger (``-L``).
+    """
+    dump_args = ["dumpproc", "-p", str(pid)]
+    if recdir:
+        dump_args += ["-L", recdir]
+    status = None
+    for attempt in range(max(1, attempts)):
+        if attempt:
+            yield from _backoff("dump", host, backoff, attempt)
+        status = yield from _run(host, local, dump_args, runner)
+        if status in (EX_OK, EX_FAIL):
+            break
+    return status
+
+
+def restart(pid, host, local, runner=None, from_host=None,
+            attempts=1, backoff=0):
+    """yield-from: ``restart -k`` ``pid`` on ``host`` from
+    ``from_host``'s dump (``-h``; default ``host``'s own), up to
+    ``attempts`` runs; the spawned child's pid once the kernel acks
+    it, else None.  A local restart's child *is* the restored job.
+    """
+    restart_args = ["restart", "-k", "-p", str(pid)]
+    if from_host:
+        restart_args += ["-h", from_host]
+    aout_path = dump_names(pid, from_host or host, local)[0]
+    for attempt in range(max(1, attempts)):
+        if attempt:
+            yield from _backoff("restart", host, backoff, attempt)
+        poll_tries = yield ("sysctl", "restart_poll_tries")
+        poll_sleep = yield ("sysctl", "restart_poll_sleep_s")
+        child = yield from _spawn(host, local, restart_args, runner)
+        if not iserr(child) and (yield from _await_ack(
+                child, aout_path, poll_tries, poll_sleep)):
+            return child
+    return None
+
+
+def restage(pid, blobs, local):
+    """yield-from: stage a dump's (a.out, files, stack) blobs under
+    the names ``restart`` expects and restart it on ``local``; the
+    restored job's pid, or None after unstaging.
+
+    ``restart`` takes the dump owner's identity before ``rest_proc``
+    execs the a.out, so the files go back to the owner the stack
+    header names (a non-root caller gets EPERM, but stages under the
+    only uid that may restart them anyway).
+    """
+    targets = dump_file_names(pid)
+    for target, data in zip(targets, blobs):
+        result = yield from write_file(target, data)
+        if iserr(result):
+            yield from remove_files(targets)
+            return None
+    yield ("chmod", targets[0], 0o700)
+    try:
+        cred = StackInfo.peek_header(blobs[2])[0]
+    except UnixError:
+        cred = None  # restart rejects the stack itself
+    if cred is not None:
+        for target in targets:
+            yield ("chown", target, cred.uid, cred.gid)
+    child = yield from restart(pid, local, local)
+    if child is None:
+        yield from remove_files(targets)
+    return child
+
+
+def _await_ack(child, aout_path, tries, sleep_s):
+    """yield-from: True once ``aout_path`` disappears; False if the
+    child (the restart, or its relay) dies first or ``tries`` polls
+    ``sleep_s`` apart see neither."""
+    for __ in range(max(1, tries)):
+        fd = yield ("open", aout_path, O_RDONLY, 0)
+        if fd == -ENOENT:
+            return True  # rest_proc consumed the dump: it took
+        if not iserr(fd):
+            yield ("close", fd)
+        reaped = yield ("reap",)
+        if isinstance(reaped, tuple) and reaped[0] == child:
+            return False  # the restart (or its relay) died
+        yield ("sleep", sleep_s)
+    return False
 
 
 def _ledger_abort(recdir, record):
@@ -194,6 +267,13 @@ def _fenced(mig, phase):
     return EX_FENCED
 
 
+def _backoff(phase, host, backoff, attempt):
+    """yield-from: count and announce a retry, then back off."""
+    yield ("perf_note", "retries")
+    yield from print_err("migrate: retrying %s on %s" % (phase, host))
+    yield ("sleep", backoff * attempt)
+
+
 def _spawn(host, local, command_argv, runner):
     """Start a command here, or on ``host`` through ``runner``."""
     if host == local:
@@ -201,23 +281,6 @@ def _spawn(host, local, command_argv, runner):
                        command_argv))
     runner_argv = [runner, host, " ".join(command_argv)]
     return (yield ("spawn", "/bin/%s" % runner, runner_argv))
-
-
-def _restart_once(destination, local, restart_args, runner, aout_path):
-    """One restart attempt; True when the ack (consumed dump) lands.
-
-    The attempt is over when either the a.out file disappears (the
-    kernel consumed the dump: success) or the spawned child dies (the
-    restart — or its remote relay — failed).  A child that does
-    neither within the poll budget counts as a failed attempt.
-    """
-    poll_tries = yield ("sysctl", "restart_poll_tries")
-    poll_sleep = yield ("sysctl", "restart_poll_sleep_s")
-    child = yield from _spawn(destination, local, restart_args, runner)
-    if iserr(child):
-        return False
-    return (yield from await_restart(child, aout_path, poll_tries,
-                                     poll_sleep))
 
 
 def _run(host, local, command_argv, runner):

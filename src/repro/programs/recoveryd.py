@@ -15,10 +15,12 @@ Each scan round, for every job directory under the watch directory:
    ``O_CREAT|O_EXCL`` — an atomic test-and-set on the server.  Losing
    the race (or failing to reach the server) means somebody else owns
    the recovery, so skip;
-4. stage the archived round-*N* dump into the local ``/usr/tmp``
-   under the names ``restart`` expects, restore the snapshotted open
-   files, and run ``restart -k``; like ``migrate``, success is
-   observed as the kernel consuming the staged a.out;
+4. read the archived round *N* (:mod:`repro.programs.ckmeta`),
+   restore the snapshotted open files, and restage the dump through
+   the migration pipeline (:func:`repro.programs.pipeline.restage`):
+   staged under the names ``restart`` expects and restarted with
+   ``restart -k``; like ``migrate``, success is observed as the
+   kernel consuming the staged a.out;
 5. rewrite ``meta`` for the new home/pid/epoch and, if checkpoint
    rounds remain, hand the job to a fresh local ``ckptd -e <epoch+1>``
    so it keeps being checkpointed (and keeps honouring the fence).
@@ -55,19 +57,19 @@ Usage: ``recoveryd [-i interval] [-n rounds] [-m ledgerdir]
 """
 
 from repro.errors import iserr, EIO, ENOENT, UnixError
-from repro.core.formats import (ChunkManifest, FilesInfo, StackInfo,
-                                dump_file_names)
+from repro.core.formats import ChunkManifest, FilesInfo
 from repro.kernel.constants import O_CREAT, O_EXCL, O_WRONLY
 from repro.kernel.signals import SIGKILL
 from repro.net.migledger import (LEDGER_FENCED, OK_NAME, PH_ABORTED,
                                  PH_DONE, PH_INTENT, PH_RESTARTING,
                                  archive_paths, ledger_advance,
                                  ledger_claim, ledger_read, ledger_reap)
-from repro.programs.base import (await_restart, parse_options,
-                                 print_err, println, read_file,
-                                 remove_files, write_file)
-from repro.programs.ckmeta import claim_name, read_meta, write_meta
+from repro.programs.base import (parse_options, print_err, println,
+                                 read_file, remove_files)
+from repro.programs.ckmeta import (claim_name, read_meta, read_round,
+                                   restore_copies, write_meta)
 from repro.programs.exitcodes import EX_FAIL, EX_OK
+from repro.programs.pipeline import dump_names, restage
 
 USAGE = ("usage: recoveryd [-i interval] [-n rounds] [-m ledgerdir] "
          "[watchdir]")
@@ -141,8 +143,14 @@ def _consider(directory, local):
                              % directory)
         return
 
-    new_pid = yield from _restage(directory, saved, meta["pid"],
-                                  home, local)
+    archived = yield from read_round(directory, saved)
+    new_pid = None
+    if not iserr(archived):
+        aout_blob, info, stack_blob = archived
+        _rehome(info, home, local)
+        yield from restore_copies(directory, saved, info)
+        new_pid = yield from restage(
+            meta["pid"], (aout_blob, info.pack(), stack_blob), local)
     if new_pid is None:
         yield from print_err("recoveryd: %s: restart of round %d "
                              "failed" % (directory, saved))
@@ -182,89 +190,6 @@ def _rehome(info, home, local):
     for entry in info.entries:
         if entry.path:
             entry.path = strip(entry.path)
-
-
-def _restage(directory, round_no, pid, home, local):
-    """Stage round ``round_no`` locally (rehomed) and restart it.
-
-    Returns the restarted job's pid (the restart child *becomes* the
-    job), or None.
-    """
-    targets = dump_file_names(pid)
-    info = None
-    stack_blob = None
-    for kind, target in zip(("aout", "files", "stack"), targets):
-        data = yield from read_file("%s/ck%d.%s" % (directory,
-                                                    round_no, kind))
-        if iserr(data):
-            yield from remove_files(targets)
-            return None
-        if kind == "files":
-            try:
-                info = FilesInfo.unpack(data)
-            except UnixError:
-                yield from remove_files(targets)
-                return None
-            _rehome(info, home, local)
-            data = info.pack()
-        elif kind == "stack":
-            stack_blob = data
-        result = yield from write_file(target, data)
-        if iserr(result):
-            yield from remove_files(targets)
-            return None
-        if kind == "aout":
-            yield ("chmod", target, 0o700)
-    yield from _adopt_staged(targets, stack_blob)
-
-    # put the snapshotted open files back where the job expects them
-    seen = set()
-    for slot, entry in enumerate(info.entries):
-        if not entry.is_file() or entry.path in seen \
-                or entry.path.startswith("/dev/"):
-            continue
-        seen.add(entry.path)
-        data = yield from read_file("%s/ck%d.fd%d" % (directory,
-                                                      round_no, slot))
-        if iserr(data):
-            continue  # not snapshotted (a device, or unreadable then)
-        yield from write_file(entry.path, data)
-
-    return (yield from _restart_staged(targets, pid))
-
-
-def _restart_staged(targets, pid):
-    """Restart the dump staged at ``targets``; the restarted job's
-    pid (the restart child *becomes* the job), or None after
-    unstaging a restart that did not take."""
-    child = yield ("spawn", "/bin/restart",
-                   ["restart", "-k", "-p", str(pid)])
-    if not iserr(child):
-        poll_tries = yield ("sysctl", "restart_poll_tries")
-        poll_sleep = yield ("sysctl", "restart_poll_sleep_s")
-        if (yield from await_restart(child, targets[0], poll_tries,
-                                     poll_sleep)):
-            return child
-    yield from remove_files(targets)
-    return None
-
-
-def _adopt_staged(targets, stack_blob):
-    """yield-from: chown a staged dump back to its owner.
-
-    The kernel writes dump files owned by the dumped process, and
-    ``restart`` drops to that identity *before* ``rest_proc`` execs
-    the a.out — so a dump staged by a root recoveryd must be given
-    back, or the exec fails its permission check.  A non-root
-    recoveryd cannot chown (EPERM, ignored) but needs no fixup: it
-    stages under its own uid, the only one that may restart then.
-    """
-    try:
-        cred, __ = StackInfo.peek_header(stack_blob)
-    except UnixError:
-        return
-    for target in targets:
-        yield ("chown", target, cred.uid, cred.gid)
 
 
 # -- the migration-ledger sweep (DESIGN.md section 12) ---------------------
@@ -506,9 +431,8 @@ def _neutralize(record, local):
     either, and its ``/usr/tmp`` does not survive the reboot that
     brings it back.
     """
-    directory = "/usr/tmp" if record.source == local \
-        else "/n/%s/usr/tmp" % record.source
-    yield from remove_files(dump_file_names(record.pid, directory))
+    yield from remove_files(dump_names(record.pid, record.source,
+                                       local))
 
 
 def _fetch_archive(manifest):
@@ -543,12 +467,12 @@ def _rewrite_archived(path, source, terminal_check=True):
 
 
 def _restage_ledger(directory, record, local):
-    """Stage the record's chunk-store archive locally and restart it.
+    """Restart the record's chunk-store archive here; the restarted
+    job's pid, or None.
 
-    Returns the restarted job's pid, or None.  Mirrors ``_restage``,
-    but the bytes come from the cluster chunk store via the record's
-    manifests — so not even a source reboot (which wipes
-    ``/usr/tmp``) can have lost the dump.
+    The bytes come from the cluster chunk store via the record's
+    manifests, so not even a source reboot (which wipes ``/usr/tmp``)
+    can have lost the dump.
     """
     blobs = []
     for path in archive_paths(directory):
@@ -574,16 +498,6 @@ def _restage_ledger(directory, record, local):
         if entry.is_file() and entry.path:
             entry.path = yield from _rewrite_archived(entry.path,
                                                       record.source)
-    files_blob = info.pack()
-
-    targets = dump_file_names(record.pid)
-    for target, data in zip(targets,
-                            (aout_blob, files_blob, stack_blob)):
-        result = yield from write_file(target, data)
-        if iserr(result):
-            yield from remove_files(targets)
-            return None
-    yield ("chmod", targets[0], 0o700)
-    yield from _adopt_staged(targets, stack_blob)
-
-    return (yield from _restart_staged(targets, record.pid))
+    return (yield from restage(record.pid,
+                               (aout_blob, info.pack(), stack_blob),
+                               local))

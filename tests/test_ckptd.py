@@ -99,3 +99,23 @@ def test_ckptd_usage_and_bad_pid(site):
                               ["ckptd", "4242", "1", "1"], uid=100)
     assert status == 1
     assert "failed" in site.console("brick")
+
+
+def test_ckptd_retries_a_failed_resume(site):
+    """A restart that fails its overlay keeps the dump (``-k``) and is
+    retried until the kernel acks it: the job lives on and ckptd
+    finishes both rounds instead of losing the job."""
+    handle = start_counter(site)
+    site.type_at("brick", "one\n")
+    site.run_until(lambda: site.console("brick").count("> ") >= 2)
+    plan = site.cluster.inject_faults("restproc.overlay fail n=1 "
+                                      "host=brick", seed=5)
+    daemon = run_ckptd(site, handle.pid, rounds=2)
+    site.run_until(lambda: daemon.exited, max_steps=10_000_000)
+    assert plan.fired() == (("restproc.overlay", "fail", 1),)
+    assert daemon.exit_status == 0
+    text = site.console("brick")
+    assert "retrying restart" in text
+    assert "checkpoint 1 taken" in text
+    site.type_at("brick", "two\n")
+    site.run_until(lambda: "r=3 s=3 k=3" in site.console("brick"))

@@ -239,6 +239,21 @@ def test_loadd_balances_a_loaded_host():
     assert spans and all(e["ok"] == 1 for e in spans)
 
 
+def test_loadd_settles_one_job_per_landing():
+    """Six hogs on brick, two moves a round: each job landed on
+    schooner counts while schooner's own report catches up, so three
+    rounds end 3/3.  Counting the two landings as one job made the
+    next round move two more and overshoot to 2/4."""
+    site = _loadd_site(loadd_max_moves=2, loadd_rounds=3)
+    _start_hogs(site, 6)
+    handles = site.start_loadd()
+    _await_loadd(site, handles)
+    assert [h.exit_status for h in handles] == [0, 0]
+    assert site.cluster.perf.ld_moves == 3
+    assert len(_live_jobs(site, "brick")) == 3
+    assert len(_live_jobs(site, "schooner")) == 3
+
+
 def test_loadd_leaves_a_balanced_cluster_alone():
     """One hog per workstation: no spread, no moves, no churn."""
     site = _loadd_site()

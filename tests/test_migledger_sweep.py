@@ -29,6 +29,8 @@ boundaries: loadd moves jobs through migrate's pipeline, so its moves
 are ledgered, swept and counted the same way.
 """
 
+import json
+
 import pytest
 
 from repro.core.api import MigrationSite
@@ -120,6 +122,12 @@ CELLS = [
      ("tanker", "aout")),
     ("claim-destination-dies",
      "ledger.advance crash n=1; ledger.claim crash n=1 target=schooner",
+     ("tanker", "aout")),
+    # -- the sweeper's restage: its host crashes inside the restart ----
+    #    (after the RESTARTING re-point, before the restart's ack; the
+    #    next sweeper restages again from the archive)
+    ("restage-sweeper-dies",
+     "ledger.advance crash n=1; restproc.overlay crash n=1",
      ("tanker", "aout")),
 ]
 
@@ -294,6 +302,22 @@ def _check_cell(name, run_cell, spec, expected):
                          ids=[c[0] for c in CELLS])
 def test_crash_point_cell_on_both_engines(name, spec, expected):
     _check_cell(name, _run_cell, spec, expected)
+
+
+def test_restage_row_crashes_the_sweepers_own_restart():
+    """Both rules of the restage row fire, and the second inside the
+    sweeper's restart: on tanker, at the a.out it staged locally (the
+    crashed migrate would have restarted on schooner, from brick's
+    ``/usr/tmp``).  The next sweeper's restage brings the job up."""
+    spec = {name: spec for name, spec, __ in CELLS}["restage-sweeper-dies"]
+    summary = _run_cell(spec)
+    assert summary["fired"] == (("ledger.advance", "crash", 1),
+                                ("restproc.overlay", "crash", 1))
+    events = map(json.loads, summary["trace_jsonl"].splitlines())
+    overlays = [e for e in events if e.get("site") == "restproc.overlay"]
+    assert [(e["host"], e["detail"]) for e in overlays] == \
+        [("tanker", "/usr/tmp/a.out3")]
+    assert "recovered brick:3 on tanker" in summary["consoles"][2]
 
 
 def test_crash_point_cell_on_the_interpreter(interpreter):
