@@ -77,7 +77,7 @@ def loadd_storm(hosts, hogs, iterations, categories,
     Returns the finished site.
     """
     workstations = ["w%d" % i for i in range(hosts)]
-    knobs = dict(STORM_KNOBS)
+    knobs = dict(STORM_KNOBS, loadd_rounds=loadd_rounds)
     if statd_rounds:
         knobs.update(stat_interval_s=1.0, stat_rounds=statd_rounds)
     site = MigrationSite(costs=CostModel(**knobs),
@@ -88,7 +88,7 @@ def loadd_storm(hosts, hogs, iterations, categories,
         site.start("w0", "/bin/cpuhog",
                    ["cpuhog", str(iterations)], uid=100)
     if loadd_rounds:
-        site.start_loadd(rounds=loadd_rounds)
+        site.start_loadd()
     if statd_rounds:
         site.start_statd()
 

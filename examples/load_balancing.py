@@ -18,9 +18,10 @@ from repro.programs.guest.cpuhog import expected_checksum
 ITERATIONS = 300_000
 JOBS = 4
 
-#: one-second rounds, a low candidate floor and up to four moves per
-#: round: short hogs need a quick balancer
+#: four one-second rounds, a low candidate floor and up to four moves
+#: per round: short hogs need a quick balancer
 COSTS = CostModel().with_overrides(loadd_interval_s=1.0,
+                                   loadd_rounds=4,
                                    loadd_min_cpu_s=0.05,
                                    loadd_max_moves=4)
 
@@ -33,7 +34,7 @@ def run(balance):
         site.start("brick", "/bin/cpuhog", ["cpuhog", str(ITERATIONS)],
                    uid=100)
     if balance:
-        site.start_loadd(hosts=["brick", "schooner"], rounds=4)
+        site.start_loadd(hosts=["brick", "schooner"])
 
     site.run_until(
         lambda: all(not p.is_vm() or p.zombie()

@@ -2,7 +2,7 @@
 
 * :mod:`repro.apps.checkpoint` — periodic process checkpointing with
   open-file snapshots and restore-to-the-n-th-checkpoint;
-* :mod:`repro.apps.policy` — the pure selection policies of the
+* :mod:`repro.apps.policy` — the pure threshold policy of the
   in-simulation load balancer, the ``loadd`` daemon;
 * :mod:`repro.apps.nightbatch` — the day/night CPU-hog scheduler:
   corral the hogs onto one machine during the day, spread them across
@@ -16,10 +16,7 @@ through the one migration pipeline, with its retries and rollback.
 
 from repro.apps.checkpoint import CheckpointManager
 from repro.apps.nightbatch import NightBatchScheduler
-from repro.apps.policy import (HostLoad, Move, ThresholdPolicy,
-                               WatermarkPolicy, WorkStealingPolicy,
-                               make_policy)
+from repro.apps.policy import HostLoad, Move, ThresholdPolicy
 
 __all__ = ["CheckpointManager", "NightBatchScheduler", "HostLoad",
-           "Move", "ThresholdPolicy", "WatermarkPolicy",
-           "WorkStealingPolicy", "make_policy"]
+           "Move", "ThresholdPolicy"]

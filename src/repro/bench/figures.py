@@ -386,7 +386,7 @@ def app_load_balancing(costs=None, iterations=500_000, hogs=2):
     so the makespan includes the daemon's report latency.
     """
     model = (costs or CostModel()).with_overrides(
-        loadd_interval_s=1.0, loadd_min_cpu_s=0.1)
+        loadd_interval_s=1.0, loadd_rounds=4, loadd_min_cpu_s=0.1)
 
     def run_once(balance):
         site = MigrationSite(costs=model)
@@ -396,7 +396,7 @@ def app_load_balancing(costs=None, iterations=500_000, hogs=2):
             site.start("brick", "/bin/cpuhog",
                        ["cpuhog", str(iterations)], uid=100)
         if balance:
-            site.start_loadd(hosts=["brick", "schooner"], rounds=4)
+            site.start_loadd(hosts=["brick", "schooner"])
         site.run_until(
             lambda: all(not p.is_vm() or p.zombie()
                         for m in site.cluster.machines.values()

@@ -145,66 +145,47 @@ class MigrationSite:
                     or self.find_restarted(destination) is not None))
         return handle
 
-    def start_loadd(self, hosts=None, interval=None, rounds=None,
-                    policy=None, uid=0):
+    def start_loadd(self, hosts=None):
         """Start the load-balancing daemon on ``hosts`` (DESIGN.md
         section 11).
 
         Every daemon is told the full host list as its peer set (it
         ignores itself).  Returns the loadd SpawnHandles; each daemon
-        exits after its configured number of balance rounds, so a
-        ``run_quiet()`` still terminates.  Opt-in by design: a site
-        that never calls this runs byte-identically to one built
-        before loadd existed.
+        exits after ``loadd_rounds`` balance rounds, so a
+        ``run_quiet()`` still terminates.  Its schedule and policy are
+        the ``loadd_*`` knobs of the site's cost model.  Opt-in by
+        design: a site that never calls this runs byte-identically to
+        one built before loadd existed.
         """
         hosts = list(hosts) if hosts is not None else \
-            [name for name in self.cluster.hosts()
-             if name != self.server_name]
-        argv_tail = []
-        if interval is not None:
-            argv_tail += ["-i", str(interval)]
-        if rounds is not None:
-            argv_tail += ["-n", str(rounds)]
-        if policy is not None:
-            argv_tail += ["-P", policy]
-        handles = []
-        for name in hosts:
-            machine = self.machine(name)
-            handles.append(machine.spawn(
-                "/bin/loadd", ["loadd"] + argv_tail + hosts,
-                uid=uid, cwd="/tmp"))
-        return handles
+            self._workstations()
+        return [self.machine(name).spawn("/bin/loadd", ["loadd"] + hosts,
+                                         uid=0, cwd="/tmp")
+                for name in hosts]
 
-    def start_statd(self, hosts=None, interval=None, rounds=None,
-                    uid=0):
+    def start_statd(self):
         """Start cluster telemetry (DESIGN.md section 13): the
         ``statd-recv`` spooler on the file server plus one ``statd``
-        per host.
+        per workstation.
 
         Returns the SpawnHandles (spooler first).  Doubly opt-in: a
         site that never calls this runs byte-identically to one built
         before statd existed, and even a started statd exits
-        immediately unless the ``stat_interval_s`` knob (or
-        ``interval``) is positive.
+        immediately unless the ``stat_interval_s`` knob is positive;
+        ``stat_rounds`` sets how many samples it takes.
         """
-        hosts = list(hosts) if hosts is not None else \
-            [name for name in self.cluster.hosts()
-             if name != self.server_name]
-        argv_tail = []
-        if interval is not None:
-            argv_tail += ["-i", str(interval)]
-        if rounds is not None:
-            argv_tail += ["-n", str(rounds)]
         handles = []
         if self.server_name:
             handles.append(self.machine(self.server_name).spawn(
-                "/bin/statd-recv", ["statd-recv"], uid=uid,
-                cwd="/tmp"))
-        for name in hosts:
+                "/bin/statd-recv", ["statd-recv"], uid=0, cwd="/tmp"))
+        for name in self._workstations():
             handles.append(self.machine(name).spawn(
-                "/bin/statd", ["statd"] + argv_tail, uid=uid,
-                cwd="/tmp"))
+                "/bin/statd", ["statd"], uid=0, cwd="/tmp"))
         return handles
+
+    def _workstations(self):
+        return [name for name in self.cluster.hosts()
+                if name != self.server_name]
 
     # -- inspection helpers --------------------------------------------------------------
 

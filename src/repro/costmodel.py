@@ -86,7 +86,6 @@ class CostModel:
     #: host lookup, privileged port dance, /etc/hosts.equiv scan,
     #: remote login-shell startup.  Calibrated so Figure 4's "almost
     #: half a minute" for a fully remote migrate holds.
-    rsh_relay_byte_us: float = 2.5  #: relaying remote stdio per byte
     daemon_setup_us: float = 120_000.0  #: the paper's proposed
     #: daemon-with-a-well-known-port alternative: one connection to an
     #: already-running server (section 6.4, ablation A1).
@@ -122,8 +121,6 @@ class CostModel:
     hb_lease_s: float = 20.0  #: how long a status query keeps the
     #: heartbeat lane ticking; with no consumers the lane goes dormant
     #: so an idle cluster can still quiesce
-    recovery_interval_s: float = 2.0  #: recoveryd scan period
-    recovery_rounds: int = 10  #: recoveryd scans before exiting
 
     # --- migration intent ledger (DESIGN.md section 12, not costs) ------
     #: crash-atomic migrations: migrate writes an intent record to the
@@ -145,7 +142,8 @@ class CostModel:
     ledger_stale_s: float = 120.0
 
     # --- loadd load balancing (DESIGN.md section 11, not costs) ---------
-    #: policy knobs read by the loadd daemon via ``sysctl``.  All of
+    #: the loadd daemon's only settings (it takes no flags), read via
+    #: ``sysctl`` at start: its schedule and its policy.  All of
     #: them are inert until a loadd is actually spawned — the daemon
     #: is opt-in (``MigrationSite.start_loadd``), so default-mode
     #: runs, figures and traces are byte-identical with or without
@@ -153,12 +151,9 @@ class CostModel:
     loadd_interval_s: float = 5.0  #: seconds between balance rounds
     loadd_rounds: int = 10  #: balance rounds before loadd exits
     load_stale_s: float = 15.0  #: drop load reports older than this
-    loadd_policy: str = "threshold"  #: threshold|watermark|stealing
     loadd_min_cpu_s: float = 0.5  #: candidate CPU-seconds floor
-    loadd_imbalance: int = 2  #: threshold policy: spread to act on
+    loadd_imbalance: int = 2  #: runnable spread to act on
     loadd_max_moves: int = 1  #: moves per host per balance round
-    loadd_high_watermark: int = 2  #: watermark policy: shed above
-    loadd_low_watermark: int = 1  #: watermark policy: feed below
 
     # --- statd cluster telemetry (DESIGN.md section 13, not costs) ------
     #: knobs read by the statd daemon via zero-cost ``sysctl0``.  The

@@ -43,12 +43,11 @@ misparsing — the sweep skips what it cannot parse.
 """
 
 from repro.errors import iserr, UnixError, EINVAL
-from repro.kernel.constants import (MIGLEDGER_MAGIC, O_CREAT, O_EXCL,
-                                    O_WRONLY)
+from repro.kernel.constants import MIGLEDGER_MAGIC
 from repro.core.formats import (_Reader, _Writer, LEDGER_ARCHIVE_KINDS,
                                 ledger_archive_names)
-from repro.programs.base import read_file, write_file
-from repro.programs.ckmeta import claim_name, highest_claim
+from repro.programs.base import read_file, replace_file
+from repro.programs.ckmeta import claim_next, highest_claim
 
 MIGLEDGER_VERSION = 1
 
@@ -154,18 +153,6 @@ class MigRecord:
 # -- generator helpers (run inside native programs) ------------------------
 
 
-def mkdir_p(path):
-    """yield-from: create ``path`` and its parents; EEXIST is fine."""
-    parts = [part for part in path.split("/") if part]
-    built = ""
-    result = 0
-    for part in parts:
-        built += "/" + part
-        result = yield ("mkdir", built, 0o755)
-    from repro.errors import EEXIST
-    return 0 if (not iserr(result) or result == -EEXIST) else result
-
-
 def _write_rec(directory, record, tag=None):
     """yield-from: atomically (re)write the record file; 0 or -errno.
 
@@ -178,13 +165,8 @@ def _write_rec(directory, record, tag=None):
     orchestrator writes under the epoch it was fenced at, each
     sweeper under the strictly higher epoch it claimed).
     """
-    name = REC_NAME if tag is None else "%s.%d" % (REC_NAME, tag)
-    tmp = "%s/%s.tmp" % (directory, name)
-    result = yield from write_file(tmp, record.pack(), mode=0o644)
-    if iserr(result):
-        return result
-    result = yield ("rename", tmp, "%s/%s" % (directory, REC_NAME))
-    return result if iserr(result) else 0
+    return (yield from replace_file("%s/%s" % (directory, REC_NAME),
+                                    record.pack(), tag))
 
 
 def ledger_put(directory, record):
@@ -277,16 +259,9 @@ def ledger_claim(directory, record):
     another sweeper won the race).
     """
     yield ("fault_point", "ledger.claim", record.mig_id())
-    names = yield ("readdir", directory)
-    if iserr(names):
-        return names
-    epoch = max(record.epoch, highest_claim(names)) + 1
-    fd = yield ("open", "%s/%s" % (directory, claim_name(epoch)),
-                O_WRONLY | O_CREAT | O_EXCL, 0o644)
-    if iserr(fd):
-        return fd
-    yield ("close", fd)
-    yield ("perf_note", "ml_claims")
+    epoch = yield from claim_next(directory, record.epoch)
+    if not iserr(epoch):
+        yield ("perf_note", "ml_claims")
     return epoch
 
 

@@ -10,7 +10,7 @@ Error convention: kernel errors arrive as negative ints (``-errno``);
 :func:`repro.errors.iserr` tests for them.
 """
 
-from repro.errors import iserr, ECHILD, EIO
+from repro.errors import iserr, ECHILD, EEXIST, EIO
 from repro.kernel.constants import (O_CREAT, O_RDONLY, O_TRUNC,
                                     O_WRONLY)
 from repro.programs.exitcodes import EX_FAIL
@@ -71,6 +71,34 @@ def write_file(path, data, mode=0o600):
     result = yield from write_all(fd, data)
     yield ("close", fd)
     return 0 if not iserr(result) else result
+
+
+def replace_file(path, data, tag=None):
+    """yield-from: atomically replace ``path`` with ``data`` (mode
+    0644); 0 or -errno.
+
+    Write-then-rename within one directory, so concurrent readers see
+    either the old or the new contents, never a prefix.  The temp
+    file is ``<path>.tmp``, or ``<path>.<tag>.tmp`` for writers that
+    race each other and must not share one.
+    """
+    tmp = "%s.tmp" % path if tag is None else "%s.%d.tmp" % (path, tag)
+    result = yield from write_file(tmp, data, mode=0o644)
+    if iserr(result):
+        return result
+    result = yield ("rename", tmp, path)
+    return result if iserr(result) else 0
+
+
+def mkdir_p(path):
+    """yield-from: create ``path`` and its parents; EEXIST is fine."""
+    parts = [part for part in path.split("/") if part]
+    built = ""
+    result = 0
+    for part in parts:
+        built += "/" + part
+        result = yield ("mkdir", built, 0o755)
+    return 0 if (not iserr(result) or result == -EEXIST) else result
 
 
 def read_prefix(path, nbytes):

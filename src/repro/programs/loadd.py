@@ -19,11 +19,11 @@ line.  Each round it:
    that are corrupt (unlinked and counted, never fatal), stale
    (older than ``load_stale_s`` — a partitioned peer ages out), or
    from hb-suspected hosts;
-4. asks its policy (:mod:`repro.apps.policy`) for moves and executes
-   only the ones whose *source is this host* — only the owner of a
-   job may dump it, which is what keeps two balancers from ever
-   duplicating a process.  A destination it just fed is assumed one
-   job busier per job landed there, for ``SETTLE_ROUNDS`` rounds,
+4. asks the threshold policy (:mod:`repro.apps.policy`) for moves
+   and executes only the ones whose *source is this host* — only the
+   owner of a job may dump it, which is what keeps two balancers from
+   ever duplicating a process.  A destination it just fed is assumed
+   one job busier per job landed there, for ``SETTLE_ROUNDS`` rounds,
    damping the herd effect of re-balancing against a peer's
    not-yet-updated report;
 5. moves a job through the shared migration pipeline
@@ -42,13 +42,14 @@ balancing round.  Fault sites ``loadd.send`` / ``loadd.recv`` inject
 report loss, delay, corruption, crashes and partitions on either
 side of the exchange.
 
-Usage: ``loadd [-i interval] [-n rounds] [-P policy] peer...``
-(defaults from the ``loadd_interval_s`` / ``loadd_rounds`` /
-``loadd_policy`` sysctl knobs; the local host may appear in the peer
-list and is ignored there).
+Usage: ``loadd peer...`` (the local host may appear in the peer list
+and is ignored there).  Every setting is a ``sysctl`` knob, read once
+at start in this order: ``loadd_interval_s`` and ``loadd_rounds``
+(the schedule), then ``loadd_min_cpu_s``, ``loadd_max_moves`` and
+``loadd_imbalance`` (the :class:`~repro.apps.policy.ThresholdPolicy`).
 """
 
-from repro.apps.policy import HostLoad, make_policy
+from repro.apps.policy import HostLoad, ThresholdPolicy
 from repro.net.loadd import LOADD, MAX_CANDIDATES, SPOOL_DIR, LoadReport
 from repro.net.report import (is_stale, listen_for_reports, next_report,
                               read_spooled, send_report)
@@ -56,7 +57,7 @@ from repro.programs.base import parse_options, print_err, write_file
 from repro.programs.exitcodes import EX_FAIL, EX_OK
 from repro.programs.pipeline import move
 
-USAGE = "usage: loadd [-i interval] [-n rounds] [-P policy] peer..."
+USAGE = "usage: loadd peer..."
 
 #: rounds a successful move keeps inflating the destination's view
 #: entry: the peer's own report reflects the arrival only after its
@@ -68,22 +69,16 @@ SETTLE_ROUNDS = 2
 
 
 def loadd_main(argv, env):
-    options, positional = parse_options(argv, {"-i": True, "-n": True,
-                                               "-P": True})
-    if positional is None or not positional:
+    __, positional = parse_options(argv, {})
+    if not positional:
         yield from print_err(USAGE)
         return EX_FAIL
-    try:
-        interval = float(options["-i"]) if "-i" in options \
-            else (yield ("sysctl", "loadd_interval_s"))
-        rounds = int(options["-n"]) if "-n" in options \
-            else (yield ("sysctl", "loadd_rounds"))
-    except ValueError:
-        yield from print_err(USAGE)
-        return EX_FAIL
-    policy = yield from _build_policy(options.get("-P"))
-    if policy is None:
-        return EX_FAIL
+    interval = yield ("sysctl", "loadd_interval_s")
+    rounds = yield ("sysctl", "loadd_rounds")
+    policy = ThresholdPolicy(
+        min_cpu_seconds=(yield ("sysctl", "loadd_min_cpu_s")),
+        max_moves_per_round=(yield ("sysctl", "loadd_max_moves")),
+        imbalance_threshold=(yield ("sysctl", "loadd_imbalance")))
 
     yield ("hb_start",)
     local = yield ("gethostname",)
@@ -120,28 +115,6 @@ def _apply_settling(view, settling):
             view[host] = HostLoad(host, entry.runnable + 1,
                                   entry.candidates)
     return [(host, left - 1) for host, left in settling if left > 1]
-
-
-def _build_policy(name):
-    """Instantiate the policy from argv/-P or the sysctl knobs."""
-    if name is None:
-        name = yield ("sysctl", "loadd_policy")
-    knobs = dict(
-        min_cpu_seconds=(yield ("sysctl", "loadd_min_cpu_s")),
-        max_moves_per_round=(yield ("sysctl", "loadd_max_moves")))
-    if name == "threshold":
-        knobs["imbalance_threshold"] = \
-            yield ("sysctl", "loadd_imbalance")
-    elif name == "watermark":
-        knobs["high_watermark"] = \
-            yield ("sysctl", "loadd_high_watermark")
-        knobs["low_watermark"] = \
-            yield ("sysctl", "loadd_low_watermark")
-    try:
-        return make_policy(name, **knobs)
-    except ValueError:
-        yield from print_err("loadd: unknown policy %r" % (name,))
-        return None
 
 
 def _sample(local):

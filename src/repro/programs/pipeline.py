@@ -48,9 +48,9 @@ from repro.kernel.constants import O_RDONLY
 from repro.net.migledger import (LEDGER_FENCED, MigRecord, PH_ABORTED,
                                  PH_DONE, PH_DUMPED, PH_RESTARTING,
                                  ledger_advance, ledger_put,
-                                 ledger_reap, mkdir_p, record_dir)
-from repro.programs.base import (print_err, remove_files, wait_for,
-                                 write_file)
+                                 ledger_reap, record_dir)
+from repro.programs.base import (mkdir_p, print_err, remove_files,
+                                 wait_for, write_file)
 from repro.programs.exitcodes import (EX_FAIL, EX_FENCED, EX_OK,
                                       EX_TRANSIENT)
 

@@ -27,19 +27,20 @@ immediately (silently, EX_OK) unless ``stat_interval_s`` is set
 positive — so default-mode runs are byte-identical with or without
 this module, and every knob read goes through zero-cost ``sysctl0``.
 
-Usage: ``statd [-i interval] [-n rounds]``
+Usage: ``statd`` (no arguments).  Every setting is a knob: the
+schedule is ``stat_interval_s`` seconds apart for ``stat_rounds``
+rounds.
 """
 
 from repro.errors import iserr
-from repro.net.migledger import mkdir_p
 from repro.net.report import (is_stale, listen_for_reports, next_report,
                               read_spooled, send_report)
 from repro.net.statd import STATD, SPOOL_DIR, REPORT_NAME, StatReport
 from repro.obs.timeseries import SeriesSet
-from repro.programs.base import parse_options, print_err, write_file
+from repro.programs.base import mkdir_p, print_err, replace_file
 from repro.programs.exitcodes import EX_FAIL, EX_OK
 
-USAGE = "usage: statd [-i interval] [-n rounds]"
+USAGE = "usage: statd"
 
 #: the kernel gauges sampled each round, in series order
 GAUGES = ("runq", "procs", "socks", "hb_suspects")
@@ -49,19 +50,11 @@ DELTAS = ("dumps", "restarts", "migrations", "recoveries")
 
 
 def statd_main(argv, env):
-    options, positional = parse_options(argv, {"-i": True,
-                                               "-n": True})
-    if positional is None:
+    if len(argv) > 1:
         yield from print_err(USAGE)
         return EX_FAIL
-    try:
-        interval = float(options["-i"]) if "-i" in options \
-            else (yield ("sysctl0", "stat_interval_s"))
-        rounds = int(options["-n"]) if "-n" in options \
-            else (yield ("sysctl0", "stat_rounds"))
-    except ValueError:
-        yield from print_err(USAGE)
-        return EX_FAIL
+    interval = yield ("sysctl0", "stat_interval_s")
+    rounds = yield ("sysctl0", "stat_rounds")
     if interval <= 0:
         return EX_OK  # telemetry is off: leave no trace at all
     capacity = yield ("sysctl0", "stat_series_len")
@@ -128,12 +121,8 @@ def _spool(spool_dir, host, blob):
     """yield-from: write-tmp-rename one report into the spool."""
     host_dir = "%s/%s" % (spool_dir, host)
     yield from mkdir_p(host_dir)
-    tmp = "%s/%s.tmp" % (host_dir, REPORT_NAME)
-    result = yield from write_file(tmp, blob, mode=0o644)
-    if iserr(result):
-        return result
-    return (yield ("rename", tmp,
-                   "%s/%s" % (host_dir, REPORT_NAME)))
+    return (yield from replace_file("%s/%s" % (host_dir, REPORT_NAME),
+                                    blob))
 
 
 # -- the spooler ------------------------------------------------------------

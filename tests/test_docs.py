@@ -1,5 +1,6 @@
 """Documentation consistency: man pages and examples match reality."""
 
+import importlib
 import os
 
 import pytest
@@ -37,6 +38,38 @@ def test_documented_binaries_are_installed(site):
     for page, binary in _MAN_BINARIES.items():
         inode = brick.fs.resolve_local("/bin/%s" % binary)
         assert inode.is_reg() and inode.mode & 0o111, binary
+
+
+#: man page -> the ``repro.programs`` module whose ``USAGE`` it shows
+_MAN_USAGES = {
+    "dumpproc.1.md": "dumpproc",
+    "restart.1.md": "restart",
+    "migrate.1.md": "migrate",
+    "ckptd.8.md": "ckptd",
+    "recoveryd.8.md": "recoveryd",
+    "loadd.8.md": "loadd",
+    "statd.8.md": "statd",
+    "migtop.1.md": "migtop",
+}
+
+
+def _synopsis(page):
+    """The first SYNOPSIS paragraph of ``page`` as plain words."""
+    text = open(os.path.join(REPO, "docs", "man", page)).read()
+    section = text.split("## SYNOPSIS", 1)[1].split("\n## ", 1)[0]
+    first = section.strip().split("\n\n", 1)[0]
+    return " ".join(first.replace("*", "").split()).replace(" ...",
+                                                            "...")
+
+
+@pytest.mark.parametrize("page", sorted(_MAN_USAGES))
+def test_man_synopsis_matches_usage(page):
+    """Every flag a program takes is in its man page's SYNOPSIS, with
+    the same arguments and the same optional brackets, and no other
+    flag is."""
+    module = importlib.import_module("repro.programs." + _MAN_USAGES[page])
+    assert module.USAGE.startswith("usage: ")
+    assert _synopsis(page) == module.USAGE[len("usage: "):]
 
 
 def test_readme_examples_exist_and_examples_are_documented():

@@ -478,14 +478,15 @@ LOADD_HOG_ITERS = 5_000_000
 
 
 def _loadd_scenario(spec, rounds=8, heal_after_us=None):
-    site = MigrationSite(costs=CostModel(**LOADD_CHAOS_KNOBS))
+    site = MigrationSite(costs=CostModel(loadd_rounds=rounds,
+                                         **LOADD_CHAOS_KNOBS))
     site.cluster.tracer.enable(*(TRACE_CATEGORIES + ("loadd",)))
     site.run_quiet()
     jobs = [site.start("brick", "/bin/cpuhog",
                        ["cpuhog", str(LOADD_HOG_ITERS)], uid=100)
             for __ in range(3)]
     plan = site.cluster.inject_faults(spec, seed=4321)
-    handles = site.start_loadd(rounds=rounds)
+    handles = site.start_loadd()
     if heal_after_us is not None:
         site.run(until_us=site.cluster.wall_time_us() + heal_after_us,
                  max_steps=120_000_000)
@@ -671,11 +672,14 @@ STATD_CHAOS_KNOBS = dict(stat_interval_s=1.0, stat_rounds=6,
 
 
 def _statd_scenario(spec, rounds=None):
-    site = MigrationSite(costs=CostModel(**STATD_CHAOS_KNOBS))
+    knobs = dict(STATD_CHAOS_KNOBS)
+    if rounds is not None:
+        knobs["stat_rounds"] = rounds
+    site = MigrationSite(costs=CostModel(**knobs))
     site.cluster.tracer.enable(*(TRACE_CATEGORIES + ("statd",)))
     site.run_quiet()
     plan = site.cluster.inject_faults(spec, seed=4321)
-    handles = site.start_statd(rounds=rounds)
+    handles = site.start_statd()
     statds = [h for h in handles if h.proc.command == "statd"]
     names = ("brick", "schooner")
     site.run_until(

@@ -2,12 +2,12 @@
 
 Two halves:
 
-* **property tests for the policy layer** — seeded ``random`` views,
-  no extra dependencies, holding every registered policy to the
-  contract :mod:`repro.apps.policy` documents: never a move from an
-  idle host, never more than ``max_moves_per_round`` moves, decisions
-  a pure function of the view (no mutation, no hidden state, same
-  answer twice);
+* **property tests for the policy layer** — seeded ``random`` views
+  and threshold parameters, no extra dependencies, holding
+  :class:`ThresholdPolicy` to the contract :mod:`repro.apps.policy`
+  documents: never a move from an idle host, never more than
+  ``max_moves_per_round`` moves, decisions a pure function of the
+  view (no mutation, no hidden state, same answer twice);
 * **daemon tests** — loadd end to end on the simulated site: it
   samples, broadcasts, builds a view and migrates a job through
   migrationd; the userland fault sites are namespace-restricted; the
@@ -19,9 +19,7 @@ import random
 
 import pytest
 
-from repro.apps.policy import (HostLoad, Move, POLICIES,
-                               ThresholdPolicy, WatermarkPolicy,
-                               WorkStealingPolicy, make_policy)
+from repro.apps.policy import HostLoad, ThresholdPolicy
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
 from repro.errors import EINVAL, UnixError
@@ -52,15 +50,10 @@ def _random_view(rng):
 
 
 def _random_policy(rng):
-    name = rng.choice(sorted(POLICIES))
     knobs = dict(min_cpu_seconds=rng.choice((0.0, 0.5, 2.0)),
-                 max_moves_per_round=rng.randrange(0, 5))
-    if name == "threshold":
-        knobs["imbalance_threshold"] = rng.randrange(0, 4)
-    elif name == "watermark":
-        knobs["high_watermark"] = rng.randrange(0, 5)
-        knobs["low_watermark"] = rng.randrange(0, 4)
-    return name, make_policy(name, **knobs)
+                 max_moves_per_round=rng.randrange(0, 5),
+                 imbalance_threshold=rng.randrange(0, 4))
+    return "threshold %r" % (knobs,), ThresholdPolicy(**knobs)
 
 
 # -- the policy contract, property-tested ------------------------------------
@@ -126,44 +119,6 @@ def test_policy_moves_strictly_reduce_the_spread():
                 >= 2, "case %d (%s): churn move %r" % (case, name, move)
             runnable[move.source] -= 1
             runnable[move.destination] += 1
-
-
-def test_work_stealing_only_feeds_idle_hosts():
-    rng = random.Random(0x10B1)
-    policy = WorkStealingPolicy(min_cpu_seconds=0.0,
-                                max_moves_per_round=4)
-    for __ in range(CASES):
-        view = _random_view(rng)
-        for move in policy.select(view):
-            assert view[move.destination].runnable == 0
-
-
-def test_watermark_band_is_left_alone():
-    """Hosts between the watermarks neither shed nor receive."""
-    rng = random.Random(0x10B2)
-    policy = WatermarkPolicy(high_watermark=3, low_watermark=1,
-                             min_cpu_seconds=0.0,
-                             max_moves_per_round=4)
-    for __ in range(CASES):
-        view = _random_view(rng)
-        for move in policy.select(view):
-            assert view[move.source].runnable > 3
-            assert view[move.destination].runnable < 1
-
-
-def test_make_policy_rejects_unknown_names_and_knobs():
-    with pytest.raises(ValueError):
-        make_policy("round-robin")
-    with pytest.raises(ValueError):
-        make_policy("threshold", frequency=9)
-    policy = make_policy("stealing", min_cpu_seconds=1.0)
-    assert isinstance(policy, WorkStealingPolicy)
-
-
-def test_threshold_registry_matches_classes():
-    assert POLICIES["threshold"] is ThresholdPolicy
-    assert POLICIES["watermark"] is WatermarkPolicy
-    assert POLICIES["stealing"] is WorkStealingPolicy
 
 
 # -- the daemon on the simulated site ----------------------------------------
@@ -282,12 +237,16 @@ def test_loadd_respects_the_min_cpu_floor():
     assert site.find_restarted("schooner") is None
 
 
-def test_loadd_rejects_unknown_policy():
+def test_loadd_takes_no_flags():
+    """The schedule and the policy are knobs only: a flag is a usage
+    error, and no balance round runs."""
     site = _loadd_site()
-    handles = site.start_loadd(policy="round-robin")
-    _await_loadd(site, handles, drain_us=100_000)
-    assert all(h.exit_status != 0 for h in handles)
-    assert "unknown policy" in site.console("brick")
+    handle = site.machine("brick").spawn(
+        "/bin/loadd", ["loadd", "-n", "3", "brick", "schooner"],
+        uid=0, cwd="/tmp")
+    site.run_until(lambda: handle.exited, max_steps=1_000_000)
+    assert handle.exit_status != 0
+    assert "usage: loadd peer..." in site.console("brick")
     assert site.cluster.perf.ld_rounds == 0
 
 

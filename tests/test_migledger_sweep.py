@@ -339,12 +339,11 @@ def test_crash_point_cell_on_the_interpreter(interpreter):
 # one live copy.
 
 #: balance every second, and count any job with 0.1 s of CPU as a
-#: candidate
-LOADD_KNOBS = dict(loadd_interval_s=1.0, loadd_min_cpu_s=0.1)
-
-#: loadd rounds per daemon: the move lands in the first round that
-#: sees schooner's report, and the rest find nothing to balance
-LOADD_ROUNDS = 4
+#: candidate.  Four rounds per daemon: the move lands in the first
+#: round that sees schooner's report, and the rest find nothing to
+#: balance
+LOADD_KNOBS = dict(loadd_interval_s=1.0, loadd_rounds=4,
+                   loadd_min_cpu_s=0.1)
 
 LOADD_CELLS = [
     ("loadd-put-destination-dies",
@@ -373,7 +372,7 @@ def _loadd_move(spec=""):
                uid=100)
     plan = site.cluster.inject_faults(spec, seed=77)
     names = ("brick", "schooner")
-    daemons = site.start_loadd(hosts=names, rounds=LOADD_ROUNDS)
+    daemons = site.start_loadd(hosts=names)
     site.run_until(
         lambda: all(daemon.exited or not site.machine(name).running
                     for daemon, name in zip(daemons, names)),
