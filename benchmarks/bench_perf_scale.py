@@ -150,8 +150,10 @@ def run_storm(machines=MACHINES, procs=PROCS, iterations=ITERATIONS,
 #: cpuhog iterations for the site-setup bench's first guest run
 SETUP_HOG_ITERATIONS = 2_000
 
-#: warm repetitions timed by the site-setup bench (the median counts)
-SETUP_WARM_REPS = 5
+#: warm repetitions timed by the site-setup bench (the median counts;
+#: a warm site takes about 1 ms, so on a shared box the median of 5
+#: still swings by more than the floor's margin)
+SETUP_WARM_REPS = 15
 
 
 def _one_site_setup():

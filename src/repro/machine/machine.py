@@ -11,7 +11,7 @@ import heapq
 import itertools
 
 from repro.clock import Clock
-from repro.errors import UnixError
+from repro.errors import EISDIR, UnixError
 from repro.fs.filesystem import FileSystem
 from repro.fs.namei import Namespace
 from repro.fs.paths import normalize
@@ -108,22 +108,36 @@ class Machine:
 
     # -- program installation -----------------------------------------------------
 
-    def install_native_program(self, name, factory, path=None,
-                               size=24576):
+    def install_native_program(self, name, factory, size=24576):
         """Register a native system program and give it a /bin entry.
 
         ``size`` pads the on-disk file so exec charges a realistic
         load cost for the tool's binary.
         """
         self.programs[name] = factory
-        marker = ("#!native %s\n" % name).encode("latin-1")
-        data = marker + b"\x00" * max(0, size - len(marker))
-        self.fs.install_file(path or "/bin/%s" % name, data, mode=0o755)
+        marker = b"#!native " + name.encode("latin-1") + b"\n"
+        data = bytearray(max(size, len(marker)))
+        data[:len(marker)] = marker
+        self._install_bin(name, data)
 
-    def install_aout(self, name, aout_bytes, path=None):
+    def install_aout(self, name, aout_bytes):
         """Install an assembled a.out executable under /bin."""
-        self.fs.install_file(path or "/bin/%s" % name, aout_bytes,
-                             mode=0o755)
+        self._install_bin(name, bytearray(aout_bytes))
+
+    def _install_bin(self, name, data):
+        """Create ``/bin/<name>`` (mode 0755) owning the fresh
+        bytearray ``data``, or copy ``data`` over the regular file
+        already there.  ``/bin`` is an entry of the root, so this is
+        one directory insert, not a walk from the root."""
+        bindir = self.fs.root.entries["bin"]
+        inode = bindir.entries.get(name)
+        if inode is None:
+            inode = self.fs.create(bindir, name, mode=0o755)
+            inode.data = data
+        elif inode.is_reg():
+            inode.data[:] = data
+        else:
+            raise UnixError(EISDIR, "/bin/" + name)
 
     # -- process creation ------------------------------------------------------------
 

@@ -4,70 +4,76 @@
 the paper's workstations were provisioned: the three migration
 commands (``dumpproc``, ``restart``, ``migrate``), supporting tools
 (``ps``, ``kill``, ``rshd``, ``migrationd``) and the guest test
-programs under ``/bin``.
+programs under ``/bin``.  The suite is one table, :func:`_suite`: a
+``(name, factory, size)`` row per native program and a
+``(name, aout function)`` row per guest program, in install order.
+Each row is one insert into the ``/bin`` directory inode
+(:meth:`Machine.install_native_program`,
+:meth:`Machine.install_aout`); nothing walks a path.
 """
 
-from repro.vm.assembler import assemble
+import functools
+
+
+@functools.cache
+def _suite():
+    """``(native, guests)``, built once per process on first use (the
+    programs' own modules import this package, so not at import)."""
+    from repro.net import migrationd, rsh
+    from repro.programs import (ckptd, coreutils, dumpproc, killprog,
+                                loadd, migrate, migstat, migtop, psprog,
+                                recoveryd, restart, shell, statd)
+    from repro.programs.guest import (counter, cpuhog, editor, envdep,
+                                      pidtemp, portserver, sockuser,
+                                      waiter)
+    native = (
+        ("dumpproc", dumpproc.dumpproc_main, 8192),
+        ("restart", restart.restart_main, 6144),
+        ("migrate", migrate.migrate_main, 6144),
+        ("ps", psprog.ps_main, 28672),
+        ("migstat", migstat.migstat_main, 8192),
+        ("kill", killprog.kill_main, 8192),
+        ("rsh", rsh.rsh_main, 24576),
+        ("rshd", rsh.rshd_main, 24576),
+        ("rshd-helper", rsh.rshd_helper_main, 16384),
+        ("migrationd", migrationd.migrationd_main, 20480),
+        ("migrationd-helper", migrationd.migrationd_helper_main, 16384),
+        ("migrationd-run", migrationd.migrationd_run_main, 16384),
+        ("sh", shell.sh_main, 32768),
+        ("ckptd", ckptd.ckptd_main, 12288),
+        ("recoveryd", recoveryd.recoveryd_main, 16384),
+        ("loadd", loadd.loadd_main, 16384),
+        ("loadd-recv", loadd.loadd_recv_main, 8192),
+        ("statd", statd.statd_main, 16384),
+        ("statd-recv", statd.statd_recv_main, 8192),
+        ("migtop", migtop.migtop_main, 8192),
+        ("echo", coreutils.echo_main, 2048),
+        ("cat", coreutils.cat_main, 4096),
+        ("pwd", coreutils.pwd_main, 2048),
+        ("wc", coreutils.wc_main, 6144),
+        ("true", coreutils.true_main, 1024),
+        ("false", coreutils.false_main, 1024),
+    )
+    guests = (
+        ("counter", counter.counter_aout),
+        ("cpuhog", cpuhog.cpuhog_aout),
+        ("editor", editor.editor_aout),
+        ("pidtemp", pidtemp.pidtemp_aout),
+        ("envdep", envdep.envdep_aout),
+        ("waiter", waiter.waiter_aout),
+        ("sockuser", sockuser.sockuser_aout),
+        ("portserver", portserver.portserver_aout),
+    )
+    return native, guests
 
 
 def install_standard_programs(machine):
-    """Install the full program suite on ``machine``."""
-    from repro.programs.dumpproc import dumpproc_main
-    from repro.programs.restart import restart_main
-    from repro.programs.migrate import migrate_main
-    from repro.programs.psprog import ps_main
-    from repro.programs.migstat import migstat_main
-    from repro.programs.killprog import kill_main
-    from repro.net.rsh import rshd_main, rsh_main, rshd_helper_main
-    from repro.net.migrationd import (migrationd_main,
-                                      migrationd_helper_main,
-                                      migrationd_run_main)
-    from repro.programs.shell import sh_main
-    from repro.programs.ckptd import ckptd_main
-    from repro.programs.recoveryd import recoveryd_main
-    from repro.programs.loadd import loadd_main, loadd_recv_main
-    from repro.programs.statd import statd_main, statd_recv_main
-    from repro.programs.migtop import migtop_main
-    from repro.programs.coreutils import (echo_main, cat_main,
-                                          pwd_main, wc_main,
-                                          true_main, false_main)
-    from repro.programs import guest
-
-    machine.install_native_program("dumpproc", dumpproc_main,
-                                   size=8192)
-    machine.install_native_program("restart", restart_main, size=6144)
-    machine.install_native_program("migrate", migrate_main, size=6144)
-    machine.install_native_program("ps", ps_main, size=28672)
-    machine.install_native_program("migstat", migstat_main, size=8192)
-    machine.install_native_program("kill", kill_main, size=8192)
-    machine.install_native_program("rsh", rsh_main, size=24576)
-    machine.install_native_program("rshd", rshd_main, size=24576)
-    machine.install_native_program("rshd-helper", rshd_helper_main,
-                                   size=16384)
-    machine.install_native_program("migrationd", migrationd_main,
-                                   size=20480)
-    machine.install_native_program("migrationd-helper",
-                                   migrationd_helper_main, size=16384)
-    machine.install_native_program("migrationd-run",
-                                   migrationd_run_main, size=16384)
-    machine.install_native_program("sh", sh_main, size=32768)
-    machine.install_native_program("ckptd", ckptd_main, size=12288)
-    machine.install_native_program("recoveryd", recoveryd_main,
-                                   size=16384)
-    machine.install_native_program("loadd", loadd_main, size=16384)
-    machine.install_native_program("loadd-recv", loadd_recv_main,
-                                   size=8192)
-    machine.install_native_program("statd", statd_main, size=16384)
-    machine.install_native_program("statd-recv", statd_recv_main,
-                                   size=8192)
-    machine.install_native_program("migtop", migtop_main, size=8192)
-    machine.install_native_program("echo", echo_main, size=2048)
-    machine.install_native_program("cat", cat_main, size=4096)
-    machine.install_native_program("pwd", pwd_main, size=2048)
-    machine.install_native_program("wc", wc_main, size=6144)
-    machine.install_native_program("true", true_main, size=1024)
-    machine.install_native_program("false", false_main, size=1024)
-    guest.install_guest_programs(machine)
+    """Install the full program suite in ``machine``'s ``/bin``."""
+    native, guests = _suite()
+    for name, factory, size in native:
+        machine.install_native_program(name, factory, size)
+    for name, aout in guests:
+        machine.install_aout(name, aout())
     return machine
 
 

@@ -2,30 +2,9 @@
 
 These are the *migratable* processes: real machine images whose
 registers, stack and data the dump/restore machinery captures.
+``repro.programs`` lists the ones every machine gets in ``/bin``.
 """
 
 from repro.programs.guest.libasm import program, PRELUDE, STDLIB
 
-
-def install_guest_programs(machine):
-    """Assemble and install every guest program under /bin."""
-    from repro.programs.guest.counter import counter_aout
-    from repro.programs.guest.cpuhog import cpuhog_aout
-    from repro.programs.guest.editor import editor_aout
-    from repro.programs.guest.pidtemp import pidtemp_aout
-    from repro.programs.guest.envdep import envdep_aout
-    from repro.programs.guest.waiter import waiter_aout
-    from repro.programs.guest.sockuser import sockuser_aout
-    from repro.programs.guest.portserver import portserver_aout
-
-    machine.install_aout("counter", counter_aout())
-    machine.install_aout("cpuhog", cpuhog_aout())
-    machine.install_aout("editor", editor_aout())
-    machine.install_aout("pidtemp", pidtemp_aout())
-    machine.install_aout("envdep", envdep_aout())
-    machine.install_aout("waiter", waiter_aout())
-    machine.install_aout("sockuser", sockuser_aout())
-    machine.install_aout("portserver", portserver_aout())
-
-
-__all__ = ["program", "PRELUDE", "STDLIB", "install_guest_programs"]
+__all__ = ["program", "PRELUDE", "STDLIB"]

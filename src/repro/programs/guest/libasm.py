@@ -177,17 +177,18 @@ _PROGRAMS = {}
 def program(body_text, body_data="", cpu="mc68010"):
     """Assemble a guest program: prelude + body + stdlib.
 
-    The result is memoized by content and shared between callers, so
+    The result is memoized by ``(body_text, body_data, cpu)`` (the
+    prelude and stdlib are fixed) and shared between callers, so
     treat it as read-only (``.aout`` is immutable ``bytes``; leave
     ``.symbols`` alone).  :func:`repro.vm.assembler.assemble` itself
     is not memoized.
     """
-    source = (PRELUDE + "        .text\n" + body_text + STDLIB
-              + "        .data\n" + body_data + STDLIB_DATA)
-    key = (source, cpu)
+    key = (body_text, body_data, cpu)
     assembled = _PROGRAMS.get(key)
     if assembled is None:
         from repro.vm.assembler import assemble
+        source = (PRELUDE + "        .text\n" + body_text + STDLIB
+                  + "        .data\n" + body_data + STDLIB_DATA)
         assembled = _PROGRAMS[key] = assemble(source, cpu=cpu)
     return assembled
 
