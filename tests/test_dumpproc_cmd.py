@@ -143,3 +143,34 @@ def test_dumpproc_polling_explains_real_vs_cpu_gap(site):
     real_us = brick.clock.now_us - t0
     cpu_us = dp.proc.cpu_us()
     assert real_us > 3 * cpu_us
+
+
+@pytest.mark.parametrize("incremental", [False, True],
+                         ids=["classic", "chunked"])
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_dumpproc_rejects_a_stack_file_off_by_one_byte(incremental,
+                                                       delta):
+    """The stack file must be exactly header + body + registers +
+    signal state long; one byte either way is a bad dump (transient).
+    The victim is dumped by the kernel first, so dumpproc picks up
+    the doctored dump through its already-dumped path."""
+    from repro.core.api import MigrationSite
+    from repro.core.formats import stack_is_chunked
+    from repro.costmodel import CostModel
+    from repro.kernel.signals import SIGDUMP
+    from repro.programs.exitcodes import EX_TRANSIENT
+    site = MigrationSite(costs=CostModel().with_overrides(
+        incremental_dumps=incremental))
+    site.run_quiet()
+    handle = start_counter(site)
+    brick = site.machine("brick")
+    brick.kernel.post_signal(handle.proc, SIGDUMP)
+    site.run_until(lambda: handle.exited)
+    stack_path = dump_file_names(handle.pid)[2]
+    blob = brick.fs.read_file(stack_path)
+    assert stack_is_chunked(blob) == incremental
+    brick.fs.install_file(stack_path,
+                          blob[:-1] if delta < 0 else blob + b"\x00")
+    assert site.dumpproc("brick", handle.pid,
+                         check=False) == EX_TRANSIENT
+    assert "dumpproc: bad dump %s" % stack_path in site.console("brick")

@@ -222,3 +222,28 @@ def test_restart_offsets_respected(site):
     site.run_until(lambda: "r=5" in site.console("schooner"))
     assert site.machine("brick").fs.read_file("/tmp/counter.out") == \
         b"aa\nbb\ncc\ndd\n"
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["plain", "k"])
+def test_restart_rejects_an_aout_without_the_0407_magic(site, keep):
+    """An a.out whose first two bytes are not 0407 is a bad dump
+    (EX_BADDUMP); only -k keeps the dump files."""
+    from repro.errors import UnixError
+    from repro.programs.exitcodes import EX_BADDUMP
+    handle = start_counter(site)
+    dump(site, handle)
+    brick = site.machine("brick")
+    paths = dump_file_names(handle.pid)
+    blob = brick.fs.read_file(paths[0])
+    brick.fs.install_file(paths[0], b"\x08\x01" + blob[2:])  # 0410
+    argv = ["restart"] + (["-k"] if keep else []) + \
+        ["-p", str(handle.pid), "-h", "brick"]
+    assert site.run_command("schooner", argv) == EX_BADDUMP
+    assert "not a dumped executable" in site.console("schooner")
+    for path in paths:
+        try:
+            brick.fs.resolve_local(path)
+            present = True
+        except UnixError:
+            present = False
+        assert present == keep, path

@@ -251,3 +251,29 @@ nl:  .asciz "\\n"
     cluster.run_until(lambda: handle.proc.is_vm())
     brick.type_at_console("b\n")
     cluster.run_until(lambda: "MARKER=survives" in brick.console_text())
+
+
+def test_renamed_dump_unlinks_only_the_two_files_given(brick, cluster):
+    """rest_proc consumes the files file only when the stack file is
+    named like a dump file; a dump staged under other names loses
+    just the a.out and the stack it was given."""
+    from repro.errors import UnixError
+    dumped = dump_counter(brick, cluster)
+    originals = dump_file_names(dumped.pid)
+    staged = ("/tmp/ck1.aout", "/tmp/ck1.files", "/tmp/ck1.stack")
+    for source, target in zip(originals, staged):
+        brick.fs.install_file(target, brick.fs.read_file(source),
+                              mode=0o700, uid=100)
+    handle, __ = restart_via_rest_proc(brick, cluster, dumped.pid,
+                                       aout=staged[0], stack=staged[2])
+    assert handle.proc.is_vm()
+
+    def present(path):
+        try:
+            brick.fs.resolve_local(path)
+            return True
+        except UnixError:
+            return False
+
+    assert [present(path) for path in staged] == [False, True, False]
+    assert all(present(path) for path in originals)
