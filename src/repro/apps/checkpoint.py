@@ -25,12 +25,12 @@ checkpointed jobs must be pid-agnostic — section 7 applies.
 """
 
 from repro.core.api import CommandFailed
-from repro.core.formats import FilesInfo
+from repro.core.formats import (FilesInfo, checkpoint_archive_name,
+                                checkpoint_snapshot_name)
 from repro.errors import iserr, UnixError
 from repro.machine.machine import SpawnHandle
-from repro.programs.ckmeta import (archive_path, parse_meta,
-                                   read_round, restore_copies,
-                                   snapshot_slots)
+from repro.programs.ckmeta import (parse_meta, read_round,
+                                   restore_copies, snapshot_slots)
 from repro.programs.exitcodes import EX_FAIL, EX_OK
 from repro.programs.pipeline import restage
 
@@ -46,7 +46,7 @@ class Checkpoint:
 
     def archive(self, kind):
         """The archived ``ck<n>.<kind>`` file (``aout``, ``fd3``...)."""
-        return archive_path(self.directory, self.index, kind)
+        return checkpoint_archive_name(self.directory, self.index, kind)
 
     def __repr__(self):
         return "Checkpoint(#%d of pid %d on %s)" % (self.index, self.pid,
@@ -105,7 +105,8 @@ class CheckpointManager:
         info = FilesInfo.unpack(self._read(checkpoint.archive("files")))
         copies = {}
         for slot, path in snapshot_slots(info):
-            copy_path = checkpoint.archive("fd%d" % slot)
+            copy_path = checkpoint_snapshot_name(
+                checkpoint.directory, checkpoint.index, slot)
             try:
                 self._read(copy_path)
             except UnixError:

@@ -12,7 +12,7 @@ Conventions:
 
 from repro.costmodel import CostModel
 from repro.core.api import MigrationSite
-from repro.core.formats import dump_file_names
+from repro.core.formats import dump_file_names, migration_id
 from repro.kernel.signals import SIGDUMP, SIGQUIT
 from repro.machine import Cluster
 
@@ -269,7 +269,7 @@ def fig4(costs=None, use_daemon=False, trace=False):
             # emitting machines' clocks) is commensurable with the
             # wall-clock latency the figure reports
             site.cluster.sync_clocks()
-        mig = "brick:%d" % handle.pid
+        mig = migration_id("brick", handle.pid)
         baseline_site, baseline_handle = _counter_site(costs,
                                                        daemons=True)
         # "the appropriate machines" for this case: the L->L case's

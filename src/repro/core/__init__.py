@@ -1,8 +1,8 @@
 """The paper's contribution: the process migration mechanism.
 
-* :mod:`repro.core.formats` — the binary formats of the
-  ``filesXXXXX`` (magic 0445) and ``stackXXXXX`` (magic 0444) dump
-  files;
+* :mod:`repro.core.formats` — the dump-file protocol: the
+  ``filesXXXXX`` (0445) and ``stackXXXXX`` (0444) formats and every
+  dump, archive and ledger file name and migration id;
 * :mod:`repro.core.symlinks` — user-level symlink resolution by
   iterated ``readlink()``;
 * :mod:`repro.core.api` — :class:`~repro.core.api.MigrationManager`,

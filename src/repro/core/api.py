@@ -15,6 +15,7 @@ paper's section 4.2 walkthrough::
 ``MigrationManager`` is an alias kept for API stability.
 """
 
+from repro.core.formats import dump_pid
 from repro.costmodel import CostModel
 from repro.errors import UnixError
 from repro.machine.cluster import Cluster
@@ -193,7 +194,7 @@ class MigrationSite:
         """The most recent restart-process-turned-VM on ``host``."""
         machine = self.machine(host)
         candidates = [p for p in machine.kernel.procs.all_procs()
-                      if p.is_vm() and p.command.startswith("a.out")]
+                      if p.is_vm() and dump_pid(p.command) is not None]
         return candidates[-1] if candidates else None
 
     def console(self, host):

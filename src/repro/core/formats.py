@@ -1,4 +1,4 @@
-"""Binary formats of the ``filesXXXXX`` and ``stackXXXXX`` dump files.
+"""The dump-file protocol: the ``SIGDUMP`` files' formats and names.
 
 ``SIGDUMP`` produces three files in ``/usr/tmp``, named by the pid of
 the dumped process:
@@ -23,6 +23,10 @@ Strings are length-prefixed (u16 little endian).  All path names in
 the files file are *lexically* absolute but may still contain
 symbolic links — resolving them is explicitly the job of the
 user-level ``dumpproc`` (section 4.3 of the paper).
+
+This module owns that contract, magics and a.out header aside: the
+layouts and every dump, archive and ledger file name, migration id,
+a.out sniff and stack-file size rule.
 """
 
 import struct
@@ -34,7 +38,8 @@ from repro.kernel.constants import (NOFILE, FILES_MAGIC, STACK_MAGIC,
 from repro.kernel.cred import Credentials, PACKED_SIZE as CRED_SIZE
 from repro.kernel.signals import SigState
 from repro.store import DIGEST_BYTES
-from repro.vm.aout import AOutHeader, HEADER_SIZE, AOUT_FLAG_CHUNKED
+from repro.vm.aout import (AOutHeader, HEADER_SIZE, AOUT_FLAG_CHUNKED,
+                           AOUT_MAGIC)
 from repro.vm.image import Registers
 
 FD_UNUSED = 0
@@ -155,8 +160,9 @@ class ChunkManifest:
         self.pack_into(writer)
         return writer.getvalue()
 
-    @classmethod
-    def unpack_from(cls, reader):
+    @staticmethod
+    def read_header(reader):
+        """Read and check a header: ``(chunk_bytes, length, count)``."""
         magic = reader.u16()
         if magic != CHUNK_MAGIC:
             raise UnixError(EINVAL, "bad chunk manifest magic 0o%o"
@@ -171,6 +177,11 @@ class ChunkManifest:
             raise UnixError(EINVAL,
                             "manifest count %d does not match length %d"
                             % (count, length))
+        return chunk_bytes, length, count
+
+    @classmethod
+    def unpack_from(cls, reader):
+        chunk_bytes, length, count = cls.read_header(reader)
         digests = [reader.raw(DIGEST_BYTES) for __ in range(count)]
         return cls(chunk_bytes, length, digests)
 
@@ -241,14 +252,8 @@ class FdEntry:
     def is_file(self):
         return self.kind == FD_FILE
 
-    def is_socket(self):
-        return self.kind in (FD_SOCKET, FD_SOCKET_BOUND)
-
     def is_bound_socket(self):
         return self.kind == FD_SOCKET_BOUND
-
-    def is_unused(self):
-        return self.kind == FD_UNUSED
 
     def __eq__(self, other):
         if not isinstance(other, FdEntry):
@@ -376,16 +381,21 @@ class StackInfo:
         writer.raw(self.sigstate.pack())
         return writer.getvalue()
 
-    @classmethod
-    def unpack(cls, blob):
-        reader = _Reader(blob, "stack")
+    @staticmethod
+    def read_header(reader):
+        """Read the prefix: ``(magic, credentials, stack size)``."""
         magic = reader.u16()
         if magic not in (STACK_MAGIC, STACK_CHUNK_MAGIC):
             raise UnixError(EINVAL,
                             "bad stack magic 0o%o (want 0o%o)"
                             % (magic, STACK_MAGIC))
-        cred = Credentials.unpack(reader.raw(CRED_SIZE))
-        stack_size = reader.u32()
+        return magic, Credentials.unpack(reader.raw(CRED_SIZE)), \
+            reader.u32()
+
+    @classmethod
+    def unpack(cls, blob):
+        reader = _Reader(blob, "stack")
+        magic, cred, stack_size = cls.read_header(reader)
         stack = b""
         manifest = None
         if magic == STACK_CHUNK_MAGIC:
@@ -411,13 +421,12 @@ class StackInfo:
         variant share this prefix, and the size is always the *real*
         stack size, not the manifest size.
         """
-        reader = _Reader(blob, "stack")
-        magic = reader.u16()
-        if magic not in (STACK_MAGIC, STACK_CHUNK_MAGIC):
-            raise UnixError(EINVAL, "bad stack magic 0o%o" % magic)
-        cred = Credentials.unpack(reader.raw(CRED_SIZE))
-        stack_size = reader.u32()
-        return cred, stack_size
+        return cls.read_header(_Reader(blob, "stack"))[1:]
+
+
+def dump_dir(host, local):
+    """``host``'s dump directory, as named from ``local``."""
+    return DUMPDIR if host == local else "/n/%s%s" % (host, DUMPDIR)
 
 
 def dump_file_names(pid, directory=DUMPDIR):
@@ -427,14 +436,88 @@ def dump_file_names(pid, directory=DUMPDIR):
             "%s/stack%d" % (directory, pid))
 
 
-#: the archived-dump files of a ledgered migration, in the same
-#: (a.out, files, stack) order as ``dump_file_names``; each holds a
-#: packed :class:`ChunkManifest` whose payloads live in the cluster
-#: chunk store (DESIGN.md section 12)
-LEDGER_ARCHIVE_KINDS = ("aout", "files", "stack")
+def dump_pid(name, prefix="a.out"):
+    """The pid of a ``<prefix><pid>`` dump file name, else None (an
+    a.out's name is the command of the process restarted from it)."""
+    digits = name[len(prefix):]
+    return int(digits) if name.startswith(prefix) and digits.isdecimal() \
+        else None
 
 
-def ledger_archive_names(directory):
+def stack_files_name(stack_path):
+    """The ``filesXXXXX`` beside a ``stackXXXXX`` path, else None."""
+    head, sep, tail = stack_path.rpartition("/")
+    pid = dump_pid(tail, "stack")
+    return None if pid is None else head + sep + "files%d" % pid
+
+
+def migration_id(host, pid):
+    """``<source-host>:<pid>``: keys a migration's trace and ledger."""
+    return "%s:%d" % (host, pid)
+
+
+def dump_migration_id(aout_path, local_host):
+    """The migration id of an a.out path: the host from a ``/n/<host>``
+    prefix, else ``local_host``; pid -1 for a name not ``a.out<pid>``.
+    """
+    parts = aout_path.split("/")
+    remote = aout_path.startswith("/n/") and parts[2]
+    pid = dump_pid(parts[-1])
+    return migration_id(remote or local_host, -1 if pid is None else pid)
+
+
+def is_aout(prefix):
+    """Whether ``prefix`` opens with the a.out magic 0407."""
+    return len(prefix) >= 2 and _U16.unpack_from(prefix)[0] == AOUT_MAGIC
+
+
+#: magic + credentials + stack size (all ``restart`` reads), and that
+#: plus the manifest header of a chunked stack
+STACK_HEADER_SIZE = 2 + CRED_SIZE + 4
+CHUNKED_STACK_HEADER_SIZE = STACK_HEADER_SIZE + ChunkManifest.HEADER_SIZE
+
+
+def stack_file_size(prefix):
+    """The exact size of a stack file, from its header (and a chunked
+    stack's manifest header, which must match it) in ``prefix``."""
+    reader = _Reader(prefix, "stack")
+    magic, __, body = StackInfo.read_header(reader)
+    if magic == STACK_CHUNK_MAGIC:
+        __, length, count = ChunkManifest.read_header(reader)
+        if length != body:
+            raise UnixError(EINVAL, "stack manifest length %d != %d"
+                            % (length, body))
+        body = ChunkManifest.HEADER_SIZE + DIGEST_BYTES * count
+    return (STACK_HEADER_SIZE + body + Registers.FORMAT.size
+            + SigState.PACKED_SIZE)
+
+
+#: an archived dump's files, (a.out, files, stack); a ledger record's
+#: ``dump.<kind>`` files hold chunk manifests (DESIGN.md section 12)
+ARCHIVE_KINDS = ("aout", "files", "stack")
+#: a ledger record directory's record file, and the archive commit
+#: marker the kernel writes *last* (no marker: no usable archive)
+REC_NAME = "rec"
+OK_NAME = "dump.ok"
+LEDGER_ARCHIVE_NAMES = tuple("dump.%s" % kind for kind in ARCHIVE_KINDS)
+
+
+def ledger_record_dir(ledger_dir, source, pid):
+    """A migration's record directory, named by its migration id."""
+    return "%s/%s" % (ledger_dir, migration_id(source, pid))
+
+
+def ledger_archive_names(recdir):
     """The three chunk-manifest archive paths of one ledger record."""
-    return tuple("%s/dump.%s" % (directory, kind)
-                 for kind in LEDGER_ARCHIVE_KINDS)
+    return tuple("%s/%s" % (recdir, name)
+                 for name in LEDGER_ARCHIVE_NAMES)
+
+
+def checkpoint_archive_name(directory, round_no, kind):
+    """``ck<round>.<kind>``: one of ``ARCHIVE_KINDS``, or ``fd<slot>``."""
+    return "%s/ck%d.%s" % (directory, round_no, kind)
+
+
+def checkpoint_snapshot_name(directory, round_no, slot):
+    """``ck<round>.fd<slot>``: the round's copy of the file at ``slot``."""
+    return checkpoint_archive_name(directory, round_no, "fd%d" % slot)

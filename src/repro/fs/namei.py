@@ -72,11 +72,6 @@ class Namespace:
             return self._remote_roots(hostname)
         return self._remote_roots.get(hostname)
 
-    def known_hosts(self):
-        if callable(self._remote_roots):
-            raise TypeError("host enumeration not available")
-        return sorted(self._remote_roots)
-
     # -- resolution ----------------------------------------------------------
 
     def resolve(self, path, cwd=None, follow=True, want_parent=False):
@@ -204,44 +199,3 @@ class Namespace:
         __, fs, inode = position
         return ResolvedPath(fs, inode, parent_fs or fs,
                             parent or inode.parent or inode, ".")
-
-    # -- convenience -----------------------------------------------------------
-
-    def resolve_symlinks(self, path):
-        """Expand every symbolic link in an absolute ``path`` and
-        return the resulting link-free path string.
-
-        This mirrors the algorithm the paper prescribes for the
-        user-level tools — walk the name a component at a time,
-        calling ``readlink()`` on each prefix and splicing targets in
-        — and is used by tests; the real ``dumpproc`` implementation
-        does the same thing through system calls
-        (:mod:`repro.core.symlinks`).
-        """
-        from repro.fs.paths import normalize
-        if not is_absolute(path):
-            raise ValueError("resolve_symlinks requires an absolute path")
-        pending = split_components(normalize(path))
-        resolved = "/"
-        expansions = 0
-        while pending:
-            component = pending.pop(0)
-            candidate = resolved.rstrip("/") + "/" + component
-            try:
-                found = self.resolve(candidate, follow=False)
-                inode = found.inode
-            except UnixError:
-                inode = None
-            if inode is not None and inode.is_link():
-                expansions += 1
-                if expansions > MAXSYMLINKS:
-                    raise UnixError(ELOOP, path)
-                target = inode.target
-                if is_absolute(target):
-                    resolved = "/"
-                    pending = split_components(target) + pending
-                else:
-                    pending = split_components(target) + pending
-                continue
-            resolved = normalize(candidate)
-        return resolved

@@ -44,7 +44,7 @@ class DumpSupport:
         plain terminate (and dumpproc will time out waiting for the
         a.out file), which is logged.
         """
-        from repro.core.formats import dump_file_names
+        from repro.core.formats import dump_file_names, migration_id
         # sys_dump_ledger arms exactly one dump: consume the arming up
         # front, success or failure, so a later plain dump of a
         # surviving process can never re-archive into a stale
@@ -58,7 +58,7 @@ class DumpSupport:
         image = proc.image.image
         aout_path, files_path, stack_path = dump_file_names(proc.pid)
         # a migration is keyed by where the dump was taken
-        mig = "%s:%d" % (self.hostname, proc.pid)
+        mig = migration_id(self.hostname, proc.pid)
         self.tracer.span_begin("dump", "dump", mig, self.machine,
                                pid=proc.pid)
 
@@ -140,9 +140,7 @@ class DumpSupport:
         """
         from repro.core.formats import (FilesInfo, StackInfo,
                                         unpack_chunked_aout)
-        from repro.vm.aout import (AOutHeader, AOUT_FLAG_CHUNKED,
-                                   HEADER_SIZE)
-        from repro.errors import ENOEXEC
+        from repro.vm.aout import AOutHeader, AOUT_FLAG_CHUNKED, check_length
         views = [memoryview(aout_inode.data),
                  memoryview(files_inode.data),
                  memoryview(stack_inode.data)]
@@ -153,11 +151,7 @@ class DumpSupport:
                 # validates both manifests against the header sizes
                 unpack_chunked_aout(aout_view)
             else:
-                need = (HEADER_SIZE + header.text_size
-                        + header.data_size)
-                if len(aout_view) < need:
-                    raise UnixError(ENOEXEC, "truncated a.out: %d < %d"
-                                    % (len(aout_view), need))
+                check_length(header, len(aout_view))
             FilesInfo.unpack(files_view)
             StackInfo.unpack(stack_view)
         finally:
@@ -182,7 +176,8 @@ class DumpSupport:
         are written under the armer's credentials, not the victim's.
         """
         recdir, cred = arming
-        from repro.core.formats import ChunkManifest, ledger_archive_names
+        from repro.core.formats import (ChunkManifest, OK_NAME,
+                                        ledger_archive_names)
         store = self.machine.cluster.chunk_store
         chunk_bytes = max(1, int(self.costs.dump_chunk_bytes))
         written = []
@@ -201,11 +196,10 @@ class DumpSupport:
                 self.charge(self.costs.dump_pack_us, proc=proc)
                 self.kwrite_file(proc, path, manifest.pack(), mode=0o644)
                 written.append(path)
-            # the commit marker ("dump.ok", matching migledger.OK_NAME
-            # — the kernel cannot import repro.net) goes last, and
-            # only if nobody reaped the record while we archived
+            # the commit marker goes last, and only if nobody reaped
+            # the record while we archived
             self._archive_record_check(proc, recdir)
-            ok_path = "%s/dump.ok" % recdir
+            ok_path = "%s/%s" % (recdir, OK_NAME)
             self.fault_check("ledger.archive", ok_path)
             self.kwrite_file(proc, ok_path, b"ok\n", mode=0o644)
         except UnixError:
@@ -228,12 +222,11 @@ class DumpSupport:
         job.  Checked before the first manifest and again before the
         ``dump.ok`` commit marker — failing here fails the whole
         all-or-nothing dump, so the victim survives at home instead.
-        ("rec" matches migledger.REC_NAME — the kernel cannot import
-        repro.net.)
         """
+        from repro.core.formats import REC_NAME
         from repro.errors import ENOENT
         try:
-            self.namei(proc, "%s/rec" % recdir)
+            self.namei(proc, "%s/%s" % (recdir, REC_NAME))
         except UnixError:
             raise UnixError(ENOENT,
                             "ledger record gone: %s" % recdir)

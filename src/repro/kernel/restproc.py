@@ -24,9 +24,9 @@ same constraint implicitly (a truncated stack file after exec would
 have been unrecoverable).
 """
 
+from repro.core import formats
 from repro.errors import UnixError, EINVAL, ENOMEM
 from repro.kernel.flow import ProcessOverlaid
-from repro.obs import dump_migration_id
 
 
 class RestProcSupport:
@@ -43,7 +43,7 @@ class RestProcSupport:
         """
         # the restart span covers reading the dump files (the
         # transfer, when they live on the source) and the overlay
-        mig = dump_migration_id(aout_path, self.hostname)
+        mig = formats.dump_migration_id(aout_path, self.hostname)
         self.tracer.span_begin("restart", "rest_proc", mig,
                                self.machine, pid=proc.pid)
         try:
@@ -60,7 +60,6 @@ class RestProcSupport:
             raise
 
     def _rest_proc_body(self, proc, aout_path, stack_path):
-        from repro.core.formats import StackInfo
         real0 = self.clock.now_us
         cpu0 = proc.cpu_us()
 
@@ -69,7 +68,7 @@ class RestProcSupport:
         # current credentials.)
         blob = self.kread_file(proc, stack_path)
         try:
-            info = StackInfo.unpack(blob)
+            info = formats.StackInfo.unpack(blob)
         except UnixError as err:
             raise UnixError(EINVAL, "stackXXXXX: %s" % err.context)
 
@@ -162,7 +161,7 @@ class RestProcSupport:
         from repro.kernel.dump import lazy_records
         sp = image.stack_top - manifest.length
         if self.costs.lazy_restart:
-            mig = dump_migration_id(aout_path, self.hostname)
+            mig = formats.dump_migration_id(aout_path, self.hostname)
             tracer, machine, pid = self.tracer, self.machine, proc.pid
             tracer.span_begin("restart", "fault_in", mig, machine, pid=pid)
 
@@ -182,9 +181,7 @@ class RestProcSupport:
 
     def _consume_dump_files(self, proc, aout_path, stack_path):
         """Unlink the three dump files after a successful overlay."""
-        head, sep, tail = stack_path.rpartition("/")
-        paths = [aout_path, stack_path]
-        if tail.startswith("stack"):
-            paths.append(head + sep + "files" + tail[len("stack"):])
-        for path in paths:
-            self._kunlink_quiet(proc, path)
+        for path in (aout_path, stack_path,
+                     formats.stack_files_name(stack_path)):
+            if path is not None:
+                self._kunlink_quiet(proc, path)

@@ -24,7 +24,6 @@ _FAULT_SIGNALS = {"ill": sig_mod.SIGILL, "segv": sig_mod.SIGSEGV,
 #: in, routed through the cost model so experiments can sweep them
 _SYSCTL0_KNOBS = frozenset({
     "dump_poll_tries", "dump_poll_sleep_s",
-    "restart_poll_tries", "restart_poll_sleep_s",
     "migration_ledger", "migration_ledger_dir", "ledger_stale_s",
     "stat_interval_s", "stat_rounds", "stat_stale_s",
     "stat_series_len", "stat_spool_dir",

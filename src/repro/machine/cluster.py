@@ -247,11 +247,6 @@ class Cluster:
                 "cluster idle but the awaited condition is false")
         raise SimulationStuck("exceeded %d steps" % max_steps)
 
-    def run_handle(self, handle, max_steps=5_000_000):
-        """Run until a SpawnHandle's process has exited."""
-        self.run_until(lambda: handle.exited, max_steps=max_steps)
-        return handle
-
     # -- driver internals --------------------------------------------------------
 
     def note_activity(self, machine):

@@ -44,8 +44,8 @@ misparsing — the sweep skips what it cannot parse.
 
 from repro.errors import iserr, UnixError, EINVAL
 from repro.kernel.constants import MIGLEDGER_MAGIC
-from repro.core.formats import (_Reader, _Writer, LEDGER_ARCHIVE_KINDS,
-                                ledger_archive_names)
+from repro.core.formats import (_Reader, _Writer, LEDGER_ARCHIVE_NAMES,
+                                OK_NAME, REC_NAME, migration_id)
 from repro.programs.base import read_file, replace_file
 from repro.programs.ckmeta import claim_next, highest_claim
 
@@ -62,21 +62,8 @@ PHASE_NAMES = {PH_INTENT: "intent", PH_DUMPED: "dumped",
                PH_RESTARTING: "restarting", PH_DONE: "done",
                PH_ABORTED: "aborted"}
 
-#: the record file inside a per-migration directory
-REC_NAME = "rec"
-#: the archive commit marker, written by the kernel *last*: a record
-#: directory without it holds no usable archive
-OK_NAME = "dump.ok"
-#: archive manifest basenames, (a.out, files, stack) order
-ARCHIVE_NAMES = tuple("dump.%s" % kind for kind in LEDGER_ARCHIVE_KINDS)
-
 #: ``ledger_advance`` return value when a higher claim fences us out
 LEDGER_FENCED = 1
-
-
-def record_dir(ledger_dir, source, pid):
-    """The per-migration record directory (keyed like the trace id)."""
-    return "%s/%s:%d" % (ledger_dir, source, pid)
 
 
 class MigRecord:
@@ -98,7 +85,7 @@ class MigRecord:
 
     def mig_id(self):
         """The migration id, matching the trace spans: source:pid."""
-        return "%s:%d" % (self.source, self.pid)
+        return migration_id(self.source, self.pid)
 
     def pack(self):
         writer = _Writer()
@@ -283,13 +270,9 @@ def ledger_reap(directory):
     for name in sorted(names, key=lambda name: (
             name == REC_NAME, name != OK_NAME, name)):
         if (name == REC_NAME or name == OK_NAME
-                or name in ARCHIVE_NAMES or name.startswith("claim.")
+                or name in LEDGER_ARCHIVE_NAMES
+                or name.startswith("claim.")
                 or name.endswith(".tmp")):
             yield ("unlink", "%s/%s" % (directory, name))
     yield ("perf_note", "ml_reaps")
     return 0
-
-
-def archive_paths(directory):
-    """The (a.out, files, stack) manifest paths of one record."""
-    return ledger_archive_names(directory)

@@ -68,11 +68,6 @@ class Network:
     def costs(self):
         return self.cluster.costs
 
-    @property
-    def min_latency_us(self):
-        """The smallest cross-machine message transit time."""
-        return self.costs.message_us(0)
-
     # -- partitions and crashes --------------------------------------------
 
     def reachable(self, a, b):

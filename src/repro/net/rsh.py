@@ -21,7 +21,7 @@ status.  (Stdin is not forwarded; the tools run this way — dumpproc,
 restart — never read it.)
 """
 
-from repro.errors import iserr, ECHILD
+from repro.errors import iserr
 from repro.programs.base import LineReader, print_err, write_all
 
 RSH_PORT = 514
@@ -124,7 +124,7 @@ def rshd_helper_main(argv, env):
     while True:
         result = yield ("wait",)
         if iserr(result):
-            status = 1 if result == -ECHILD else 1
+            status = 1
             break
         reaped, raw = result
         if reaped == child:

@@ -125,8 +125,8 @@ def _ledger_max_age_s(cluster, now_s):
     torn or reaped records are skipped, like the sweep does.
     """
     from repro.errors import UnixError
-    from repro.net.migledger import (MigRecord, PH_DONE, PH_ABORTED,
-                                     REC_NAME)
+    from repro.core.formats import REC_NAME
+    from repro.net.migledger import MigRecord, PH_DONE, PH_ABORTED
     ledger_dir = cluster.costs.migration_ledger_dir
     host = None
     local = ledger_dir

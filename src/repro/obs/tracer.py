@@ -26,6 +26,7 @@ Design rules:
   (:func:`dump_migration_id`).
 """
 
+from repro.core import formats
 from repro.obs import export
 
 #: every known event category; ``enable()`` with no args turns on all
@@ -64,25 +65,8 @@ _TIMELINE_MARKERS = (
 
 
 def dump_migration_id(aout_path, local_host):
-    """Derive the ``host:pid`` migration id from a dump-file path.
-
-    Dump files are named ``a.out<pid>`` (plus ``NNN.<pid>`` segment
-    files) and a remote dump is addressed ``/n/<host>/...``; a local
-    path means the dump was taken on ``local_host`` itself.
-    """
-    host = local_host
-    if aout_path.startswith("/n/"):
-        parts = aout_path.split("/", 3)
-        if len(parts) >= 3 and parts[2]:
-            host = parts[2]
-    tail = aout_path.rsplit("/", 1)[-1]
-    if tail.startswith("a.out"):
-        tail = tail[len("a.out"):]
-    try:
-        pid = int(tail)
-    except ValueError:
-        pid = -1
-    return "%s:%d" % (host, pid)
+    """:func:`repro.core.formats.dump_migration_id`, kept for callers."""
+    return formats.dump_migration_id(aout_path, local_host)
 
 
 class Tracer:
@@ -106,11 +90,6 @@ class Tracer:
                              % ", ".join(sorted(unknown)))
         self.categories = wanted
         self.enabled = True
-        return self
-
-    def disable(self):
-        self.enabled = False
-        self.categories = frozenset()
         return self
 
     def clear(self):

@@ -29,10 +29,6 @@ def write_all(fd, data):
     return done
 
 
-def print_to(fd, text):
-    return (yield from write_all(fd, text))
-
-
 def println(text=""):
     return (yield from write_all(1, text + "\n"))
 

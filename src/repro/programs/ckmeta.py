@@ -23,12 +23,11 @@ survives the home workstation) holds:
 """
 
 from repro.errors import iserr, EINVAL, UnixError
-from repro.core.formats import FilesInfo, dump_file_names
+from repro.core.formats import (ARCHIVE_KINDS, FilesInfo,
+                                checkpoint_archive_name,
+                                checkpoint_snapshot_name, dump_file_names)
 from repro.kernel.constants import O_CREAT, O_EXCL, O_WRONLY
 from repro.programs.base import read_file, replace_file, write_file
-
-#: the archived dump files of a round, in ``dump_file_names`` order
-DUMP_KINDS = ("aout", "files", "stack")
 
 #: meta keys parsed as integers
 _INT_KEYS = ("pid", "round", "epoch", "interval", "rounds_left")
@@ -105,11 +104,6 @@ def claim_next(directory, epoch):
         directory, max(epoch, highest_claim(names)) + 1))
 
 
-def archive_path(directory, round_no, kind):
-    """``ck<round>.<kind>``: a dump kind, or ``fd<slot>``."""
-    return "%s/ck%d.%s" % (directory, round_no, kind)
-
-
 def snapshot_slots(info):
     """(slot, path) of every open file a round snapshots."""
     seen = set()
@@ -128,11 +122,11 @@ def archive_round(directory, round_no, pid):
     them under the names it expects.
     """
     blobs = []
-    for kind, source in zip(DUMP_KINDS, dump_file_names(pid)):
+    for kind, source in zip(ARCHIVE_KINDS, dump_file_names(pid)):
         data = yield from read_file(source)
         if iserr(data):
             return data
-        target = archive_path(directory, round_no, kind)
+        target = checkpoint_archive_name(directory, round_no, kind)
         result = yield from write_file(target, data)
         if iserr(result):
             return result
@@ -150,7 +144,7 @@ def archive_round(directory, round_no, pid):
         data = yield from read_file(path)
         if not iserr(data):
             yield from write_file(
-                archive_path(directory, round_no, "fd%d" % slot), data)
+                checkpoint_snapshot_name(directory, round_no, slot), data)
     return 0
 
 
@@ -158,9 +152,9 @@ def read_round(directory, round_no):
     """yield-from: round ``round_no``'s (a.out, FilesInfo, stack), or
     -errno."""
     blobs = []
-    for kind in DUMP_KINDS:
-        data = yield from read_file(archive_path(directory, round_no,
-                                                 kind))
+    for kind in ARCHIVE_KINDS:
+        data = yield from read_file(checkpoint_archive_name(
+            directory, round_no, kind))
         if iserr(data):
             return data
         blobs.append(data)
@@ -174,8 +168,8 @@ def restore_copies(directory, round_no, info):
     """yield-from: write round ``round_no``'s open-file snapshots back
     over the paths ``info`` names for them."""
     for slot, path in snapshot_slots(info):
-        data = yield from read_file(archive_path(directory, round_no,
-                                                 "fd%d" % slot))
+        data = yield from read_file(checkpoint_snapshot_name(
+            directory, round_no, slot))
         if iserr(data):
             continue  # not snapshotted: a terminal, or unreadable then
         yield from write_file(path, data)

@@ -28,27 +28,17 @@ status tells the caller whether retrying can help (see
 ``repro.programs.exitcodes``).
 """
 
-import struct
-
-from repro.errors import iserr, errno_name, UnixError, EIO, ESRCH
+from repro.errors import iserr, errno_name, UnixError, ESRCH
 from repro.kernel.constants import O_RDONLY
-from repro.kernel.cred import PACKED_SIZE as CRED_SIZE
-from repro.kernel.signals import SigState, SIGDUMP
-from repro.core.formats import (ChunkManifest, FilesInfo, StackInfo,
-                                dump_file_names, stack_is_chunked)
+from repro.kernel.signals import SIGDUMP
+from repro.core.formats import (CHUNKED_STACK_HEADER_SIZE, FilesInfo,
+                                STACK_HEADER_SIZE, StackInfo,
+                                dump_file_names, is_aout, migration_id,
+                                stack_file_size, stack_is_chunked)
 from repro.core.symlinks import resolve_symlinks_syscalls
 from repro.programs.base import (parse_options, print_err, read_file,
                                  read_prefix, write_file)
 from repro.programs.exitcodes import EX_FAIL, EX_TRANSIENT
-from repro.store import DIGEST_BYTES
-from repro.vm.aout import AOUT_MAGIC
-
-#: polling parameters from the paper — these are the *defaults* of the
-#: ``dump_poll_tries`` / ``dump_poll_sleep_s`` cost-model knobs, which
-#: the tool reads at run time (via the free ``sysctl0`` fetch) so the
-#: latency benchmark isn't floored by a hard-coded one-second sleep
-POLL_TRIES = 10
-POLL_SLEEP_SECONDS = 1
 
 USAGE = "usage: dumpproc -p pid [-L recdir]"
 
@@ -104,8 +94,7 @@ def dumpproc_main(argv, env):
         if not iserr(fd):
             magic = yield ("read", fd, 2)
             yield ("close", fd)
-            if iserr(magic) or len(magic) < 2 or \
-                    struct.unpack("<H", magic)[0] != AOUT_MAGIC:
+            if iserr(magic) or not is_aout(magic):
                 yield from print_err("dumpproc: bad dump %s"
                                      % aout_path)
                 return EX_TRANSIENT
@@ -150,13 +139,8 @@ def dumpproc_main(argv, env):
     # the rewrite is the boundary between the dump and transfer
     # phases in the trace timeline (dumpproc always runs on the
     # source host, so hostname names the dump's origin)
-    yield ("trace_mark", "migrate", "rewrite",
-           "%s:%d" % (hostname, pid))
+    yield ("trace_mark", "migrate", "rewrite", migration_id(hostname, pid))
     return 0
-
-
-#: magic + credentials + stack size — all rest_proc peeks at first
-_STACK_HEADER = 2 + CRED_SIZE + 4
 
 
 def _verify_stack(stack_path):
@@ -165,48 +149,25 @@ def _verify_stack(stack_path):
     Magic + length checks only: the stack header, and the stack
     file's exact expected size.  A chunked stack (incremental dump)
     carries a manifest instead of the raw bytes, so its expected size
-    is computed from the manifest header read in a second prefix.
+    comes from the manifest header, read in a second, longer prefix.
     """
-    from repro.vm.image import Registers
-    header = yield from read_prefix(stack_path, _STACK_HEADER)
+    header = yield from read_prefix(stack_path, STACK_HEADER_SIZE)
     bad_stack = iserr(header)
     if not bad_stack:
         try:
-            __, stack_size = StackInfo.peek_header(header)
+            StackInfo.peek_header(header)
             stat = yield ("stat", stack_path)
             if stack_is_chunked(header):
-                payload = yield from _chunked_stack_payload(
-                    stack_path, stack_size)
-            else:
-                payload = stack_size
-            bad_stack = iserr(stat) or iserr(payload) or stat.size != (
-                _STACK_HEADER + payload + Registers.FORMAT.size
-                + SigState.PACKED_SIZE)
+                header = yield from read_prefix(
+                    stack_path, CHUNKED_STACK_HEADER_SIZE)
+            bad_stack = iserr(stat) or iserr(header) or \
+                stat.size != stack_file_size(header)
         except UnixError:
             bad_stack = True
     if bad_stack:
         yield from print_err("dumpproc: bad dump %s" % stack_path)
         return EX_TRANSIENT
     return None
-
-
-def _chunked_stack_payload(stack_path, stack_size):
-    """yield-from: expected bytes between header and registers, or -errno.
-
-    For a chunked stack that is the manifest: its fixed header plus
-    one digest per chunk, cross-checked against the stack size the
-    file header advertised.
-    """
-    prefix = yield from read_prefix(
-        stack_path, _STACK_HEADER + ChunkManifest.HEADER_SIZE)
-    if iserr(prefix):
-        return prefix
-    __, chunk_bytes, length, count = struct.unpack(
-        "<HIIH", prefix[_STACK_HEADER:])
-    if chunk_bytes <= 0 or length != stack_size or \
-            count != -(-length // chunk_bytes):
-        return -EIO
-    return ChunkManifest.HEADER_SIZE + DIGEST_BYTES * count
 
 
 def _rewrite_path(path, hostname, terminal_check=True):

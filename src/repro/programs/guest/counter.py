@@ -79,9 +79,5 @@ linebuf:    .space 128
 """
 
 
-def counter_source():
-    return BODY, DATA
-
-
 def counter_aout(cpu="mc68010"):
     return program(BODY, DATA, cpu=cpu).aout

@@ -50,6 +50,7 @@ at start in this order: ``loadd_interval_s`` and ``loadd_rounds``
 """
 
 from repro.apps.policy import HostLoad, ThresholdPolicy
+from repro.core.formats import migration_id
 from repro.net.loadd import LOADD, MAX_CANDIDATES, SPOOL_DIR, LoadReport
 from repro.net.report import (is_stale, listen_for_reports, next_report,
                               read_spooled, send_report)
@@ -169,7 +170,7 @@ def _balance(policy, view, local, round_no):
             # another host is that host's loadd's business
             continue
         yield ("trace_mark", "loadd", "move",
-               "%s:%d" % (local, choice.pid))
+               migration_id(local, choice.pid))
         status = yield from move(choice.pid, local, choice.destination,
                                  local, "migrationd-run")
         if status == EX_OK:

@@ -43,12 +43,13 @@ race it.
 """
 
 from repro.errors import iserr, ECHILD, ENOENT, UnixError
-from repro.core.formats import StackInfo, dump_file_names
+from repro.core.formats import (StackInfo, dump_dir, dump_file_names,
+                                ledger_record_dir, migration_id)
 from repro.kernel.constants import O_RDONLY
 from repro.net.migledger import (LEDGER_FENCED, MigRecord, PH_ABORTED,
                                  PH_DONE, PH_DUMPED, PH_RESTARTING,
                                  ledger_advance, ledger_put,
-                                 ledger_reap, record_dir)
+                                 ledger_reap)
 from repro.programs.base import (mkdir_p, print_err, remove_files,
                                  wait_for, write_file)
 from repro.programs.exitcodes import (EX_FAIL, EX_FENCED, EX_OK,
@@ -67,13 +68,13 @@ def move(pid, source, destination, local, runner):
     """
     # bracket the whole pipeline for the trace timeline (DESIGN.md
     # section 9); the id matches the kernel's dump/restart spans
-    mig = "%s:%d" % (source, pid)
+    mig = migration_id(source, pid)
     yield ("trace_span", "migrate", "B", mig)
 
     attempts = yield ("sysctl", "migrate_attempts")
     backoff = yield ("sysctl", "migrate_backoff_s")
     # the dump files as seen from *this* machine
-    dump_paths = dump_names(pid, source, local)
+    dump_paths = dump_file_names(pid, dump_dir(source, local))
 
     # -- phase 0: durable intent (opt-in, DESIGN.md section 12) -------------
     # ("sysctl0" keeps the ledger-off path byte-identical: the read is
@@ -81,7 +82,7 @@ def move(pid, source, destination, local, runner):
     recdir = record = None
     if (yield ("sysctl0", "migration_ledger")):
         ledger_dir = yield ("sysctl0", "migration_ledger_dir")
-        recdir = record_dir(ledger_dir, source, pid)
+        recdir = ledger_record_dir(ledger_dir, source, pid)
         yield from mkdir_p(recdir)
         now = yield ("time",)
         record = MigRecord(source, pid, destination, local, time_s=now)
@@ -152,13 +153,6 @@ def move(pid, source, destination, local, runner):
     return EX_FAIL
 
 
-def dump_names(pid, host, local):
-    """The dump files of ``pid`` on ``host``, as named from ``local``."""
-    directory = "/usr/tmp" if host == local \
-        else "/n/%s/usr/tmp" % host
-    return dump_file_names(pid, directory)
-
-
 def dump(pid, host, local, runner, attempts, backoff, recdir=None):
     """yield-from: ``dumpproc -p pid`` on ``host``, up to ``attempts``
     runs unless it fails for good (``EX_FAIL``); its exit status.
@@ -187,7 +181,7 @@ def restart(pid, host, local, runner=None, from_host=None,
     restart_args = ["restart", "-k", "-p", str(pid)]
     if from_host:
         restart_args += ["-h", from_host]
-    aout_path = dump_names(pid, from_host or host, local)[0]
+    aout_path = dump_file_names(pid, dump_dir(from_host or host, local))[0]
     for attempt in range(max(1, attempts)):
         if attempt:
             yield from _backoff("restart", host, backoff, attempt)

@@ -60,18 +60,20 @@ both required, and a missing one is a usage error.
 """
 
 from repro.errors import iserr, EIO, ENOENT, UnixError
-from repro.core.formats import ChunkManifest, FilesInfo
+from repro.core.formats import (ChunkManifest, FilesInfo, OK_NAME,
+                                dump_dir, dump_file_names,
+                                dump_pid, ledger_archive_names)
 from repro.kernel.signals import SIGKILL
-from repro.net.migledger import (LEDGER_FENCED, OK_NAME, PH_ABORTED,
-                                 PH_DONE, PH_INTENT, PH_RESTARTING,
-                                 archive_paths, ledger_advance,
-                                 ledger_claim, ledger_read, ledger_reap)
+from repro.net.migledger import (LEDGER_FENCED, PH_ABORTED, PH_DONE,
+                                 PH_INTENT, PH_RESTARTING,
+                                 ledger_advance, ledger_claim,
+                                 ledger_read, ledger_reap)
 from repro.programs.base import (parse_options, print_err, println,
                                  read_file, remove_files)
 from repro.programs.ckmeta import (claim_epoch, read_meta, read_round,
                                    restore_copies, write_meta)
 from repro.programs.exitcodes import EX_FAIL, EX_OK
-from repro.programs.pipeline import dump_names, restage
+from repro.programs.pipeline import restage
 
 USAGE = "usage: recoveryd -i interval -n rounds [-m ledgerdir] [watchdir]"
 
@@ -361,12 +363,12 @@ def _probe_destination(record, local):
     native ``restart`` seen on the destination also defers: its
     ``rest_proc`` may be about to produce the copy.
     """
-    token = "a.out%d" % record.pid
     if record.destination == local:
         rows = yield ("getproctab",)
         if iserr(rows):
             return "busy"
-        if any(row["vm"] and row["command"] == token for row in rows):
+        if any(row["vm"] and dump_pid(row["command"]) == record.pid
+               for row in rows):
             return "live"
         if any(not row["vm"] and row["command"] == "restart"
                for row in rows):
@@ -383,7 +385,7 @@ def _probe_destination(record, local):
         words = line.split()
         if not words:
             continue
-        if words[-1] == token:
+        if dump_pid(words[-1]) == record.pid:
             live = True
         elif words[-1] == "restart":
             busy = True
@@ -432,8 +434,8 @@ def _neutralize(record, local):
     either, and its ``/usr/tmp`` does not survive the reboot that
     brings it back.
     """
-    yield from remove_files(dump_names(record.pid, record.source,
-                                       local))
+    yield from remove_files(dump_file_names(
+        record.pid, dump_dir(record.source, local)))
 
 
 def _fetch_archive(manifest):
@@ -476,7 +478,7 @@ def _restage_ledger(directory, record, local):
     can have lost the dump.
     """
     blobs = []
-    for path in archive_paths(directory):
+    for path in ledger_archive_names(directory):
         manifest_blob = yield from read_file(path)
         if iserr(manifest_blob):
             return None

@@ -35,20 +35,17 @@ unambiguous success signal).  Permission failures never clean up:
 the files belong to somebody else.
 """
 
-import struct
-
 from repro.errors import (iserr, errno_name, UnixError, EACCES,
                           ENOENT, EPERM)
 from repro.kernel.constants import (NOFILE, O_ACCMODE, O_APPEND,
                                     O_RDWR, SEEK_SET, TIOCSETP)
-from repro.core.formats import (FilesInfo, StackInfo, dump_file_names,
+from repro.core.formats import (FilesInfo, StackInfo, STACK_HEADER_SIZE,
+                                dump_dir, dump_file_names, is_aout,
                                 FD_FILE, FD_SOCKET, FD_SOCKET_BOUND)
-from repro.kernel.cred import PACKED_SIZE as CRED_SIZE
 from repro.programs.base import (parse_options, print_err, read_file,
                                  read_prefix, remove_files)
 from repro.programs.exitcodes import (EX_BADDUMP, EX_FAIL,
                                       EX_RESTPROC, EX_TRANSIENT)
-from repro.vm.aout import AOUT_MAGIC
 
 USAGE = "usage: restart -p pid [-h host] [-k]"
 
@@ -70,15 +67,13 @@ def restart_main(argv, env):
     keep = bool(opts.get("-k"))
 
     local = yield ("gethostname",)
-    host = opts.get("-h") or local
-    directory = "/usr/tmp" if host == local \
-        else "/n/%s/usr/tmp" % host
-    paths = dump_file_names(pid, directory)
+    paths = dump_file_names(pid, dump_dir(opts.get("-h") or local,
+                                          local))
     aout_path, files_path, stack_path = paths
 
     # -- verify the three files and their magic numbers -------------------
     magic = yield from read_prefix(aout_path, 2)
-    if iserr(magic) or struct.unpack("<H", magic)[0] != AOUT_MAGIC:
+    if iserr(magic) or not is_aout(magic):
         yield from print_err("restart: %s is not a dumped executable"
                              % aout_path)
         return (yield from _fail_dump(magic, paths, keep))
@@ -94,7 +89,7 @@ def restart_main(argv, env):
         return (yield from _fail_dump(0, paths, keep))
 
     # the credentials are the only thing read from stackXXXXX here
-    header = yield from read_prefix(stack_path, 2 + CRED_SIZE + 4)
+    header = yield from read_prefix(stack_path, STACK_HEADER_SIZE)
     if iserr(header):
         yield from print_err("restart: cannot read %s" % stack_path)
         return (yield from _fail_dump(header, paths, keep))

@@ -90,12 +90,17 @@ def parse_aout(blob):
     header = AOutHeader.unpack(blob)
     if header.flags & AOUT_FLAG_CHUNKED:
         raise UnixError(ENOEXEC, "chunked a.out has no inline segments")
-    need = HEADER_SIZE + header.text_size + header.data_size
-    if len(blob) < need:
-        raise UnixError(ENOEXEC, "truncated a.out: %d < %d"
-                        % (len(blob), need))
+    check_length(header, len(blob))
     text_start = HEADER_SIZE
     data_start = text_start + header.text_size
     text = bytes(blob[text_start:data_start])
     data = bytes(blob[data_start:data_start + header.data_size])
     return header, text, data
+
+
+def check_length(header, size):
+    """Raise ``ENOEXEC`` unless ``size`` bytes hold the header and the
+    inline segments it describes."""
+    need = HEADER_SIZE + header.text_size + header.data_size
+    if size < need:
+        raise UnixError(ENOEXEC, "truncated a.out: %d < %d" % (size, need))

@@ -140,10 +140,6 @@ class CpuModel:
     def supports(self, opcode):
         return opcode in self.opcodes
 
-    def is_superset_of(self, other):
-        """True if programs for ``other`` can run on this CPU."""
-        return other.opcodes <= self.opcodes
-
     def __repr__(self):
         return "CpuModel(%s)" % self.name
 

@@ -114,3 +114,65 @@ def test_experiments_md_has_every_figure():
     for heading in ("Figure 1", "Figure 2", "Figure 3", "Figure 4",
                     "A1", "A2", "A3", "A4", "A5", "A6", "A7"):
         assert heading in experiments, heading
+
+
+def _man_table_rows():
+    """(page, cells) of every table row in the man pages, the
+    header separators left out."""
+    mandir = os.path.join(REPO, "docs", "man")
+    for page in sorted(os.listdir(mandir)):
+        for line in open(os.path.join(mandir, page)):
+            if line.startswith("|") and not line.startswith("|-"):
+                cells = [cell.strip().strip("`*")
+                         for cell in line.strip().strip("|").split("|")]
+                yield page, cells
+
+
+def test_man_page_knob_defaults_match_the_cost_model():
+    """A man-page table row that names a CostModel field shows that
+    field's default: bools as off/on, numbers compared as floats."""
+    from dataclasses import fields
+    from repro.costmodel import CostModel
+    defaults = {f.name: getattr(CostModel(), f.name)
+                for f in fields(CostModel)}
+    checked = 0
+    for page, cells in _man_table_rows():
+        if cells[0] not in defaults or len(cells) < 2:
+            continue
+        default = defaults[cells[0]]
+        if isinstance(default, bool):
+            assert cells[1] == ("on" if default else "off"), (page, cells)
+        elif isinstance(default, (int, float)):
+            assert float(cells[1]) == float(default), (page, cells)
+        else:
+            assert cells[1] == default, (page, cells)
+        checked += 1
+    assert checked > 20
+
+
+def test_design_module_map_names_every_module_and_only_real_ones():
+    """DESIGN.md section 3's table names files that exist under
+    ``src/repro``, and every module there (package ``__init__`` files
+    aside)."""
+    import re
+    design = open(os.path.join(REPO, "DESIGN.md")).read()
+    section = design.split("## 3. ", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for line in section.splitlines():
+        if not line.startswith("| ") or line.startswith("| Subsystem"):
+            continue
+        __, package, contents = [cell.strip()
+                                 for cell in line.strip("|").split("|")]
+        for module in re.findall(r"`([\w/]+\.py)`", contents):
+            named.add(os.path.normpath(
+                os.path.join("src", package.strip("`"), module)))
+    missing = sorted(path for path in named
+                     if not os.path.isfile(os.path.join(REPO, path)))
+    assert missing == []
+    actual = set()
+    for dirpath, __, names in os.walk(os.path.join(REPO, "src", "repro")):
+        for name in names:
+            if name.endswith(".py") and name != "__init__.py":
+                actual.add(os.path.relpath(os.path.join(dirpath, name),
+                                           REPO))
+    assert sorted(actual - named) == []

@@ -21,6 +21,46 @@ def test_dump_file_names():
         "/n/brick/usr/tmp/a.out7"
 
 
+def test_dump_names_map_back_to_their_dump():
+    from repro.core.formats import (dump_dir, dump_migration_id, dump_pid,
+                                    migration_id, stack_files_name)
+    assert dump_dir("brick", "brick") == "/usr/tmp"
+    assert dump_dir("brick", "schooner") == "/n/brick/usr/tmp"
+    aout, files, stack = dump_file_names(42, dump_dir("brick", "x"))
+    assert stack_files_name(stack) == files
+    assert stack_files_name("stack7") == "files7"
+    for other in ("/tmp/ck1.stack", "/usr/tmp/stack", "/tmp/stackX"):
+        assert stack_files_name(other) is None
+    assert migration_id("brick", 42) == "brick:42"
+    assert dump_migration_id(aout, "x") == "brick:42"
+    assert dump_migration_id("/usr/tmp/stack42", "x") == "x:-1"
+    assert dump_pid("a.out42") == 42 and dump_pid("stack42", "stack") == 42
+    assert dump_pid("a.out") is None and dump_pid("restart") is None
+
+
+def test_stack_file_size_and_aout_sniff():
+    from repro.core.formats import (CHUNKED_STACK_HEADER_SIZE,
+                                    ChunkManifest, STACK_HEADER_SIZE,
+                                    is_aout, stack_file_size)
+    from repro.store import chunk_digest
+    from repro.vm.aout import build_aout
+    assert is_aout(build_aout(1, b"", b"")[:2])
+    assert not is_aout(b"\x08\x01") and not is_aout(b"\x07")
+    classic = StackInfo(stack=b"s" * 100).pack()
+    assert stack_file_size(classic[:STACK_HEADER_SIZE]) == len(classic)
+    manifest = ChunkManifest(64, 100, [chunk_digest(b"a"),
+                                       chunk_digest(b"b")])
+    chunked = StackInfo(stack_manifest=manifest).pack()
+    assert stack_file_size(chunked[:CHUNKED_STACK_HEADER_SIZE]) == \
+        len(chunked)
+    doctored = StackInfo(stack_manifest=ChunkManifest(
+        64, 50, [chunk_digest(b"a")])).pack()
+    doctored = chunked[:STACK_HEADER_SIZE] + \
+        doctored[STACK_HEADER_SIZE:]  # header says 100, manifest 50
+    with pytest.raises(UnixError):
+        stack_file_size(doctored[:CHUNKED_STACK_HEADER_SIZE])
+
+
 def test_files_info_roundtrip():
     entries = [FdEntry() for __ in range(NOFILE)]
     entries[0] = FdEntry(FD_FILE, "/dev/console", 2, 0)
@@ -168,3 +208,162 @@ def test_unpack_never_crashes_unstructured(blob):
             parser(blob)
         except UnixError:
             pass
+
+
+# -- one owner for the dump-file protocol -------------------------------------
+
+#: the modules that define the protocol: names, ids, sniff and sizes
+_PROTOCOL_OWNERS = {"core/formats.py", "kernel/constants.py",
+                    "vm/aout.py"}
+#: modules that define a struct the stack file embeds, and may spell
+#: its own size
+_STRUCT_OWNERS = {"kernel/cred.py", "kernel/signals.py", "vm/image.py"}
+
+#: (module, enclosing function, literal) -> uses that only look like
+#: the protocol
+_ALLOWED = {
+    # every machine boots with the dump directory, world-writable, and
+    # a reboot wipes it
+    ("machine/machine.py", "", "/usr/tmp"): 1,
+    ("machine/machine.py", "Machine._setup_fs", "/usr/tmp"): 1,
+    ("machine/machine.py", "Machine.reboot", "/usr/tmp"): 1,
+    # figure 1 times chdir() into an existing directory
+    ("bench/figures.py", "_chdir_workload", "/usr/tmp"): 1,
+    # host:number ids that are not migration ids: loadd's balance
+    # round, statd's sample, a socket address
+    ("programs/loadd.py", "_balance", "%s:%d"): 1,
+    ("programs/statd.py", "statd_main", "%s:%d"): 1,
+    ("net/network.py", "Network.sock_connect", "%s:%d"): 4,
+}
+
+#: protocol names that must come from ``repro.core.formats`` itself
+_REEXPORTED = {"REC_NAME", "OK_NAME", "dump_migration_id"}
+
+_DUMP_PREFIXES = ("a.out", "files", "stack")
+_ARCHIVE_KINDS = ("aout", "files", "stack")
+
+
+def _literal_leak(value, parent):
+    """What protocol rule a string literal spells, or None."""
+    import re
+    if "/usr/tmp" in value:
+        return "dump directory"
+    if re.search(r"(a\.out|files|stack)%", value) or (
+            value in _DUMP_PREFIXES and _builds_a_name(parent)):
+        return "dump file name"
+    if re.search(r"(^|/)(rec|dump\.(ok|aout|files|stack|%s))$", value) \
+            or re.search(r"ck%d|fd%d", value):
+        return "archive or ledger file name"
+    if "%s:%d" in value or re.fullmatch(r"[a-z][\w-]*:%d", value):
+        return "migration id"
+    if "HIIH" in value:
+        return "manifest header layout"
+    return None
+
+
+def _builds_a_name(node):
+    """Whether ``node`` (a literal's parent) glues or matches it as
+    part of a file name: ``+``, ``%``, ``len()``, ``startswith()``."""
+    import ast
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, (ast.Add, ast.Mod))
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "len") or (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("startswith", "endswith"))
+    return False
+
+
+def _protocol_leaks(root):
+    """``module:line: rule: what`` for every place outside the
+    owners that spells a piece of the dump-file protocol."""
+    import ast
+    import os
+    leaks, counts = [], {}
+    for dirpath, __, names in os.walk(root):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            module = os.path.relpath(path, root).replace(os.sep, "/")
+            if module in _PROTOCOL_OWNERS:
+                continue
+            tree = ast.parse(open(path).read())
+            docstrings = set()
+            parents = {}
+            scopes = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef)) and node.body \
+                        and isinstance(node.body[0], ast.Expr) \
+                        and isinstance(node.body[0].value, ast.Constant):
+                    docstrings.add(id(node.body[0].value))
+                scope = scopes.get(id(node), "")
+                for child in ast.iter_child_nodes(node):
+                    parents[id(child)] = node
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                        scopes[id(child)] = (scope + "." + child.name
+                                             ).lstrip(".")
+                    else:
+                        scopes[id(child)] = scope
+
+            def leak(node, rule, what):
+                key = (module, scopes[id(node)], what)
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] > _ALLOWED.get(key, 0):
+                    leaks.append("%s:%d: %s: %r" % (module, node.lineno,
+                                                    rule, what))
+
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str) \
+                        and id(node) not in docstrings:
+                    rule = _literal_leak(node.value,
+                                         parents.get(id(node)))
+                    if rule:
+                        leak(node, rule, node.value)
+                elif isinstance(node, (ast.Tuple, ast.List)) and all(
+                        isinstance(elt, ast.Constant)
+                        for elt in node.elts) and tuple(
+                        elt.value for elt in node.elts) in (
+                        _DUMP_PREFIXES, _ARCHIVE_KINDS):
+                    leak(node, "dump or archive kinds",
+                         tuple(elt.value for elt in node.elts))
+                elif isinstance(node, ast.ImportFrom) and any(
+                        (node.module, alias.name) in (
+                            ("repro.kernel.cred", "PACKED_SIZE"),
+                            ("repro.vm.aout", "AOUT_MAGIC"),
+                            ("repro.vm", "AOUT_MAGIC"),
+                            ("repro.vm.aout", "HEADER_SIZE"))
+                        for alias in node.names) \
+                        and module != "vm/__init__.py":
+                    leak(node, "a.out sniff or size rule",
+                         ", ".join(alias.name for alias in node.names))
+                elif isinstance(node, ast.ImportFrom) \
+                        and node.module != "repro.core.formats" \
+                        and (module, node.module) != ("obs/__init__.py",
+                                                      "repro.obs.tracer") \
+                        and any(alias.name in _REEXPORTED
+                                for alias in node.names):
+                    leak(node, "protocol name from a second owner",
+                         "%s from %s" % (", ".join(
+                             alias.name for alias in node.names
+                             if alias.name in _REEXPORTED), node.module))
+                elif isinstance(node, ast.Attribute) and node.attr in (
+                        "PACKED_SIZE", "FORMAT", "HEADER_SIZE") \
+                        and module not in _STRUCT_OWNERS:
+                    leak(node, "stack-file size rule", node.attr)
+    return leaks
+
+
+def test_only_formats_spells_the_dump_file_protocol():
+    """Dump, archive and ledger file names, the ``host:pid`` migration
+    id, the a.out sniff and the stack-file size rule are defined in
+    ``core/formats.py`` (with the magics in ``kernel/constants.py``
+    and the a.out header in ``vm/aout.py``); every other module calls
+    those definitions.  Outside docstrings, no literal or struct size
+    elsewhere may respell them, beyond the ``_ALLOWED`` look-alikes."""
+    import os
+    import repro
+    assert _protocol_leaks(os.path.dirname(repro.__file__)) == []

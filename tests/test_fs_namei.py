@@ -196,19 +196,6 @@ def test_charge_callback_distinguishes_remote(site):
     assert all(host == "brador" for __, host in charges)
 
 
-def test_resolve_symlinks_full_expansion(site):
-    """The dumpproc algorithm: expand every link, get a clean path."""
-    hosts, namespace = site
-    ns = namespace("brick")
-    assert ns.resolve_symlinks("/u/kyrimis/notes.txt") == \
-        "/n/brador/u2/kyrimis/notes.txt"
-    # paths without links are untouched
-    assert ns.resolve_symlinks("/usr/tmp") == "/usr/tmp"
-    # missing trailing components are fine (the file may not exist yet)
-    assert ns.resolve_symlinks("/u/kyrimis/newfile") == \
-        "/n/brador/u2/kyrimis/newfile"
-
-
 def test_resolve_root(site):
     hosts, namespace = site
     r = namespace("brick").resolve("/")

@@ -70,31 +70,36 @@ def test_describe_lists_every_field():
     assert "track_names" in text
 
 
+def _package_tokens():
+    """(path, tokens) of every module in the package, keeping only
+    names, strings and operators."""
+    root = os.path.dirname(repro.__file__)
+    for dirpath, __, names in os.walk(root):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as source:
+                yield path, [token for token in
+                             tokenize.generate_tokens(source.readline)
+                             if token.type in (tokenize.NAME,
+                                               tokenize.STRING,
+                                               tokenize.OP)]
+
+
 def _package_reads():
     """Every name the package's code reads as a knob: an attribute
     access (``costs.name``) or the literal a ``("sysctl", "name")`` or
     ``("sysctl0", "name")`` request carries.  A keyword argument or a
     declaration only sets a field, so neither counts."""
-    root = os.path.dirname(repro.__file__)
     reads = set()
-    for dirpath, __, names in os.walk(root):
-        for name in names:
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(dirpath, name)) as source:
-                tokens = [token for token in
-                          tokenize.generate_tokens(source.readline)
-                          if token.type in (tokenize.NAME,
-                                            tokenize.STRING,
-                                            tokenize.OP)]
-            for first, prev, token in zip(tokens, tokens[1:],
-                                          tokens[2:]):
-                if token.type == tokenize.NAME and prev.string == ".":
-                    reads.add(token.string)
-                elif token.type == tokenize.STRING \
-                        and prev.string == "," \
-                        and first.string in ('"sysctl"', '"sysctl0"'):
-                    reads.add(token.string.strip("\"'"))
+    for __, tokens in _package_tokens():
+        for first, prev, token in zip(tokens, tokens[1:], tokens[2:]):
+            if token.type == tokenize.NAME and prev.string == ".":
+                reads.add(token.string)
+            elif token.type == tokenize.STRING and prev.string == "," \
+                    and first.string in ('"sysctl"', '"sysctl0"'):
+                reads.add(token.string.strip("\"'"))
     return reads
 
 
@@ -104,6 +109,19 @@ def test_every_cost_model_field_is_read():
     reads = _package_reads()
     dead = [f.name for f in fields(CostModel) if f.name not in reads]
     assert dead == []
+
+
+def test_sysctl0_allowlist_is_exactly_what_the_package_requests():
+    """The scheduler answers ``("sysctl0", name)`` for free only for
+    allowlisted knobs; an entry nothing requests that way is dead."""
+    from repro.kernel.scheduler import _SYSCTL0_KNOBS
+    requested = set()
+    for __, tokens in _package_tokens():
+        for first, prev, token in zip(tokens, tokens[1:], tokens[2:]):
+            if first.string == '"sysctl0"' and prev.string == "," \
+                    and token.type == tokenize.STRING:
+                requested.add(token.string.strip("\"'"))
+    assert set(_SYSCTL0_KNOBS) == requested
 
 
 # -- option parsing ------------------------------------------------------------------
@@ -223,6 +241,9 @@ def test_resolve_symlinks_through_site(site):
             "/usr/tmp")
         result["relative"] = yield from resolve_symlinks_syscalls(
             "/usr/tmp/../tmp")
+        # a missing last component is kept (the file may not exist yet)
+        result["missing"] = yield from resolve_symlinks_syscalls(
+            "/u/kyrimis/newfile")
         return 0
 
     brick.install_native_program("resolver", prog)
@@ -231,6 +252,7 @@ def test_resolve_symlinks_through_site(site):
     assert result["home"] == "/n/brador/u2/alonso/work.txt"
     assert result["plain"] == "/usr/tmp"
     assert result["relative"] == "/usr/tmp"
+    assert result["missing"] == "/n/brador/u2/kyrimis/newfile"
 
 
 def test_resolve_symlinks_loop_errors(site):
