@@ -6,6 +6,9 @@ the output; every number comes from the same drivers the benchmark
 suite asserts against.
 """
 
+# harness puts src/ on sys.path
+import harness  # noqa: F401
+
 from repro.bench import (fig1, fig2, fig3, fig4,
                          ablation_daemon_vs_rsh,
                          ablation_polling_interval,

@@ -28,6 +28,7 @@ from repro.core.api import CommandFailed
 from repro.core.formats import (FilesInfo, checkpoint_archive_name,
                                 checkpoint_snapshot_name)
 from repro.errors import iserr, UnixError
+from repro.fs.paths import remote_name
 from repro.machine.machine import SpawnHandle
 from repro.programs.ckmeta import (parse_meta, read_round,
                                    restore_copies, snapshot_slots)
@@ -127,8 +128,7 @@ class CheckpointManager:
         if isinstance(checkpoint, int):
             checkpoint = self.checkpoints[checkpoint]
         host = host or self.host
-        directory = checkpoint.directory if host == self.host \
-            else "/n/%s%s" % (self.host, checkpoint.directory)
+        directory = remote_name(self.host, checkpoint.directory, host)
         revived = []
 
         def ckrestore_main(argv, env):

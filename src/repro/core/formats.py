@@ -32,6 +32,7 @@ a.out sniff and stack-file size rule.
 import struct
 
 from repro.errors import UnixError, EINVAL, ENOEXEC
+from repro.fs.paths import remote_name, split_remote
 from repro.kernel.constants import (NOFILE, FILES_MAGIC, STACK_MAGIC,
                                     STACK_CHUNK_MAGIC, CHUNK_MAGIC,
                                     DUMPDIR)
@@ -426,7 +427,7 @@ class StackInfo:
 
 def dump_dir(host, local):
     """``host``'s dump directory, as named from ``local``."""
-    return DUMPDIR if host == local else "/n/%s%s" % (host, DUMPDIR)
+    return remote_name(host, DUMPDIR, local)
 
 
 def dump_file_names(pid, directory=DUMPDIR):
@@ -460,10 +461,9 @@ def dump_migration_id(aout_path, local_host):
     """The migration id of an a.out path: the host from a ``/n/<host>``
     prefix, else ``local_host``; pid -1 for a name not ``a.out<pid>``.
     """
-    parts = aout_path.split("/")
-    remote = aout_path.startswith("/n/") and parts[2]
-    pid = dump_pid(parts[-1])
-    return migration_id(remote or local_host, -1 if pid is None else pid)
+    pid = dump_pid(aout_path.rpartition("/")[2])
+    return migration_id(split_remote(aout_path)[0] or local_host,
+                        -1 if pid is None else pid)
 
 
 def is_aout(prefix):

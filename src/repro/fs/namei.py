@@ -19,13 +19,11 @@ user-level tools depend on are reproduced faithfully:
 
 from repro.errors import (UnixError, ENOENT, ENOTDIR, ELOOP, EACCES,
                           EINVAL)
-from repro.fs.paths import split_components, is_absolute
+from repro.fs.paths import (MOUNT_DIR, is_absolute, remote_name,
+                            split_components)
 
 #: maximum symlink expansions in one resolution (4.2BSD used 8)
 MAXSYMLINKS = 8
-
-#: the conventional mount directory name
-MOUNT_DIR = "n"
 
 _MOUNTDIR = object()  # sentinel position: the virtual /n directory
 
@@ -120,7 +118,7 @@ class Namespace:
                     if is_final and want_parent:
                         raise UnixError(EACCES,
                                         "/n is a mount namespace")
-                    raise UnixError(ENOENT, "/n/%s" % name)
+                    raise UnixError(ENOENT, remote_name(name, "/"))
                 position = ("fs", remote, remote.root)
                 parent_fs, parent = remote, remote.root
                 index += 1

@@ -7,7 +7,15 @@ with the stored cwd, "resolving any references to the current or
 parent directories" — *lexically*, without touching symbolic links
 (which is why the user-level tools must later resolve links with
 ``readlink()``).
+
+It also owns the cluster's one remote-name rule: every other machine's
+root is ``/n/<host>`` (the 8th-edition convention the paper's site
+followed), and a name already under ``/n`` is left alone, because NFS
+does not export ``/n`` and refuses ``/n/a/n/b``.
 """
+
+#: the directory holding every other machine's root
+MOUNT_DIR = "n"
 
 
 def is_absolute(path):
@@ -75,3 +83,30 @@ def is_under(path, prefix):
     if prefix == "/":
         return True
     return path == prefix or path.startswith(prefix + "/")
+
+
+def split_remote(path):
+    """``(host, path on that host)`` for a name under ``/n/<host>``,
+    or ``(None, path)`` for a local (or relative) name.
+
+    Classifies the way ``namei`` walks a symlink-free name: the name is
+    normalized lexically first, so ``/n/<host>`` alone is that host's
+    ``/`` and ``/n`` alone names no host.
+    """
+    if not is_absolute(path):
+        return None, path
+    components = split_components(normalize(path))
+    if len(components) < 2 or components[0] != MOUNT_DIR:
+        return None, path
+    return components[1], "/" + "/".join(components[2:])
+
+
+def remote_name(host, path, local=None):
+    """``host``'s ``path`` as named from ``local``: ``/n/<host><path>``.
+
+    ``path`` comes back unchanged when ``local`` is ``host`` or when it
+    already names a remote root (section 4.4's rewrite is idempotent).
+    """
+    if host == local or split_remote(path)[0] is not None:
+        return path
+    return "/%s/%s%s" % (MOUNT_DIR, host, path)

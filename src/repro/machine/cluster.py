@@ -40,6 +40,7 @@ import heapq
 from repro.costmodel import CostModel
 from repro.errors import EHOSTDOWN, UnixError
 from repro.faults import FaultInjector, FaultPlan
+from repro.fs.paths import remote_name
 from repro.machine.machine import Machine
 from repro.net.network import Network
 from repro.obs import Tracer
@@ -190,9 +191,8 @@ class Cluster:
             u_dir = machine.fs.resolve_local("/u")
             for user in users:
                 if user not in u_dir.entries:
-                    machine.fs.symlink(u_dir, user,
-                                       "/n/%s/u2/%s" % (server_name,
-                                                        user))
+                    machine.fs.symlink(u_dir, user, remote_name(
+                        server_name, "/u2/%s" % user))
 
     # -- the simulation driver ----------------------------------------------------------
 

@@ -4,7 +4,8 @@ Cluster-wide telemetry (DESIGN.md section 13): every sampling
 interval a host's ``statd`` packs its ring-buffered time series
 (:mod:`repro.obs.timeseries`) into one report and ships it to the
 ``statd-recv`` spooler on the file server, which keeps the newest
-report per host under ``/usr/spool/statd/<host>/``.  The spool lives
+report per host under ``stat_spool_dir`` (by default
+``/usr/spool/statd/<host>/`` on the server).  The spool lives
 outside ``/tmp`` on purpose, so a server reboot does not erase the
 cluster's telemetry history.
 
@@ -43,7 +44,7 @@ STATREPORT_VERSION = 1
 MAX_SERIES = 16
 MAX_SAMPLES = 64
 
-#: where statd-recv spools the newest report from each host; outside
+#: the default ``stat_spool_dir`` as named on the file server; outside
 #: /tmp so the telemetry history survives a file-server reboot
 SPOOL_DIR = "/usr/spool/statd"
 

@@ -127,13 +127,8 @@ def _ledger_max_age_s(cluster, now_s):
     from repro.errors import UnixError
     from repro.core.formats import REC_NAME
     from repro.net.migledger import MigRecord, PH_DONE, PH_ABORTED
-    ledger_dir = cluster.costs.migration_ledger_dir
-    host = None
-    local = ledger_dir
-    if ledger_dir.startswith("/n/"):
-        parts = ledger_dir.split("/", 3)
-        if len(parts) >= 4 and parts[2]:
-            host, local = parts[2], "/" + parts[3]
+    from repro.fs.paths import split_remote
+    host, local = split_remote(cluster.costs.migration_ledger_dir)
     machine = cluster.machines.get(host) if host else None
     if machine is None or not machine.running:
         return None

@@ -36,6 +36,7 @@ from repro.core.formats import (CHUNKED_STACK_HEADER_SIZE, FilesInfo,
                                 dump_file_names, is_aout, migration_id,
                                 stack_file_size, stack_is_chunked)
 from repro.core.symlinks import resolve_symlinks_syscalls
+from repro.fs.paths import remote_name
 from repro.programs.base import (parse_options, print_err, read_file,
                                  read_prefix, write_file)
 from repro.programs.exitcodes import EX_FAIL, EX_TRANSIENT
@@ -180,6 +181,4 @@ def _rewrite_path(path, hostname, terminal_check=True):
     resolved = yield from resolve_symlinks_syscalls(path)
     if iserr(resolved):
         resolved = path  # keep the name; restart will fall back
-    if not resolved.startswith("/n/"):
-        resolved = "/n/%s%s" % (hostname, resolved)
-    return resolved
+    return remote_name(hostname, resolved)

@@ -23,7 +23,7 @@ view of which hosts' telemetry is flowing.
 
 from repro.errors import iserr, errno_name, UnixError
 from repro.net.migledger import PHASE_NAMES, ledger_read
-from repro.net.statd import REPORT_NAME, StatReport
+from repro.net.statd import StatReport, spool_path
 from repro.programs.base import (parse_options, println, print_err,
                                  read_file)
 
@@ -109,8 +109,7 @@ def _show_spool():
     now = yield ("time",)
     shown = 0
     for name in sorted(names):
-        data = yield from read_file("%s/%s/%s"
-                                    % (spool_dir, name, REPORT_NAME))
+        data = yield from read_file(spool_path(spool_dir, name))
         if iserr(data):
             continue
         try:

@@ -19,7 +19,7 @@ Usage: ``migtop [-p]``
 """
 
 from repro.errors import iserr, UnixError
-from repro.net.statd import REPORT_NAME, StatReport
+from repro.net.statd import StatReport, spool_path
 from repro.programs.base import parse_options, println, print_err
 from repro.programs.statd import GAUGES
 
@@ -94,8 +94,7 @@ def _show_hosts(spool_dir, names, now_s):
 def _read(spool_dir, host):
     """yield-from: one spooled report's bytes, or None."""
     from repro.programs.base import read_file
-    data = yield from read_file("%s/%s/%s"
-                                % (spool_dir, host, REPORT_NAME))
+    data = yield from read_file(spool_path(spool_dir, host))
     return None if iserr(data) else data
 
 

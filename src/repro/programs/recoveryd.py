@@ -63,6 +63,7 @@ from repro.errors import iserr, EIO, ENOENT, UnixError
 from repro.core.formats import (ChunkManifest, FilesInfo, OK_NAME,
                                 dump_dir, dump_file_names,
                                 dump_pid, ledger_archive_names)
+from repro.fs.paths import remote_name, split_remote
 from repro.kernel.signals import SIGKILL
 from repro.net.migledger import (LEDGER_FENCED, PH_ABORTED, PH_DONE,
                                  PH_INTENT, PH_RESTARTING,
@@ -181,12 +182,9 @@ def _rehome(info, home, local):
     recovery the home is gone — the snapshots of those files are being
     restored locally — so strip the prefix back off and adopt the job.
     """
-    prefix = "/n/%s" % home
-
     def strip(path):
-        if path == prefix or path.startswith(prefix + "/"):
-            return path[len(prefix):] or "/"
-        return path
+        host, there = split_remote(path)
+        return there if host == home else path
 
     info.hostname = local
     info.cwd = strip(info.cwd)
@@ -460,8 +458,7 @@ def _rewrite_archived(path, source, terminal_check=True):
     remote first, then checked against the source's devices.
     Idempotent when a name already carries a ``/n/`` prefix.
     """
-    if not path.startswith("/n/"):
-        path = "/n/%s%s" % (source, path)
+    path = remote_name(source, path)
     if terminal_check:
         stat = yield ("stat", path)
         if not iserr(stat) and stat.is_terminal():

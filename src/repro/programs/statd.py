@@ -35,7 +35,8 @@ rounds.
 from repro.errors import iserr
 from repro.net.report import (is_stale, listen_for_reports, next_report,
                               read_spooled, send_report)
-from repro.net.statd import STATD, SPOOL_DIR, REPORT_NAME, StatReport
+from repro.fs.paths import split_remote
+from repro.net.statd import STATD, StatReport, spool_path
 from repro.obs.timeseries import SeriesSet
 from repro.programs.base import mkdir_p, print_err, replace_file
 from repro.programs.exitcodes import EX_FAIL, EX_OK
@@ -58,12 +59,7 @@ def statd_main(argv, env):
     if interval <= 0:
         return EX_OK  # telemetry is off: leave no trace at all
     capacity = yield ("sysctl0", "stat_series_len")
-    spool_dir = yield ("sysctl0", "stat_spool_dir")
-    server = None
-    if spool_dir.startswith("/n/"):
-        parts = spool_dir.split("/", 3)
-        if len(parts) >= 3 and parts[2]:
-            server = parts[2]
+    server, spool_dir = split_remote((yield ("sysctl0", "stat_spool_dir")))
 
     yield ("hb_start",)
     local = yield ("gethostname",)
@@ -103,15 +99,13 @@ def _sample(series, now_s, local, previous):
 
 
 def _ship(report, server, local, spool_dir):
-    """Deliver one report to the spooler (or spool locally)."""
+    """Deliver one report to the spooler (or spool locally into
+    ``spool_dir``, the spool's name on the spooler's host)."""
     if server is None or server == local:
         # the spooler's host is this host: skip the wire and spool
         # straight into the local directory, tmp + rename like the
         # receiver does
-        local_dir = spool_dir
-        if spool_dir.startswith("/n/"):
-            local_dir = "/" + spool_dir.split("/", 3)[3]
-        yield from _spool(local_dir, report.host, report.pack())
+        yield from _spool(spool_dir, report.host, report.pack())
         yield ("perf_note", "st_reports_sent")
         return
     yield from send_report(STATD, report, server)
@@ -119,42 +113,42 @@ def _ship(report, server, local, spool_dir):
 
 def _spool(spool_dir, host, blob):
     """yield-from: write-tmp-rename one report into the spool."""
-    host_dir = "%s/%s" % (spool_dir, host)
-    yield from mkdir_p(host_dir)
-    return (yield from replace_file("%s/%s" % (host_dir, REPORT_NAME),
-                                    blob))
+    yield from mkdir_p("%s/%s" % (spool_dir, host))
+    return (yield from replace_file(spool_path(spool_dir, host), blob))
 
 
 # -- the spooler ------------------------------------------------------------
 
 
 def statd_recv_main(argv, env):
-    """Own the well-known port; spool one report per connection and
-    age stale peers out of the spool."""
+    """Own the well-known port; spool one report per connection
+    under ``stat_spool_dir`` (named locally) and age stale peers out
+    of the spool."""
     sock = yield from listen_for_reports(STATD)
     if sock is None:
         return EX_OK  # a spooler is already running: nothing to do
-    yield from mkdir_p(SPOOL_DIR)
+    spool_dir = split_remote((yield ("sysctl0", "stat_spool_dir")))[1]
+    yield from mkdir_p(spool_dir)
     stale_s = yield ("sysctl0", "stat_stale_s")
     timeout = yield ("sysctl", "net_read_timeout_s")
     while True:
         report, blob = yield from next_report(STATD, sock, timeout)
-        result = yield from _spool(SPOOL_DIR, report.host, blob)
+        result = yield from _spool(spool_dir, report.host, blob)
         if iserr(result):
             yield ("perf_note", "st_reports_dropped")
             continue
         yield ("perf_note", "st_reports_recv")
-        yield from _age_out(stale_s)
+        yield from _age_out(spool_dir, stale_s)
 
 
-def _age_out(stale_s):
+def _age_out(spool_dir, stale_s):
     """Unlink spooled reports whose senders have gone quiet."""
     now_s = yield ("time",)
-    names = yield ("readdir", SPOOL_DIR)
+    names = yield ("readdir", spool_dir)
     if iserr(names):
         return
     for name in sorted(names):
-        path = "%s/%s/%s" % (SPOOL_DIR, name, REPORT_NAME)
+        path = spool_path(spool_dir, name)
         report = yield from read_spooled(STATD, path, name)
         if report is not None and is_stale(report, now_s, stale_s):
             yield ("unlink", path)

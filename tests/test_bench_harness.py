@@ -39,3 +39,19 @@ def test_write_report_replaces_a_corrupt_or_non_object_file(tmp_path,
     text = path.read_text()
     assert json.loads(text) == {"crash_sweep": []}
     assert text.endswith("}\n")
+
+
+def test_experiments_tables_are_what_generate_report_prints(capsys):
+    """EXPERIMENTS.md's tables, "## Figure 1" through the A7 table,
+    are exactly ``generate_report.py``'s output: a change to a figure
+    driver or to the cost model must regenerate them."""
+    import generate_report
+    generate_report.main()
+    printed = capsys.readouterr().out
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "EXPERIMENTS.md")) as doc:
+        text = doc.read()
+    a7_table = text.index("\n\n", text.index("## A7")) + 2
+    block = text[text.index("## Figure 1"):
+                 text.index("\n\n", a7_table) + 1]
+    assert printed == block

@@ -34,6 +34,10 @@ def test_dump_names_map_back_to_their_dump():
     assert migration_id("brick", 42) == "brick:42"
     assert dump_migration_id(aout, "x") == "brick:42"
     assert dump_migration_id("/usr/tmp/stack42", "x") == "x:-1"
+    # the host is the one namei resolves the name on
+    assert dump_migration_id("/n//brick/usr/tmp/a.out5", "x") == "brick:5"
+    assert dump_migration_id("/n/./brick/usr/tmp/a.out5", "x") == "brick:5"
+    assert dump_migration_id("/n/../usr/tmp/a.out5", "x") == "x:5"
     assert dump_pid("a.out42") == 42 and dump_pid("stack42", "stack") == 42
     assert dump_pid("a.out") is None and dump_pid("restart") is None
 
@@ -210,11 +214,14 @@ def test_unpack_never_crashes_unstructured(blob):
             pass
 
 
-# -- one owner for the dump-file protocol -------------------------------------
+# -- one owner for the dump-file protocol and the remote-name rule -----------
 
 #: the modules that define the protocol: names, ids, sniff and sizes
 _PROTOCOL_OWNERS = {"core/formats.py", "kernel/constants.py",
                     "vm/aout.py"}
+#: the module that defines ``/n/<host>``: ``remote_name``,
+#: ``split_remote`` and ``MOUNT_DIR``
+_REMOTE_OWNERS = {"fs/paths.py"}
 #: modules that define a struct the stack file embeds, and may spell
 #: its own size
 _STRUCT_OWNERS = {"kernel/cred.py", "kernel/signals.py", "vm/image.py"}
@@ -234,6 +241,11 @@ _ALLOWED = {
     ("programs/loadd.py", "_balance", "%s:%d"): 1,
     ("programs/statd.py", "statd_main", "%s:%d"): 1,
     ("net/network.py", "Network.sock_connect", "%s:%d"): 4,
+    # deployment settings: where the ledger and the statd spool live
+    ("costmodel.py", "CostModel", "/n/brador/usr/spool/migledger"): 1,
+    ("costmodel.py", "CostModel", "/n/brador/usr/spool/statd"): 1,
+    # a fault rule's n=<count> option, not a path component
+    ("faults/plan.py", "FaultPlan._parse_rule", "n"): 1,
 }
 
 #: protocol names that must come from ``repro.core.formats`` itself
@@ -244,8 +256,12 @@ _ARCHIVE_KINDS = ("aout", "files", "stack")
 
 
 def _literal_leak(value, parent):
-    """What protocol rule a string literal spells, or None."""
+    """What rule a string literal spells, or None."""
+    import ast
     import re
+    if "/n/" in value or (value == "n" and isinstance(parent,
+                                                      ast.Compare)):
+        return "remote name"
     if "/usr/tmp" in value:
         return "dump directory"
     if re.search(r"(a\.out|files|stack)%", value) or (
@@ -277,7 +293,8 @@ def _builds_a_name(node):
 
 def _protocol_leaks(root):
     """``module:line: rule: what`` for every place outside the
-    owners that spells a piece of the dump-file protocol."""
+    owners that spells a piece of the dump-file protocol or of the
+    remote-name rule."""
     import ast
     import os
     leaks, counts = [], {}
@@ -287,8 +304,6 @@ def _protocol_leaks(root):
                 continue
             path = os.path.join(dirpath, name)
             module = os.path.relpath(path, root).replace(os.sep, "/")
-            if module in _PROTOCOL_OWNERS:
-                continue
             tree = ast.parse(open(path).read())
             docstrings = set()
             parents = {}
@@ -309,6 +324,9 @@ def _protocol_leaks(root):
                         scopes[id(child)] = scope
 
             def leak(node, rule, what):
+                if module in (_REMOTE_OWNERS if rule == "remote name"
+                              else _PROTOCOL_OWNERS):
+                    return
                 key = (module, scopes[id(node)], what)
                 counts[key] = counts.get(key, 0) + 1
                 if counts[key] > _ALLOWED.get(key, 0):
@@ -357,6 +375,12 @@ def _protocol_leaks(root):
     return leaks
 
 
+def _leaks():
+    import os
+    import repro
+    return _protocol_leaks(os.path.dirname(repro.__file__))
+
+
 def test_only_formats_spells_the_dump_file_protocol():
     """Dump, archive and ledger file names, the ``host:pid`` migration
     id, the a.out sniff and the stack-file size rule are defined in
@@ -364,6 +388,13 @@ def test_only_formats_spells_the_dump_file_protocol():
     and the a.out header in ``vm/aout.py``); every other module calls
     those definitions.  Outside docstrings, no literal or struct size
     elsewhere may respell them, beyond the ``_ALLOWED`` look-alikes."""
-    import os
-    import repro
-    assert _protocol_leaks(os.path.dirname(repro.__file__)) == []
+    assert [leak for leak in _leaks() if ": remote name: " not in leak] \
+        == []
+
+
+def test_only_paths_spells_the_remote_name_rule():
+    """``/n/<host>`` naming is ``fs/paths.py``'s: outside docstrings no
+    other module holds a ``"/n/"`` literal or compares a path
+    component with ``"n"``, beyond the ``_ALLOWED`` knob defaults and
+    look-alike."""
+    assert [leak for leak in _leaks() if ": remote name: " in leak] == []

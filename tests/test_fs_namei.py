@@ -1,9 +1,12 @@
 """Tests for path resolution: symlinks, /n mounts, NFS semantics."""
 
+import itertools
+
 import pytest
 
 from repro.errors import UnixError, ENOENT, ELOOP, ENOTDIR, EACCES
 from repro.fs import FileSystem, Namespace
+from repro.fs.paths import split_remote
 
 
 def make_site():
@@ -200,3 +203,66 @@ def test_resolve_root(site):
     hosts, namespace = site
     r = namespace("brick").resolve("/")
     assert r.inode is hosts["brick"].root
+
+
+# -- split_remote classifies names the way namei walks them ------------------
+
+#: the words the exhaustive comparison builds names from
+_WORDS = ("n", "brick", "brador", "usr", ".", "..")
+_DIRS = ("n", "brick", "brador", "usr")
+
+
+def _grow(fs, local):
+    """Make every name of up to four ``_DIRS`` words a directory of
+    ``fs`` (but a local ``/n``, which would hide the mount)."""
+    for depth in range(1, 5):
+        for words in itertools.product(_DIRS, repeat=depth):
+            if not (local and words[0] == "n"):
+                fs.makedirs("/" + "/".join(words))
+    return fs
+
+
+def _walked_site():
+    """The test site seen from schooner, grown so that namei walks
+    every symlink-free name of ``_WORDS`` to its end: all those
+    directories exist, and ``/n/<any word>`` mounts a filesystem."""
+    hosts, __ = make_site()
+    local = _grow(hosts["schooner"], True)
+    mounts = {name: _grow(fs, False) for name, fs in hosts.items()
+              if fs is not local}
+
+    def remote(name):
+        if name not in mounts:
+            mounts[name] = _grow(FileSystem(name), False)
+        return mounts[name]
+
+    return Namespace(local, remote)
+
+
+def _namei_host(ns, path):
+    """The host whose filesystem namei's walk of ``path`` ends on."""
+    try:
+        fs = ns.resolve(path).fs
+    except UnixError as err:
+        assert err.errno == EACCES, path  # the walk ended in /n itself
+        return None
+    return None if fs is ns.local_fs else fs.hostname
+
+
+def test_split_remote_agrees_with_namei():
+    """Every symlink-free name of up to four words, spelled with single
+    and doubled slashes: ``split_remote`` and ``Namespace.resolve``
+    agree on the host, or on none, and the rest names the same inode
+    on that host."""
+    ns = _walked_site()
+    checked = 0
+    for depth in range(5):
+        for words in itertools.product(_WORDS, repeat=depth):
+            for path in ("/" + "/".join(words), "//" + "//".join(words)):
+                host, rest = split_remote(path)
+                assert host == _namei_host(ns, path), path
+                if host is not None:
+                    assert ns.remote_fs(host).resolve_local(rest) \
+                        is ns.resolve(path).inode, path
+                checked += 1
+    assert checked == 2 * sum(len(_WORDS) ** d for d in range(5))

@@ -4,7 +4,8 @@ import pytest
 
 from repro.fs import paths
 from repro.fs.paths import (normalize, joinpath, split_components,
-                            dirname, basename, is_absolute, is_under)
+                            dirname, basename, is_absolute, is_under,
+                            remote_name, split_remote)
 
 
 def test_normalize_collapses_dots():
@@ -61,3 +62,25 @@ def test_is_under():
     assert is_under("/anything", "/")
     assert not is_under("/usr/tmpfoo", "/usr/tmp")
     assert not is_under("/usr", "/usr/tmp")
+
+
+def test_split_remote():
+    assert split_remote("/n/brick/usr/tmp") == ("brick", "/usr/tmp")
+    assert split_remote("/n/brick") == ("brick", "/")
+    assert split_remote("/n//brick/./usr/") == ("brick", "/usr")
+    assert split_remote("/n/brick/../brador/u2") == ("brador", "/u2")
+    assert split_remote("/n/brick/n/brador") == ("brick", "/n/brador")
+    for local in ("/usr/tmp", "/", "/n", "/n/", "/n/brick/..", "/usr/n/x",
+                  "usr/tmp"):
+        assert split_remote(local) == (None, local)
+
+
+def test_remote_name():
+    assert remote_name("brick", "/usr/tmp") == "/n/brick/usr/tmp"
+    assert remote_name("brick", "/") == "/n/brick/"
+    assert remote_name("brick", "/usr/tmp", "brick") == "/usr/tmp"
+    assert remote_name("brick", "/usr/tmp", "schooner") \
+        == "/n/brick/usr/tmp"
+    # a name already under /n is left alone: NFS refuses /n/a/n/b
+    assert remote_name("brick", "/n/brador/u2") == "/n/brador/u2"
+    assert remote_name("brick", "/n") == "/n/brick/n"

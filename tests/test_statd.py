@@ -24,7 +24,9 @@ import pytest
 
 from repro.core.api import MigrationSite
 from repro.costmodel import CostModel
+from repro.core.formats import REC_NAME, ledger_record_dir
 from repro.errors import UnixError
+from repro.net.migledger import MigRecord, PH_DUMPED
 from repro.net.statd import (SPOOL_DIR, STATD_PORT, StatReport,
                              spool_path)
 from repro.machine import Cluster
@@ -168,6 +170,35 @@ def test_statd_samples_and_spools_to_the_server():
              if e["cat"] == "statd"]
     assert len(marks) == 8
     assert {e["name"] for e in marks} == {"sample"}
+
+
+def test_statd_recv_spools_under_the_spool_knob():
+    """The spooler writes where ``stat_spool_dir`` names, so the
+    readers of that knob find every workstation's report."""
+    site = _statd_site(stat_spool_dir="/n/brador/var/statd")
+    _await_statd(site, site.start_statd())
+    server = site.machine("brador")
+    for host in ("brick", "schooner"):
+        report = StatReport.unpack(
+            server.fs.read_file(spool_path("/var/statd", host)))
+        assert report.host == host
+    for command in (["migstat", "-s"], ["migtop"]):
+        assert site.run_command("brick", command, uid=100) == 0
+    out = site.console("brick")
+    assert "no statd spool" not in out
+    assert out.count("schooner") >= 2
+
+
+def test_statd_spool_at_a_bare_host_root():
+    """``/n/<host>`` alone names that host's ``/``: statd on the
+    spooler's host spools into its root, the other daemon's sends
+    find no spooler there and are dropped, and every daemon exits."""
+    site = _statd_site(stat_spool_dir="/n/brick")
+    statds = _await_statd(site, site.start_statd())
+    assert [h.exit_status for h in statds] == [0, 0]
+    report = StatReport.unpack(
+        site.machine("brick").fs.read_file(spool_path("", "brick")))
+    assert report.host == "brick" and report.seq == 3
 
 
 def test_statd_gauges_reflect_kernel_state():
@@ -380,6 +411,34 @@ def test_critpath_raises_slo_alerts():
     alerts = [e for e in site.cluster.tracer.events
               if e["cat"] == "alert"]
     assert len(alerts) == 1 and alerts[0]["name"] == "migrate_p95_us"
+
+
+@pytest.mark.parametrize("ledger_dir", [
+    "/n/brador/usr/spool/migledger",
+    "/n//brador/usr/spool/migledger",
+])
+def test_critpath_alerts_on_an_old_in_flight_ledger_record(ledger_dir):
+    """An in-flight ledger record older than ``slo_ledger_sweep_age_s``
+    raises the ``ledger_sweep_age`` alert, however the ledger's name
+    on the file server is spelled."""
+    site = MigrationSite(costs=CostModel(migration_ledger_dir=ledger_dir))
+    site.run_quiet()
+    record = MigRecord("brick", 7, "schooner", "brick", phase=PH_DUMPED)
+    site.machine("brador").fs.install_file(
+        "%s/%s" % (ledger_record_dir("/usr/spool/migledger", "brick", 7),
+                   REC_NAME), record.pack())
+    limit = site.cluster.costs.slo_ledger_sweep_age_s
+    reports = []
+
+    def prober(argv, env):
+        yield ("sleep", limit + 1)  # let the record grow stale
+        reports.append((yield ("critpath",)))
+        return 0
+
+    assert run_native(site.machine("brick"), prober).exit_status == 0
+    alerts = reports[0]["alerts"]
+    assert [a["name"] for a in alerts] == ["ledger_sweep_age"]
+    assert alerts[0]["value"] > limit == alerts[0]["limit"]
 
 
 # -- the commands ------------------------------------------------------------
