@@ -18,6 +18,7 @@ paper's section 4.2 walkthrough::
 from repro.core.formats import dump_pid
 from repro.costmodel import CostModel
 from repro.errors import UnixError
+from repro.fs.paths import split_remote
 from repro.machine.cluster import Cluster
 from repro.programs import install_standard_programs
 
@@ -166,8 +167,9 @@ class MigrationSite:
 
     def start_statd(self):
         """Start cluster telemetry (DESIGN.md section 13): the
-        ``statd-recv`` spooler on the file server plus one ``statd``
-        per workstation.
+        ``statd-recv`` spooler on the host whose ``/n/<host>`` the
+        ``stat_spool_dir`` knob names (the file server when it names
+        no host of the cluster) plus one ``statd`` per workstation.
 
         Returns the SpawnHandles (spooler first).  Doubly opt-in: a
         site that never calls this runs byte-identically to one built
@@ -176,8 +178,11 @@ class MigrationSite:
         ``stat_rounds`` sets how many samples it takes.
         """
         handles = []
-        if self.server_name:
-            handles.append(self.machine(self.server_name).spawn(
+        spooler = split_remote(self.costs.stat_spool_dir)[0]
+        if spooler not in self.cluster.hosts():
+            spooler = self.server_name
+        if spooler:
+            handles.append(self.machine(spooler).spawn(
                 "/bin/statd-recv", ["statd-recv"], uid=0, cwd="/tmp"))
         for name in self._workstations():
             handles.append(self.machine(name).spawn(

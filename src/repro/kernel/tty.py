@@ -9,8 +9,8 @@ editors can be restarted properly").
 An rsh connection's stdio is *not* a terminal — ``isatty`` is False
 and mode changes are impossible — which is why the paper's ``migrate``
 cannot preserve terminal modes when it must run ``restart`` remotely.
-That stand-in lives in :mod:`repro.net.rsh`; this module only defines
-the interface it mimics.
+That stand-in lives in :mod:`repro.net.remote`, the protocol rsh and
+migrationd share; this module only defines the interface it mimics.
 """
 
 from repro.kernel.constants import (TTY_DEFAULT_FLAGS, TF_ECHO, TF_RAW,

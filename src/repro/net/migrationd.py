@@ -6,9 +6,10 @@ achieve more satisfactory results: instead of using rsh to start
 processes remotely, applications will simply send messages to the
 daemon, who will start the processes on their behalf."
 
-``migrationd`` speaks the same framed protocol as rshd but performs no
-per-connection authentication dance — only a light ``daemon_setup``
-cost.  ``migrationd-run`` is the matching client, a drop-in for rsh
+``migrationd`` speaks the protocol of ``net/remote.py``, rshd's, but
+performs no per-connection authentication dance — only a light
+``daemon_setup`` cost — and runs only the allowlisted ``_ALLOWED``
+commands.  ``migrationd-run`` is the matching client, a drop-in for rsh
 (it is what ``migrate -d`` uses).  Ablation A1 measures the
 difference.
 
@@ -16,16 +17,15 @@ Hardening (see DESIGN.md section 7): helpers are spawned *detached*
 so a crashed helper can neither zombify nor stall the accept loop;
 the client retries refused connections with backoff and bounds every
 reply read with a timeout, so a daemon that dies before emitting the
-``\\x00EXIT:`` sentinel costs the caller a bounded wait, not a hang.
+exit-status sentinel costs the caller a bounded wait, not a hang.
 """
 
-from repro.errors import iserr, ETIMEDOUT
-from repro.programs.base import LineReader, print_err, write_all
+from repro.errors import ETIMEDOUT, iserr
+from repro.net.remote import relay, serve, serve_one
+from repro.programs.base import print_err
 from repro.programs.exitcodes import EX_FAIL, EX_REJECTED, EX_TRANSIENT
 
 MIGRATIOND_PORT = 515
-
-_SENTINEL = b"\x00EXIT:"
 
 #: commands the helper will spawn.  The daemon performs no
 #: authentication, so relaying arbitrary binaries would hand any
@@ -39,58 +39,25 @@ def migrationd_main(argv, env):
     """The daemon proper: accept and dispatch to helpers."""
     yield ("hb_start",)  # this host now participates in failure
     # detection; clients consult the verdict before retrying us
-    sock = yield ("socket",)
-    result = yield ("bind", sock, MIGRATIOND_PORT)
-    if iserr(result):
-        yield from print_err("migrationd: cannot bind port %d"
-                             % MIGRATIOND_PORT)
-        return 1
-    yield ("listen", sock)
-    while True:
-        conn = yield ("accept", sock)
-        if iserr(conn):
-            # transient accept failure: don't spin on a hot error
-            yield ("sleep", 1)
-            continue
-        # detached: a helper crash must never take the daemon down or
-        # leave a zombie nobody waits for
-        child = yield ("spawn", "/bin/migrationd-helper",
-                       ["migrationd-helper"], conn, True)
-        yield ("close", conn)
-        if iserr(child):
-            continue
+    return (yield from serve("migrationd", MIGRATIOND_PORT,
+                             "migrationd-helper"))
 
 
 def migrationd_helper_main(argv, env):
     """Serve one request (stdio = the connection)."""
-    yield ("daemon_setup",)  # cheap: no rexec dance, no shell startup
-    reader = LineReader(0)
-    line = yield from reader.readline()
-    if not line or not line.startswith("CMD "):
-        yield from write_all(1, _SENTINEL + b"1\n")
-        return 1
-    words = line[4:].split()
-    if not words or words[0] not in _ALLOWED:
-        what = words[0] if words else "(empty)"
-        yield from write_all(1, b"migrationd: %s: not permitted\n"
-                             % what.encode("latin-1"))
-        yield from write_all(1, _SENTINEL + b"%d\n" % EX_REJECTED)
-        return EX_REJECTED
-    child = yield ("spawn", "/bin/%s" % words[0], words, 0)
-    if iserr(child):
-        yield from write_all(1, _SENTINEL + b"1\n")
-        return 1
-    while True:
-        result = yield ("wait",)
-        if iserr(result):
-            status = 1
-            break
-        reaped, raw = result
-        if reaped == child:
-            status = (raw >> 8) & 0xFF if not raw & 0x7F else 1
-            break
-    yield from write_all(1, _SENTINEL + b"%d\n" % status)
-    return status
+    # cheap: no rexec dance, no shell startup
+    return (yield from serve_one("daemon_setup", _allowed))
+
+
+def _allowed(line):
+    """The request's words, or a refusal unless ``_ALLOWED`` names
+    its command."""
+    words = line.split()
+    if words and words[0] in _ALLOWED:
+        return words
+    what = words[0] if words else "(empty)"
+    return EX_REJECTED, b"migrationd: %s: not permitted\n" % what.encode(
+        "latin-1")
 
 
 def migrationd_run_main(argv, env):
@@ -99,7 +66,6 @@ def migrationd_run_main(argv, env):
         yield from print_err("usage: migrationd-run host command ...")
         return EX_FAIL
     host = argv[1]
-    command = " ".join(argv[2:])
     attempts = yield ("sysctl", "connect_attempts")
     backoff = yield ("sysctl", "connect_backoff_s")
     timeout = yield ("sysctl", "net_read_timeout_s")
@@ -128,44 +94,10 @@ def migrationd_run_main(argv, env):
                              % host)
         return EX_FAIL
 
-    yield from write_all(sock, "CMD %s\n" % command)
-    buffer = bytearray()
-    status = EX_FAIL
-    scanned = 0  # sentinel search resumes here, not at offset 0
-    index = -1   # sentinel position, once seen
-    while True:
-        data = yield ("read_timeout", sock, 1024, timeout)
-        if data == -ETIMEDOUT:
-            if buffer:
-                yield from write_all(1, bytes(buffer))
-            yield from print_err(
-                "migrationd-run: %s: timed out waiting for reply"
-                % host)
-            status = EX_TRANSIENT
-            break
-        if iserr(data) or data == b"":
-            # EOF (or error) before the sentinel: the server died on
-            # us — fail promptly rather than looping on empty reads
-            if buffer:
-                yield from write_all(1, bytes(buffer))
-            break
-        buffer.extend(data)
-        # rescanning the whole buffer per read is O(n^2) over a large
-        # relayed output; back up only enough to catch a sentinel
-        # split across the read boundary
-        if index < 0:
-            index = buffer.find(_SENTINEL,
-                                max(0, scanned - (len(_SENTINEL) - 1)))
-            scanned = len(buffer)
-        if index >= 0 and buffer.find(b"\n", index) >= 0:
-            if index:
-                yield from write_all(1, bytes(buffer[:index]))
-            line_end = buffer.index(b"\n", index)
-            try:
-                status = int(bytes(
-                    buffer[index + len(_SENTINEL):line_end]))
-            except ValueError:
-                status = EX_FAIL
-            break
+    status = yield from relay(sock, " ".join(argv[2:]), timeout)
+    if status == -ETIMEDOUT:
+        yield from print_err(
+            "migrationd-run: %s: timed out waiting for reply" % host)
+        status = EX_TRANSIENT
     yield ("close", sock)
     return status

@@ -128,7 +128,13 @@ def wait_for(child):
             return result if result == -ECHILD else EX_FAIL
         reaped, raw = result
         if reaped == child:
-            return (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL
+            return exit_status(raw)
+
+
+def exit_status(raw):
+    """A raw wait status as an exit status: the child's ``exit``
+    code, or ``EX_FAIL`` if a signal killed it."""
+    return (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL
 
 
 class LineReader:

@@ -69,8 +69,8 @@ from repro.net.migledger import (LEDGER_FENCED, PH_ABORTED, PH_DONE,
                                  PH_INTENT, PH_RESTARTING,
                                  ledger_advance, ledger_claim,
                                  ledger_read, ledger_reap)
-from repro.programs.base import (parse_options, print_err, println,
-                                 read_file, remove_files)
+from repro.programs.base import (exit_status, parse_options, print_err,
+                                 println, read_file, remove_files)
 from repro.programs.ckmeta import (claim_epoch, read_meta, read_round,
                                    restore_copies, write_meta)
 from repro.programs.exitcodes import EX_FAIL, EX_OK
@@ -416,8 +416,7 @@ def _relay_ps(dest):
         if isinstance(reaped, tuple):
             if reaped[0] != child:
                 continue  # somebody else's zombie; keep looking
-            raw = reaped[1]
-            status = (raw >> 8) & 0xFF if not raw & 0x7F else EX_FAIL
+            status = exit_status(reaped[1])
             break
         yield ("sleep", 1)
     return bytes(output), status

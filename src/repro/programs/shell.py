@@ -19,7 +19,8 @@ import re
 from repro.errors import iserr, errno_name, ECHILD
 from repro.kernel.constants import (O_APPEND, O_CREAT, O_RDONLY,
                                     O_TRUNC, O_WRONLY)
-from repro.programs.base import LineReader, print_err, write_all
+from repro.programs.base import (LineReader, exit_status, print_err,
+                                 write_all)
 
 _SPECIALS = re.compile(r"(\|{1}|;|&|>>|>|<)")
 
@@ -215,5 +216,5 @@ def _run_pipeline(commands, background, background_jobs):
         if reaped in remaining:
             remaining.discard(reaped)
             if reaped == pids[-1]:
-                status = (raw >> 8) & 0xFF if not raw & 0x7F else 1
+                status = exit_status(raw)
     return status

@@ -214,7 +214,8 @@ def test_unpack_never_crashes_unstructured(blob):
             pass
 
 
-# -- one owner for the dump-file protocol and the remote-name rule -----------
+# -- one owner for the dump-file protocol, the remote-name rule and the
+# -- remote-execution protocol ------------------------------------------------
 
 #: the modules that define the protocol: names, ids, sniff and sizes
 _PROTOCOL_OWNERS = {"core/formats.py", "kernel/constants.py",
@@ -222,6 +223,8 @@ _PROTOCOL_OWNERS = {"core/formats.py", "kernel/constants.py",
 #: the module that defines ``/n/<host>``: ``remote_name``,
 #: ``split_remote`` and ``MOUNT_DIR``
 _REMOTE_OWNERS = {"fs/paths.py"}
+#: the module that defines rsh's and migrationd's request and reply
+_EXEC_OWNERS = {"net/remote.py"}
 #: modules that define a struct the stack file embeds, and may spell
 #: its own size
 _STRUCT_OWNERS = {"kernel/cred.py", "kernel/signals.py", "vm/image.py"}
@@ -256,9 +259,13 @@ _ARCHIVE_KINDS = ("aout", "files", "stack")
 
 
 def _literal_leak(value, parent):
-    """What rule a string literal spells, or None."""
+    """What rule a string or bytes literal spells, or None."""
     import ast
     import re
+    if isinstance(value, bytes):
+        value = value.decode("latin-1")
+    if "\x00EXIT:" in value or value.startswith("CMD "):
+        return "remote protocol"
     if "/n/" in value or (value == "n" and isinstance(parent,
                                                       ast.Compare)):
         return "remote name"
@@ -293,8 +300,8 @@ def _builds_a_name(node):
 
 def _protocol_leaks(root):
     """``module:line: rule: what`` for every place outside the
-    owners that spells a piece of the dump-file protocol or of the
-    remote-name rule."""
+    owners that spells a piece of the dump-file protocol, of the
+    remote-name rule or of the remote-execution protocol."""
     import ast
     import os
     leaks, counts = [], {}
@@ -324,8 +331,9 @@ def _protocol_leaks(root):
                         scopes[id(child)] = scope
 
             def leak(node, rule, what):
-                if module in (_REMOTE_OWNERS if rule == "remote name"
-                              else _PROTOCOL_OWNERS):
+                if module in {"remote name": _REMOTE_OWNERS,
+                              "remote protocol": _EXEC_OWNERS}.get(
+                                  rule, _PROTOCOL_OWNERS):
                     return
                 key = (module, scopes[id(node)], what)
                 counts[key] = counts.get(key, 0) + 1
@@ -335,7 +343,7 @@ def _protocol_leaks(root):
 
             for node in ast.walk(tree):
                 if isinstance(node, ast.Constant) \
-                        and isinstance(node.value, str) \
+                        and isinstance(node.value, (str, bytes)) \
                         and id(node) not in docstrings:
                     rule = _literal_leak(node.value,
                                          parents.get(id(node)))
@@ -388,8 +396,8 @@ def test_only_formats_spells_the_dump_file_protocol():
     and the a.out header in ``vm/aout.py``); every other module calls
     those definitions.  Outside docstrings, no literal or struct size
     elsewhere may respell them, beyond the ``_ALLOWED`` look-alikes."""
-    assert [leak for leak in _leaks() if ": remote name: " not in leak] \
-        == []
+    assert [leak for leak in _leaks() if ": remote name: " not in leak
+            and ": remote protocol: " not in leak] == []
 
 
 def test_only_paths_spells_the_remote_name_rule():
@@ -398,3 +406,11 @@ def test_only_paths_spells_the_remote_name_rule():
     component with ``"n"``, beyond the ``_ALLOWED`` knob defaults and
     look-alike."""
     assert [leak for leak in _leaks() if ": remote name: " in leak] == []
+
+
+def test_only_remote_spells_the_remote_execution_protocol():
+    """rsh and migrationd share one protocol, ``net/remote.py``'s:
+    outside docstrings no other module holds the ``CMD `` request
+    prefix or the ``\\x00EXIT:`` reply sentinel."""
+    assert [leak for leak in _leaks()
+            if ": remote protocol: " in leak] == []

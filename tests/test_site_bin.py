@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.api import MigrationSite
 from repro.errors import EISDIR, UnixError
+from repro.programs import _suite
 from repro.programs.guest.counter import counter_aout
 from repro.programs.guest.cpuhog import cpuhog_aout
 from repro.programs.guest.editor import editor_aout
@@ -70,6 +71,15 @@ def test_every_machine_boots_the_suite_in_install_order(booted):
                 == marker + b"\x00" * (size - len(marker)), name
         for name, aout in GUESTS:
             assert bytes(entries[name].data) == aout(), name
+
+
+def test_the_suite_table_has_one_row_per_program():
+    """A repeated row would build and install its program twice, the
+    second install rewriting the first one's inode."""
+    native, guests = _suite()
+    names = [row[0] for row in native + guests]
+    assert len(names) == len(set(names))
+    assert names == [name for name, __ in NATIVE + GUESTS]
 
 
 def test_machines_share_no_inode_or_buffer(booted):

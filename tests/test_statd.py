@@ -190,15 +190,40 @@ def test_statd_recv_spools_under_the_spool_knob():
 
 
 def test_statd_spool_at_a_bare_host_root():
-    """``/n/<host>`` alone names that host's ``/``: statd on the
-    spooler's host spools into its root, the other daemon's sends
-    find no spooler there and are dropped, and every daemon exits."""
+    """``/n/<host>`` alone names that host's ``/``: the spooler runs
+    there, statd on that host spools into its root directly, and
+    every daemon exits."""
     site = _statd_site(stat_spool_dir="/n/brick")
     statds = _await_statd(site, site.start_statd())
     assert [h.exit_status for h in statds] == [0, 0]
-    report = StatReport.unpack(
-        site.machine("brick").fs.read_file(spool_path("", "brick")))
-    assert report.host == "brick" and report.seq == 3
+    for host in ("brick", "schooner"):
+        report = StatReport.unpack(
+            site.machine("brick").fs.read_file(spool_path("", host)))
+        assert report.host == host and report.seq == 3
+
+
+@pytest.mark.parametrize("spool_dir,spooler,local_dir", [
+    ("/n/brick", "brick", ""),
+    ("/n/schooner/var/statd", "schooner", "/var/statd"),
+])
+def test_statd_recv_runs_on_the_host_the_spool_knob_names(
+        spool_dir, spooler, local_dir):
+    """A knob naming a workstation puts the spooler on it: that
+    host's statd spools locally, the other ships every report over
+    the wire, and the spooler receives each one; none is dropped."""
+    site = _statd_site(stat_spool_dir=spool_dir)
+    handles = site.start_statd()
+    assert handles[0].proc.command == "statd-recv"
+    assert handles[0].machine is site.machine(spooler)
+    _await_statd(site, handles)
+    perf = site.cluster.perf
+    assert perf.st_reports_sent == 8     # 4 rounds x 2 daemons
+    assert perf.st_reports_recv == 4     # the other host's, all of them
+    assert perf.st_reports_dropped == 0
+    for host in ("brick", "schooner"):
+        report = StatReport.unpack(site.machine(spooler).fs.read_file(
+            spool_path(local_dir, host)))
+        assert report.host == host and report.seq == 3
 
 
 def test_statd_gauges_reflect_kernel_state():
