@@ -233,13 +233,13 @@ GOLDEN = {
     },
     "ledger-restage": {
         "trace":
-            "8cd09b9da6f704f170ba3ca4cf6814873065b83fd2c4e52cb09cf82431a4fb3e",
+            "fb918400d59cd228067c3f5bf079690a67b0a7178db26edbdefe6212580e97e0",
         "perf":
-            "d6c97c7930f2980129516e3e75a68343bb4d3117fe2cc6eafc3476cb486ac71a",
+            "9179520a93a1be354390ca333386a7fad9eaa3c7925cb99804b088db7258b0de",
         "consoles":
             "de13f19eba2329d247f76309043321c428c917a63529b9c91b4304ca8eb8773b",
         "clocks":
-            "196cabd1f1fd9e509796d34f9f09d2372c2796fb21d31d882cfa0f036c429b5b",
+            "91a9d17bbcd477df53b4ccca2662eb920ccebc0def686f21ebc16308e636a24d",
     },
     "loadd-delayed-reports": {
         "trace":
