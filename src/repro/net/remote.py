@@ -80,10 +80,10 @@ def relay(sock, command, timeout=None):
     """yield-from: request ``command`` over ``sock``, copy the reply's
     output to stdout as it arrives, and return the remote exit status.
 
-    Only a tail that may start a sentinel split across reads is held
-    back.  The connection ending before the sentinel gives
-    ``EX_FAIL``; a read that outlasts ``timeout`` seconds (when one is
-    given) gives ``-ETIMEDOUT``.
+    Only the last ``_HOLD`` bytes read, where a sentinel split across
+    reads may start, are held back.  The connection ending before the sentinel gives
+    ``EX_FAIL``; a read that outlasts ``timeout`` seconds (no read
+    times out without one) gives ``-ETIMEDOUT``.
     """
     yield from write_all(sock, "%s%s\n" % (_REQUEST, command))
     buffer = bytearray()
@@ -94,9 +94,7 @@ def relay(sock, command, timeout=None):
             data = yield ("read_timeout", sock, 1024, timeout)
         if iserr(data) or data == b"":
             yield from _flush(buffer)
-            if timeout is not None and data == -ETIMEDOUT:
-                return data
-            return EX_FAIL
+            return data if data == -ETIMEDOUT else EX_FAIL
         buffer.extend(data)
         index = buffer.find(_SENTINEL)
         if index >= 0 and b"\n" in buffer[index:]:

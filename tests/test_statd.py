@@ -205,7 +205,7 @@ def test_statd_spool_at_a_bare_host_root():
 @pytest.mark.parametrize("spool_dir,spooler,local_dir", [
     ("/n/brick", "brick", ""),
     ("/n/schooner/var/statd", "schooner", "/var/statd"),
-])
+], ids=["brick-root", "schooner-var-statd"])
 def test_statd_recv_runs_on_the_host_the_spool_knob_names(
         spool_dir, spooler, local_dir):
     """A knob naming a workstation puts the spooler on it: that
