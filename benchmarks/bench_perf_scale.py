@@ -19,7 +19,10 @@ It then:
 It also times site setup (``site_setup``): a ``MigrationSite()`` and
 a short cpuhog on it, first *cold* (the process-wide guest assembly
 memo and trace store emptied) and then *warm*, with the number of
-``assemble`` and ``compile_trace`` calls each paid.
+``assemble`` and ``compile_trace`` calls each paid.  Beside the warm
+rate it reports ``warm_site_kb``: the KB one more warm
+``MigrationSite()`` keeps alive, counted by ``tracemalloc`` on a
+construction that is not timed.
 
 The report's keys are merged into the top level of ``--out``
 (``BENCH_perf.json`` by default), so the sections other benchmarks
@@ -43,9 +46,11 @@ runs to completion.  Every hog's printed checksum is verified, so the
 storm double-checks migration correctness while it measures speed.
 """
 
+import gc
 import json
 import os
 import sys
+import tracemalloc
 
 # harness puts src/ on sys.path
 from harness import arg_parser, say, write_report
@@ -191,6 +196,22 @@ def _one_site_setup():
             "first_run_compile_trace_calls": counts["compile_trace"]}
 
 
+def _warm_site_kb():
+    """KB that one more ``MigrationSite()`` keeps alive, counted by
+    ``tracemalloc`` (which slows allocation, so it is not timed)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        site = MigrationSite()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del site
+    return round(kept / 1024.0, 1)
+
+
 def run_site_setup():
     """Cold then warm site setup (see the module docstring)."""
     libasm._clear_programs()
@@ -204,6 +225,7 @@ def run_site_setup():
             sorted(w[key] for w in warm)[SETUP_WARM_REPS // 2], 3)
     report["warm_sites_per_sec"] = round(1000.0 / report["warm_site_ms"],
                                          1)
+    report["warm_site_kb"] = _warm_site_kb()
     return report
 
 
@@ -230,8 +252,10 @@ def run_benchmark(iterations, out):
     say("site setup: cold, then warm (process-wide memos filled)...")
     setup = run_site_setup()
     say("  MigrationSite() %.1f ms cold (%d assembles), %.1f ms warm "
-        "(%d)" % (setup["cold_site_ms"], setup["cold_site_assemble_calls"],
-                  setup["warm_site_ms"], setup["warm_site_assemble_calls"]))
+        "(%d), %.1f KB kept alive warm"
+        % (setup["cold_site_ms"], setup["cold_site_assemble_calls"],
+           setup["warm_site_ms"], setup["warm_site_assemble_calls"],
+           setup["warm_site_kb"]))
 
     slow = stats["interpreter"]["steps_per_sec"]
     speedup = stats["fast"]["steps_per_sec"] / slow if slow \

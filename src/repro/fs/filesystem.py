@@ -10,6 +10,12 @@ Note the ``/n`` mount namespace is *not* part of a filesystem — it is
 synthesized per-machine by :mod:`repro.fs.namei`, which is why a
 remote machine's ``/n`` is invisible over NFS (the property that
 breaks naive symlink handling in the paper's section 4.3 example).
+
+A regular file's ``data`` is a private ``bytearray``, or an immutable
+``bytes`` image that many machines share (each ``/bin`` program).
+Only :meth:`write`, :meth:`truncate` and :meth:`install_file` change a
+file's data, and the first two copy a shared image before they do, so
+no machine ever sees another machine's write.
 """
 
 from repro.errors import (UnixError, ENOENT, EEXIST, ENOTDIR, EISDIR,
@@ -105,15 +111,21 @@ class FileSystem:
     def write(self, inode, offset, data):
         if not inode.is_reg():
             raise UnixError(EINVAL, "write of non-regular file")
-        if offset > len(inode.data):
-            inode.data.extend(b"\x00" * (offset - len(inode.data)))
-        inode.data[offset:offset + len(data)] = data
+        buf = inode.data
+        if isinstance(buf, bytes):  # a shared image: copy on first write
+            buf = inode.data = bytearray(buf)
+        if offset > len(buf):
+            buf.extend(b"\x00" * (offset - len(buf)))
+        buf[offset:offset + len(data)] = data
         return len(data)
 
     def truncate(self, inode, size=0):
         if not inode.is_reg():
             raise UnixError(EINVAL, "truncate of non-regular file")
-        del inode.data[size:]
+        if isinstance(inode.data, bytes):  # a shared image
+            inode.data = bytearray(inode.data[:size])
+        else:
+            del inode.data[size:]
 
     # -- convenience tree builders (used in machine setup and tests) --------
 
@@ -151,11 +163,10 @@ class FileSystem:
             inode = directory.entries[name]
             if not inode.is_reg():
                 raise UnixError(EISDIR, path)
-            inode.data[:] = data
         else:
             inode = self.create(directory, name, mode=mode, uid=uid,
                                 gid=gid)
-            inode.data[:] = data
+        inode.data = bytearray(data)
         return inode
 
     def read_file(self, path):

@@ -7,6 +7,7 @@ used by tests, examples and benchmarks: install programs, spawn
 processes, type at terminals.
 """
 
+import functools
 import heapq
 import itertools
 
@@ -25,6 +26,15 @@ from repro.vm.isa import cpu_model
 
 #: standard directories every machine gets at boot
 STANDARD_DIRS = ["/bin", "/dev", "/etc", "/tmp", "/usr/tmp", "/u"]
+
+
+@functools.cache
+def native_image(name, size):
+    """The ``/bin`` file of native program ``name``: its marker line,
+    zero-padded to ``size`` bytes.  Built once per process and shared
+    by every machine that installs it (it is immutable ``bytes``)."""
+    marker = b"#!native " + name.encode("latin-1") + b"\n"
+    return marker.ljust(size, b"\x00")
 
 
 class SpawnHandle:
@@ -115,29 +125,25 @@ class Machine:
         load cost for the tool's binary.
         """
         self.programs[name] = factory
-        marker = b"#!native " + name.encode("latin-1") + b"\n"
-        data = bytearray(max(size, len(marker)))
-        data[:len(marker)] = marker
-        self._install_bin(name, data)
+        self._install_bin(name, native_image(name, size))
 
     def install_aout(self, name, aout_bytes):
         """Install an assembled a.out executable under /bin."""
-        self._install_bin(name, bytearray(aout_bytes))
+        self._install_bin(name, bytes(aout_bytes))
 
     def _install_bin(self, name, data):
-        """Create ``/bin/<name>`` (mode 0755) owning the fresh
-        bytearray ``data``, or copy ``data`` over the regular file
-        already there.  ``/bin`` is an entry of the root, so this is
-        one directory insert, not a walk from the root."""
+        """Point ``/bin/<name>`` (mode 0755, created if missing) at the
+        immutable ``data``, which every machine may share: the file
+        system copies it on first write.  ``/bin`` is an entry of the
+        root, so this is one directory insert, not a walk from the
+        root."""
         bindir = self.fs.root.entries["bin"]
         inode = bindir.entries.get(name)
         if inode is None:
             inode = self.fs.create(bindir, name, mode=0o755)
-            inode.data = data
-        elif inode.is_reg():
-            inode.data[:] = data
-        else:
+        elif not inode.is_reg():
             raise UnixError(EISDIR, "/bin/" + name)
+        inode.data = data
 
     # -- process creation ------------------------------------------------------------
 

@@ -9,7 +9,9 @@ programs under ``/bin``.  The suite is one table, :func:`_suite`: a
 ``(name, aout function)`` row per guest program, in install order.
 Each row is one insert into the ``/bin`` directory inode
 (:meth:`Machine.install_native_program`,
-:meth:`Machine.install_aout`); nothing walks a path.
+:meth:`Machine.install_aout`); nothing walks a path.  Every machine's
+file points at the same immutable image of the program, copied on
+first write (:mod:`repro.fs.filesystem`).
 """
 
 import functools

@@ -104,9 +104,11 @@ def _ship(report, server, local, spool_dir):
     if server is None or server == local:
         # the spooler's host is this host: skip the wire and spool
         # straight into the local directory, tmp + rename like the
-        # receiver does
-        yield from _spool(spool_dir, report.host, report.pack())
+        # receiver does, and count it as the receiver would
+        result = yield from _spool(spool_dir, report.host, report.pack())
         yield ("perf_note", "st_reports_sent")
+        yield ("perf_note", "st_reports_dropped" if iserr(result)
+               else "st_reports_recv")
         return
     yield from send_report(STATD, report, server)
 

@@ -210,7 +210,9 @@ def test_statd_recv_runs_on_the_host_the_spool_knob_names(
         spool_dir, spooler, local_dir):
     """A knob naming a workstation puts the spooler on it: that
     host's statd spools locally, the other ships every report over
-    the wire, and the spooler receives each one; none is dropped."""
+    the wire, and the spooler receives each one; none is dropped.  A
+    report spooled locally counts as received too, so every report
+    sent is received or dropped."""
     site = _statd_site(stat_spool_dir=spool_dir)
     handles = site.start_statd()
     assert handles[0].proc.command == "statd-recv"
@@ -218,8 +220,10 @@ def test_statd_recv_runs_on_the_host_the_spool_knob_names(
     _await_statd(site, handles)
     perf = site.cluster.perf
     assert perf.st_reports_sent == 8     # 4 rounds x 2 daemons
-    assert perf.st_reports_recv == 4     # the other host's, all of them
+    assert perf.st_reports_recv == 8     # 4 over the wire, 4 local
     assert perf.st_reports_dropped == 0
+    assert perf.st_reports_sent \
+        == perf.st_reports_recv + perf.st_reports_dropped
     for host in ("brick", "schooner"):
         report = StatReport.unpack(site.machine(spooler).fs.read_file(
             spool_path(local_dir, host)))
